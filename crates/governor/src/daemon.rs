@@ -1,20 +1,24 @@
 //! The governor daemon: a closed control loop over synthetic traffic.
 //!
-//! [`simulate_policy`](crate::simulate::simulate_policy) scores policies on
-//! *phase traces* — offline plans with known boundaries. A deployed governor
-//! has no such plan: it polls utilisation, classifies the load into zones,
-//! debounces the classification with stability counters, and only then
-//! switches — paying, each time, a latency drawn from the *measured*
-//! [`LatencyTable`]. This module is that loop, in the control-loop shape of
-//! production GPU governors (multi-level zones, hysteresis, idle slow-poll,
-//! aggressive down-clocking), run in virtual time against an open-loop
+//! A deployed governor has no plan of the workload ahead: it polls
+//! utilisation, classifies the load into zones, debounces the
+//! classification with stability counters, and only then switches —
+//! paying, each time, a latency drawn from the *measured* [`LatencyTable`].
+//! This module is that loop, in the control-loop shape of production GPU
+//! governors (multi-level zones, hysteresis, idle slow-poll, aggressive
+//! down-clocking), run in virtual time against an open-loop
 //! [`TrafficTrace`].
 //!
-//! The paper's effect is made end-to-end observable: while a switch is in
-//! flight the device stalls, arrivals pile up, and deadlines blow. A policy
-//! that consults the table before switching ([`LatencyAwareDaemon`]) avoids
-//! exactly those stalls; one that assumes switches are free pays them at
-//! every debounced zone change.
+//! Switches cost what the paper measures. Its phase 2 watches a workload
+//! that keeps iterating at the *initial* frequency until the target
+//! frequency takes over, so while a switch is in flight the device keeps
+//! serving its queue at the old clock, drawing busy power at that clock.
+//! The latency is paid in time spent at the wrong frequency: a slow switch
+//! down leaves the device fast and power-hungry for longer, a slow switch
+//! up leaves it too slow for the load that asked for the change. A policy
+//! that consults the table before switching ([`LatencyAwareDaemon`])
+//! declines switches that do not amortise; one that assumes switches are
+//! free ([`LatencyObliviousDaemon`]) pays for every debounced zone change.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -23,10 +27,8 @@ use latest_gpu_sim::freq::FreqMhz;
 use latest_traffic::TrafficTrace;
 use serde::{Deserialize, Serialize};
 
-use crate::phase::PhaseKind;
-use crate::power::PowerModel;
-use crate::simulate::TransitionReplay;
-use crate::table::LatencyTable;
+use crate::power::{PhaseKind, PowerModel};
+use crate::table::{LatencyTable, TransitionReplay};
 
 /// Debounced load classification, coarsest to hottest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -401,8 +403,9 @@ pub struct Scorecard {
     pub switches: usize,
     /// Zone changes where the policy chose not to switch.
     pub suppressed: usize,
-    /// Requests that arrived while a switch was in flight (stalled).
-    pub stalled_arrivals: usize,
+    /// Requests that arrived while a switch was in flight (served at the
+    /// old clock until the switch lands).
+    pub arrivals_mid_switch: usize,
     /// Total time with a switch in flight (ms).
     pub time_in_switch_ms: f64,
     /// Longest single switch paid (ms).
@@ -461,9 +464,11 @@ impl GovernorDaemon {
     /// Run `policy` over `trace`, drawing switch latencies from `replay`.
     ///
     /// The device serves the queue FIFO at a rate proportional to its
-    /// current frequency; while a switch is in flight it serves nothing
-    /// (the paper's stall, end to end). The run ends when the queue drains
-    /// after the last arrival.
+    /// current frequency; while a switch is in flight it keeps serving at
+    /// the old frequency until the switch lands (the paper's cost model).
+    /// Zone changes debounced while a switch is in flight stay pending and
+    /// reach the policy at the first poll after landing. The run ends when
+    /// the queue drains after the last arrival.
     pub fn run(
         &self,
         policy: &dyn DaemonPolicy,
@@ -499,13 +504,15 @@ impl GovernorDaemon {
         let mut energy_j = 0.0f64;
         let mut switches = 0usize;
         let mut suppressed = 0usize;
-        let mut stalled_arrivals = 0usize;
+        let mut arrivals_mid_switch = 0usize;
         let mut time_in_switch = 0.0f64;
         let mut worst_switch = 0.0f64;
         let mut idle_polls = 0usize;
 
         loop {
-            let serving = !queue.is_empty() && in_switch.is_none();
+            // A switch in flight does not stop the device: `current` stays
+            // the old clock until the switch lands.
+            let serving = !queue.is_empty();
             let speed = current.as_f64() / f_ref.as_f64();
 
             // Next event: arrival, head-of-queue completion, switch landing
@@ -530,10 +537,9 @@ impl GovernorDaemon {
                         head.remaining_ref_ms = (head.remaining_ref_ms - dt * speed).max(0.0);
                     }
                     busy_in_window += dt;
-                    energy_j += self.power.energy_j(current, PhaseKind::ComputeBound, dt);
+                    energy_j += self.power.energy_j(current, PhaseKind::Busy, dt);
                 } else {
-                    // Idle or stalled mid-switch: near-static draw.
-                    energy_j += self.power.energy_j(current, PhaseKind::Communication, dt);
+                    energy_j += self.power.energy_j(current, PhaseKind::Idle, dt);
                 }
             }
             now = next;
@@ -567,7 +573,7 @@ impl GovernorDaemon {
                     break;
                 }
                 if in_switch.is_some() {
-                    stalled_arrivals += 1;
+                    arrivals_mid_switch += 1;
                 }
                 queue.push_back(Job {
                     arrival_ms: r.arrival_ms,
@@ -588,7 +594,10 @@ impl GovernorDaemon {
                     pending_zone = observed;
                     pending_count = 1;
                 }
+                // While a switch is in flight the zone stays pending: it is
+                // applied and decided at the first poll after landing.
                 if pending_zone != applied_zone
+                    && in_switch.is_none()
                     && pending_count >= cfg.stability_needed(applied_zone, pending_zone)
                 {
                     // Debounced zone change: update the dwell estimate and
@@ -597,19 +606,15 @@ impl GovernorDaemon {
                     dwell_ema = 0.7 * dwell_ema + 0.3 * dwell;
                     applied_zone = pending_zone;
                     zone_since = now;
-                    // While a switch is in flight the clock is undefined;
-                    // decisions resume once it lands.
-                    if in_switch.is_none() {
-                        match policy.decide(applied_zone, current, &ladder, dwell_ema) {
-                            Some(target) if target != current => {
-                                let latency = replay.draw_ms(current, target);
-                                in_switch = Some((now + latency, target));
-                                switches += 1;
-                                time_in_switch += latency;
-                                worst_switch = worst_switch.max(latency);
-                            }
-                            _ => suppressed += 1,
+                    match policy.decide(applied_zone, current, &ladder, dwell_ema) {
+                        Some(target) if target != current => {
+                            let latency = replay.draw_ms(current, target);
+                            in_switch = Some((now + latency, target));
+                            switches += 1;
+                            time_in_switch += latency;
+                            worst_switch = worst_switch.max(latency);
                         }
+                        _ => suppressed += 1,
                     }
                 }
                 busy_in_window = 0.0;
@@ -658,7 +663,7 @@ impl GovernorDaemon {
             energy_j,
             switches,
             suppressed,
-            stalled_arrivals,
+            arrivals_mid_switch,
             time_in_switch_ms: time_in_switch,
             worst_switch_ms: worst_switch,
             idle_polls,
@@ -759,30 +764,200 @@ mod tests {
     }
 
     #[test]
-    fn oblivious_switches_and_stalls_under_bursts() {
+    fn oblivious_switches_under_bursts() {
         let trace = bursty_trace();
         let mut replay = TransitionReplay::new(pathological_table(), 2);
         let card = daemon().run(&LatencyObliviousDaemon, &trace, &mut replay, 2);
         assert!(card.switches > 0, "bursty load must trigger zone changes");
         assert!(card.time_in_switch_ms > 0.0);
-        assert!(card.stalled_arrivals > 0, "bursts arrive mid-switch");
+        assert!(card.arrivals_mid_switch > 0, "bursts arrive mid-switch");
+        assert_eq!(card.completed, card.requests);
+    }
+
+    #[test]
+    fn a_switch_in_flight_keeps_serving_at_the_old_clock() {
+        // Two 100 ms requests. The first drives the zone up and back to
+        // idle, where the oblivious policy switches 1440 -> 735 MHz at a
+        // cost of 10 s. The second arrives mid-switch and must be served at
+        // the old clock, with busy power drawn at that clock, instead of
+        // waiting for the switch to land.
+        let request = |arrival_ms| latest_traffic::Request {
+            arrival_ms,
+            work_ms: 100.0,
+            deadline_ms: None,
+        };
+        let trace = TrafficTrace {
+            name: "two".into(),
+            shape: "manual".into(),
+            seed: 0,
+            requests: vec![request(100.0), request(1_000.0)],
+        };
+        let mut replay = TransitionReplay::new(flat_table(10_000.0), 1);
+        let card = daemon().run(&LatencyObliviousDaemon, &trace, &mut replay, 1);
+        assert_eq!(card.switches, 1);
+        assert_eq!(card.arrivals_mid_switch, 1);
+        assert_eq!(card.completed, 2);
+        assert!((card.p99_latency_ms - 100.0).abs() < 1e-6, "{card:?}");
+        let power = PowerModel::sxm_class(FreqMhz(1440));
+        let busy_ms = 200.0;
+        let expected = power.energy_j(FreqMhz(1440), PhaseKind::Busy, busy_ms)
+            + power.energy_j(FreqMhz(1440), PhaseKind::Idle, card.runtime_ms - busy_ms);
+        assert!(
+            (card.energy_j - expected).abs() < 1e-6,
+            "energy {} J vs {expected} J",
+            card.energy_j
+        );
+    }
+
+    /// Chases the ladder like [`LatencyObliviousDaemon`] and records every
+    /// zone it is asked to decide on.
+    #[derive(Default)]
+    struct Recording {
+        zones: std::cell::RefCell<Vec<LoadZone>>,
+    }
+
+    impl DaemonPolicy for Recording {
+        fn name(&self) -> &str {
+            "recording"
+        }
+
+        fn initial_frequency(&self, ladder: &ZoneLadder) -> FreqMhz {
+            ladder.max()
+        }
+
+        fn decide(
+            &self,
+            zone: LoadZone,
+            current: FreqMhz,
+            ladder: &ZoneLadder,
+            dwell_hint_ms: f64,
+        ) -> Option<FreqMhz> {
+            self.zones.borrow_mut().push(zone);
+            LatencyObliviousDaemon.decide(zone, current, ladder, dwell_hint_ms)
+        }
+    }
+
+    #[test]
+    fn every_applied_zone_change_reaches_the_policy() {
+        // 200 ms switches under bursty load: zones change while switches
+        // are in flight. Each applied change must still reach `decide`, so
+        // consecutive decisions always see a different zone (the applied
+        // zone starts at idle).
+        let trace = bursty_trace();
+        let mut replay = TransitionReplay::new(flat_table(200.0), 4);
+        let policy = Recording::default();
+        let card = daemon().run(&policy, &trace, &mut replay, 4);
+        let zones = policy.zones.into_inner();
+        assert!(card.switches > 0);
+        assert_eq!(zones.len(), card.switches + card.suppressed);
+        let mut previous = LoadZone::Idle;
+        for (i, &zone) in zones.iter().enumerate() {
+            assert_ne!(
+                zone, previous,
+                "decision {i} repeats {zone}: a zone change in between was applied silently"
+            );
+            previous = zone;
+        }
     }
 
     #[test]
     fn aware_strictly_beats_oblivious_on_missed_deadlines() {
-        let trace = bursty_trace();
+        // On gaming and deadline traffic the oblivious policy's switches
+        // into the slow middle rungs leave the device underclocked when
+        // the load returns; the aware policy declines them. (Under bursty
+        // traffic it does not win: see the README's governor section.)
         let table = pathological_table();
-        let mut replay_o = TransitionReplay::new(table.clone(), 3);
-        let oblivious = daemon().run(&LatencyObliviousDaemon, &trace, &mut replay_o, 3);
-        let mut replay_a = TransitionReplay::new(table.clone(), 3);
-        let aware = daemon().run(&LatencyAwareDaemon::new(table), &trace, &mut replay_a, 3);
-        assert!(
-            aware.missed_deadlines < oblivious.missed_deadlines,
-            "aware {} vs oblivious {}",
-            aware.missed_deadlines,
-            oblivious.missed_deadlines
+        for traffic in ["gaming", "deadline"] {
+            let trace = TrafficRegistry::builtin()
+                .get(traffic)
+                .unwrap()
+                .generate()
+                .unwrap();
+            let mut replay_o = TransitionReplay::new(table.clone(), 3);
+            let oblivious = daemon().run(&LatencyObliviousDaemon, &trace, &mut replay_o, 3);
+            let mut replay_a = TransitionReplay::new(table.clone(), 3);
+            let aware = daemon().run(
+                &LatencyAwareDaemon::new(table.clone()),
+                &trace,
+                &mut replay_a,
+                3,
+            );
+            assert!(
+                aware.missed_deadlines < oblivious.missed_deadlines,
+                "{traffic}: aware {} vs oblivious {}",
+                aware.missed_deadlines,
+                oblivious.missed_deadlines
+            );
+            assert!(aware.suppressed > 0, "awareness means declining switches");
+        }
+    }
+
+    #[test]
+    fn oblivious_switches_at_every_zone_change() {
+        let ladder = ZoneLadder::from_table(&flat_table(5.0)).unwrap();
+        let p = LatencyObliviousDaemon;
+        for zone in [LoadZone::Idle, LoadZone::Low, LoadZone::Saturated] {
+            let want = ladder.target(zone);
+            for &current in ladder.rungs() {
+                let expected = (want != current).then_some(want);
+                assert_eq!(p.decide(zone, current, &ladder, 0.0), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn aware_skips_unamortised_switches() {
+        // 300 ms flat latency against a 1 s dwell at 10 % amortisation: no
+        // switch ever pays off.
+        let table = flat_table(300.0);
+        let ladder = ZoneLadder::from_table(&table).unwrap();
+        let p = LatencyAwareDaemon::new(table);
+        for zone in [LoadZone::Idle, LoadZone::Low, LoadZone::Medium] {
+            assert_eq!(p.decide(zone, ladder.max(), &ladder, 1_000.0), None);
+        }
+    }
+
+    #[test]
+    fn aware_switches_when_cheap() {
+        // 1 ms flat latency: every zone change amortises at once.
+        let table = flat_table(1.0);
+        let ladder = ZoneLadder::from_table(&table).unwrap();
+        let p = LatencyAwareDaemon::new(table);
+        assert_eq!(
+            p.decide(LoadZone::Idle, ladder.max(), &ladder, 100.0),
+            Some(FreqMhz(735))
         );
-        assert!(aware.suppressed > 0, "awareness means declining switches");
+    }
+
+    #[test]
+    fn aware_treats_unknown_pairs_as_unaffordable() {
+        let mut table = LatencyTable::new("one-pair");
+        table.insert(PairLatency::new(1440, 930, vec![1.0]));
+        let ladder = ZoneLadder::from_table(&table).unwrap();
+        let p = LatencyAwareDaemon::new(table);
+        // 930 is the only known target, so the ladder is just [930]; from
+        // 1440 the straight pair is known, from 735 it is not.
+        assert_eq!(
+            p.decide(LoadZone::Idle, FreqMhz(1440), &ladder, 1e9),
+            Some(FreqMhz(930))
+        );
+        assert_eq!(p.decide(LoadZone::Idle, FreqMhz(735), &ladder, 1e9), None);
+    }
+
+    #[test]
+    fn aware_detours_around_pathological_pairs() {
+        // Straight 1440 -> 930 is pathological (237 ms); 990 is the
+        // cheapest neighbour of 930 within the 200 MHz window.
+        let mut table = flat_table(5.0);
+        table.insert(PairLatency::new(1440, 930, vec![237.0, 238.0]));
+        table.insert(PairLatency::new(1440, 990, vec![4.0]));
+        let ladder = ZoneLadder::from_table(&table).unwrap();
+        let p = LatencyAwareDaemon::new(table);
+        assert_eq!(ladder.target(LoadZone::Low), FreqMhz(930));
+        assert_eq!(
+            p.decide(LoadZone::Low, FreqMhz(1440), &ladder, 1e9),
+            Some(FreqMhz(990))
+        );
     }
 
     #[test]

@@ -7,39 +7,29 @@
 //! transitions, which show overhead higher than other frequency pairs".
 //! This crate closes that loop: it consumes the switching-latency tables
 //! produced by the LATEST campaign and uses them to drive frequency-scaling
-//! decisions over phase-structured workloads.
+//! decisions under synthetic request traffic.
 //!
 //! * [`table`] — [`LatencyTable`]: the per-pair switching-latency knowledge
 //!   base, built from a [`latest_core::CampaignResult`] or raw entries, with
-//!   percentile queries, expensive-pair classification and JSON round-trip.
-//! * [`phase`] — phase-structured workload model (compute-bound,
-//!   memory-bound, communication regions à la COUNTDOWN) plus seeded
-//!   synthetic trace generators for the workload classes the paper's
-//!   introduction motivates (LLM training steps, iterative solvers).
+//!   percentile queries, expensive-pair classification and JSON round-trip;
+//!   and [`TransitionReplay`], which draws each switch's cost from the
+//!   measured distribution of its pair.
 //! * [`power`] — frequency-to-power model with a cubic dynamic part,
-//!   calibrated per device, and energy integration over executions.
-//! * [`policy`] — the governor policies: run-at-max baseline, oracle static
-//!   tuning, latency-oblivious per-phase DVFS, and the latency-aware
-//!   governor that amortises measured switching latency and avoids
-//!   pathological pairs.
-//! * [`simulate`] — executes a policy against a device whose transition
-//!   behaviour is replayed from the measured distribution, accounting
-//!   runtime and energy; produces comparable [`simulate::GovernorReport`]s.
-//! * [`daemon`] — the closed control loop: a [`daemon::GovernorDaemon`]
-//!   polls a simulated device under open-loop `latest-traffic` load,
-//!   classifies utilisation into zones with stability counters and
-//!   hysteresis, and pays measured latency (requests stall) for every
-//!   switch; produces per-(policy × traffic) [`daemon::Scorecard`]s.
+//!   calibrated per device, and energy integration over busy and idle time.
+//! * [`daemon`] — the governor: a [`daemon::GovernorDaemon`] polls a
+//!   simulated device under open-loop `latest-traffic` load, classifies
+//!   utilisation into zones with stability counters and hysteresis, and
+//!   asks a [`DaemonPolicy`] (run-at-max, latency-oblivious or
+//!   latency-aware) for a frequency. Switches cost what the paper measures:
+//!   the device keeps serving at the old clock until the switch lands.
+//!   Produces per-(policy × traffic) [`daemon::Scorecard`]s.
 //!
-//! The ablation this enables (latency-aware vs latency-oblivious on a GPU
-//! with pathological pairs, e.g. the simulated GH200) is regenerated by
-//! `repro_governor` in the bench crate.
+//! The comparison this enables (latency-aware vs latency-oblivious on GPUs
+//! with and without pathological pairs) is regenerated by `repro_governor`
+//! in the bench crate.
 
 pub mod daemon;
-pub mod phase;
-pub mod policy;
 pub mod power;
-pub mod simulate;
 pub mod table;
 
 pub use daemon::{
@@ -47,8 +37,5 @@ pub use daemon::{
     LatencyAwareDaemon, LatencyObliviousDaemon, LoadZone, RunAtMaxDaemon, Scorecard, ZoneLadder,
     POLICY_NAMES,
 };
-pub use phase::{Phase, PhaseKind, PhaseTrace, TraceGenerator};
-pub use policy::{GovernorPolicy, LatencyAware, LatencyOblivious, RunAtMax, StaticOracle};
-pub use power::PowerModel;
-pub use simulate::{simulate_policy, GovernorReport, TransitionReplay};
-pub use table::{LatencyTable, PairLatency, SkippedPairs};
+pub use power::{PhaseKind, PowerModel};
+pub use table::{LatencyTable, PairLatency, SkippedPairs, TransitionReplay};

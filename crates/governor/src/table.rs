@@ -5,7 +5,8 @@
 //! expected and tail latencies, and for the *avoid list* — pairs whose
 //! overhead is pathological compared to their neighbours (Sec. VIII: "the
 //! runtime system may avoid some frequency transitions, which show overhead
-//! higher than other frequency pairs").
+//! higher than other frequency pairs"). A [`TransitionReplay`] draws the
+//! cost of each switch a simulated device pays from that same sample.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -13,6 +14,9 @@ use std::fmt;
 use latest_core::{CampaignResult, OutcomeKind};
 use latest_gpu_sim::freq::FreqMhz;
 use latest_stats::Summary;
+use rand::Rng;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Why pairs of a campaign did *not* make it into a [`LatencyTable`].
@@ -300,6 +304,44 @@ impl LatencyTable {
     }
 }
 
+/// Replayed transition cost: draw a latency from the measured sample of the
+/// pair (uniformly, seeded), falling back to the table's typical latency
+/// for pairs the campaign never measured.
+#[derive(Clone, Debug)]
+pub struct TransitionReplay {
+    table: LatencyTable,
+    rng: ChaCha8Rng,
+    fallback_ms: f64,
+}
+
+impl TransitionReplay {
+    /// Build a replay source from a measured table.
+    pub fn new(table: LatencyTable, seed: u64) -> Self {
+        let fallback_ms = table.typical_ms().unwrap_or(10.0);
+        TransitionReplay {
+            table,
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            fallback_ms,
+        }
+    }
+
+    /// The table latencies are drawn from.
+    pub fn table(&self) -> &LatencyTable {
+        &self.table
+    }
+
+    /// Draw the latency of one `init → target` transition (ms).
+    pub fn draw_ms(&mut self, init: FreqMhz, target: FreqMhz) -> f64 {
+        match self.table.pair(init, target) {
+            Some(p) if !p.latencies_ms.is_empty() => {
+                let idx = self.rng.gen_range(0..p.latencies_ms.len());
+                p.latencies_ms[idx]
+            }
+            _ => self.fallback_ms,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,5 +418,67 @@ mod tests {
         assert_eq!(t.typical_ms(), None);
         assert!(t.avoid_list(2.0).is_empty());
         assert!(!t.is_pathological(FreqMhz(1), FreqMhz(2), 2.0));
+    }
+
+    #[test]
+    fn replay_draws_from_the_measured_sample() {
+        let mut table = LatencyTable::new("x");
+        table.insert(PairLatency::new(1000, 2000, vec![3.0, 7.0, 11.0]));
+        let mut replay = TransitionReplay::new(table, 5);
+        for _ in 0..50 {
+            let d = replay.draw_ms(FreqMhz(1000), FreqMhz(2000));
+            assert!([3.0, 7.0, 11.0].contains(&d));
+        }
+        // Unmeasured pair: fall back to the typical latency (median of
+        // means = 7.0).
+        let d = replay.draw_ms(FreqMhz(2000), FreqMhz(1000));
+        assert!((d - 7.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn replay_is_deterministic_per_seed_and_differs_across_seeds() {
+        let mut table = LatencyTable::new("x");
+        table.insert(PairLatency::new(
+            1000,
+            2000,
+            (0..64).map(f64::from).collect(),
+        ));
+        let draw = |seed: u64| -> Vec<f64> {
+            let mut replay = TransitionReplay::new(table.clone(), seed);
+            (0..32)
+                .map(|_| replay.draw_ms(FreqMhz(1000), FreqMhz(2000)))
+                .collect()
+        };
+        assert_eq!(draw(11), draw(11), "same seed must replay identically");
+        assert_ne!(draw(11), draw(12), "reseeding must change the stream");
+    }
+
+    #[test]
+    fn absent_pair_always_falls_back_without_consuming_randomness() {
+        let mut table = LatencyTable::new("x");
+        table.insert(PairLatency::new(1000, 2000, vec![3.0, 7.0, 11.0]));
+        // Interleave absent-pair draws between measured draws: the measured
+        // stream must be unchanged versus drawing them back to back,
+        // because fallback draws consume no RNG state.
+        let plain: Vec<f64> = {
+            let mut r = TransitionReplay::new(table.clone(), 6);
+            (0..16)
+                .map(|_| r.draw_ms(FreqMhz(1000), FreqMhz(2000)))
+                .collect()
+        };
+        let interleaved: Vec<f64> = {
+            let mut r = TransitionReplay::new(table.clone(), 6);
+            (0..16)
+                .map(|_| {
+                    let absent = r.draw_ms(FreqMhz(9999), FreqMhz(1));
+                    assert!((absent - 7.0).abs() < 1e-9, "fallback is typical_ms");
+                    r.draw_ms(FreqMhz(1000), FreqMhz(2000))
+                })
+                .collect()
+        };
+        assert_eq!(plain, interleaved);
+        // Empty table: the fallback falls back again, to a fixed constant.
+        let mut empty = TransitionReplay::new(LatencyTable::new("none"), 6);
+        assert!((empty.draw_ms(FreqMhz(1), FreqMhz(2)) - 10.0).abs() < 1e-9);
     }
 }

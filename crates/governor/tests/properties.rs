@@ -1,37 +1,15 @@
-//! Property-based tests for the governor: table queries, phase scaling and
-//! the accounting identities of the policy simulator.
+//! Property-based tests for the governor: table queries, latency replay and
+//! the accounting identities of the daemon loop.
 
-use latest_governor::simulate::TransitionReplay;
+use std::sync::OnceLock;
+
 use latest_governor::{
-    simulate_policy, GovernorPolicy, LatencyAware, LatencyOblivious, LatencyTable, PairLatency,
-    Phase, PhaseKind, PhaseTrace, PowerModel, RunAtMax,
+    make_policy, DaemonConfig, GovernorDaemon, LatencyTable, PairLatency, PhaseKind, PowerModel,
+    Scorecard, TransitionReplay, ZoneLadder, POLICY_NAMES,
 };
 use latest_gpu_sim::freq::FreqMhz;
+use latest_traffic::{TrafficRegistry, TrafficTrace};
 use proptest::prelude::*;
-
-const F_MIN: FreqMhz = FreqMhz(210);
-const F_MAX: FreqMhz = FreqMhz(1410);
-
-fn kinds() -> impl Strategy<Value = PhaseKind> {
-    prop_oneof![
-        Just(PhaseKind::ComputeBound),
-        Just(PhaseKind::MemoryBound),
-        Just(PhaseKind::Communication),
-    ]
-}
-
-fn traces() -> impl Strategy<Value = PhaseTrace> {
-    prop::collection::vec((kinds(), 1.0..500.0f64), 1..25).prop_map(|phases| PhaseTrace {
-        name: "prop".into(),
-        phases: phases
-            .into_iter()
-            .map(|(kind, ref_duration_ms)| Phase {
-                kind,
-                ref_duration_ms,
-            })
-            .collect(),
-    })
-}
 
 fn tables() -> impl Strategy<Value = LatencyTable> {
     prop::collection::vec(1.0..100.0f64, 1..6).prop_map(|ms| {
@@ -46,6 +24,30 @@ fn tables() -> impl Strategy<Value = LatencyTable> {
         }
         t
     })
+}
+
+/// The builtin traffic catalog, generated once.
+fn catalog() -> &'static [TrafficTrace] {
+    static CATALOG: OnceLock<Vec<TrafficTrace>> = OnceLock::new();
+    CATALOG.get_or_init(|| {
+        TrafficRegistry::builtin()
+            .specs()
+            .iter()
+            .map(|spec| spec.generate().unwrap())
+            .collect()
+    })
+}
+
+fn traffic() -> impl Strategy<Value = &'static TrafficTrace> {
+    (0..catalog().len()).prop_map(|i| &catalog()[i])
+}
+
+fn score(table: &LatencyTable, policy: &str, trace: &TrafficTrace, seed: u64) -> Scorecard {
+    let ladder = ZoneLadder::from_table(table).unwrap();
+    let daemon = GovernorDaemon::new(DaemonConfig::default(), PowerModel::sxm_class(ladder.max()));
+    let policy = make_policy(policy, table).unwrap();
+    let mut replay = TransitionReplay::new(table.clone(), seed);
+    daemon.run(policy.as_ref(), trace, &mut replay, seed)
 }
 
 proptest! {
@@ -106,74 +108,37 @@ proptest! {
         }
     }
 
-    // --- phases -----------------------------------------------------------------
+    // --- daemon accounting ---------------------------------------------------------
 
     #[test]
-    fn lower_frequency_never_shortens_a_phase(kind in kinds(), dur in 1.0..1000.0f64, f in 210u32..1410) {
-        let phase = Phase { kind, ref_duration_ms: dur };
-        let slow = phase.duration_at_ms(FreqMhz(f), F_MAX);
-        let fast = phase.duration_at_ms(F_MAX, F_MAX);
-        prop_assert!(slow >= fast - 1e-12);
-        prop_assert!((fast - dur).abs() < 1e-9);
-    }
-
-    // --- simulator accounting ------------------------------------------------------
-
-    #[test]
-    fn run_at_max_reproduces_reference_runtime(trace in traces(), table in tables(), seed in 0u64..100) {
-        let power = PowerModel::sxm_class(F_MAX);
-        let mut replay = TransitionReplay::new(table, seed);
-        let r = simulate_policy(&RunAtMax { f_max: F_MAX }, &trace, &power, &mut replay, F_MAX);
-        let expected = trace.runtime_at_ms(F_MAX, F_MAX);
-        prop_assert!((r.runtime_ms - expected).abs() <= 1e-6 * (1.0 + expected));
-        prop_assert_eq!(r.switches, 0);
-        prop_assert!(r.energy_j > 0.0);
-    }
-
-    #[test]
-    fn energy_is_bounded_by_power_extremes(trace in traces(), table in tables(), seed in 0u64..100) {
-        let power = PowerModel::sxm_class(F_MAX);
-        let mut replay = TransitionReplay::new(table.clone(), seed);
-        let policy = LatencyOblivious { f_min: F_MIN, f_max: F_MAX };
-        let r = simulate_policy(&policy, &trace, &power, &mut replay, F_MAX);
-        // Energy must lie between idle-power and max-power integrals of the
-        // actual runtime.
-        let p_floor = power.power_w(F_MIN, PhaseKind::Communication);
-        let p_ceil = power.power_w(F_MAX, PhaseKind::ComputeBound);
-        prop_assert!(r.energy_j >= p_floor * r.runtime_ms / 1e3 - 1e-6);
-        prop_assert!(r.energy_j <= p_ceil * r.runtime_ms / 1e3 + 1e-6);
-    }
-
-    #[test]
-    fn decisions_are_bounded_by_boundaries(trace in traces(), table in tables(), seed in 0u64..100) {
-        let power = PowerModel::sxm_class(F_MAX);
-        for policy in [
-            Box::new(LatencyOblivious { f_min: F_MIN, f_max: F_MAX }) as Box<dyn GovernorPolicy>,
-            Box::new(LatencyAware::new(table.clone(), F_MIN, F_MAX)),
-        ] {
-            let mut replay = TransitionReplay::new(table.clone(), seed);
-            let r = simulate_policy(policy.as_ref(), &trace, &power, &mut replay, F_MAX);
-            prop_assert!(r.switches + r.suppressed <= trace.n_boundaries());
-            prop_assert!(r.runtime_ms >= trace.runtime_at_ms(F_MAX, F_MAX) - 1e-6);
-            prop_assert!(r.worst_transition_ms >= 0.0);
-            prop_assert!(r.transition_ms >= 0.0);
+    fn every_policy_completes_every_request(table in tables(), trace in traffic(), seed in 0u64..100) {
+        for policy in POLICY_NAMES {
+            let card = score(&table, policy, trace, seed);
+            prop_assert_eq!(card.completed, card.requests, "{}/{}", policy, trace.name);
         }
     }
 
     #[test]
-    // On uniform tables (all pairs equally expensive) the detour logic never
-    // fires, so the aware governor is a strict filter over the oblivious
-    // one's switch decisions.
-    fn aware_never_switches_more_than_oblivious(trace in traces(), table in tables(), seed in 0u64..100) {
-        let power = PowerModel::sxm_class(F_MAX);
-        let oblivious = {
-            let mut replay = TransitionReplay::new(table.clone(), seed);
-            simulate_policy(&LatencyOblivious { f_min: F_MIN, f_max: F_MAX }, &trace, &power, &mut replay, F_MAX)
-        };
-        let aware = {
-            let mut replay = TransitionReplay::new(table.clone(), seed);
-            simulate_policy(&LatencyAware::new(table.clone(), F_MIN, F_MAX), &trace, &power, &mut replay, F_MAX)
-        };
-        prop_assert!(aware.switches <= oblivious.switches);
+    fn energy_is_bounded_by_power_extremes(table in tables(), trace in traffic(), seed in 0u64..100) {
+        // Energy must lie between the idle draw at the bottom rung and the
+        // busy draw at the top rung, integrated over the actual runtime.
+        let ladder = ZoneLadder::from_table(&table).unwrap();
+        let power = PowerModel::sxm_class(ladder.max());
+        let p_floor = power.power_w(ladder.rungs()[0], PhaseKind::Idle);
+        let p_ceil = power.power_w(ladder.max(), PhaseKind::Busy);
+        for policy in POLICY_NAMES {
+            let card = score(&table, policy, trace, seed);
+            prop_assert!(card.energy_j >= p_floor * card.runtime_ms / 1e3 - 1e-6);
+            prop_assert!(card.energy_j <= p_ceil * card.runtime_ms / 1e3 + 1e-6);
+        }
+    }
+
+    #[test]
+    // `tables()` always spans the same rungs, so two draws share a top
+    // rung and differ only in latencies, which run-at-max never pays.
+    fn run_at_max_ignores_switch_latencies(a in tables(), b in tables(), trace in traffic(), seed in 0u64..100) {
+        let card_a = score(&a, "run-at-max", trace, seed);
+        prop_assert_eq!(card_a.switches, 0);
+        prop_assert_eq!(card_a.to_json(), score(&b, "run-at-max", trace, seed).to_json());
     }
 }

@@ -1,35 +1,37 @@
 //! The paper's motivating application, end to end: measure a GPU's
-//! switching-latency table with the LATEST methodology, hand it to a DVFS
-//! governor, and show what the knowledge is worth on phase-structured
-//! workloads (Secs. I and VIII).
+//! switching-latency table with the LATEST methodology, hand it to the
+//! governor daemon, and show what the knowledge is worth under synthetic
+//! request traffic (Secs. I and VIII).
 //!
 //! ```text
 //! cargo run --release --example dvfs_governor
 //! ```
 //!
-//! Four policies are compared on three synthetic workload classes:
+//! The daemon's three policies are compared on the builtin traffic
+//! catalog:
 //!
-//! * `run-at-max` — no DVFS (the runtime/energy reference),
-//! * `static-oracle` — the best single frequency (static tuning, Sec. III),
-//! * `latency-oblivious` — per-phase DVFS assuming switches are free (a
-//!   CPU-derived runtime system transplanted to a GPU),
-//! * `latency-aware` — per-phase DVFS that amortises the *measured*
-//!   latencies and detours around pathological pairs.
+//! * `run-at-max` — no DVFS (the energy and latency reference),
+//! * `latency-oblivious` — follow every load-zone change as if switches
+//!   were free (a CPU-derived runtime system transplanted to a GPU),
+//! * `latency-aware` — switch only when the *measured* latency amortises
+//!   against the expected zone dwell time, and detour around pathological
+//!   pairs.
+//!
+//! A switch costs what the paper measures: the device keeps serving at the
+//! old clock until the target clock takes over.
 
 use latest::core::{CampaignConfig, Latest};
-use latest::governor::simulate::TransitionReplay;
 use latest::governor::{
-    simulate_policy, GovernorPolicy, LatencyAware, LatencyOblivious, LatencyTable, PowerModel,
-    RunAtMax, StaticOracle, TraceGenerator,
+    make_policy, replay_seed, DaemonConfig, GovernorDaemon, LatencyTable, PowerModel,
+    TransitionReplay, ZoneLadder, POLICY_NAMES,
 };
 use latest::gpu_sim::devices;
-use latest::gpu_sim::freq::FreqMhz;
+use latest::traffic::TrafficRegistry;
 
 fn main() {
     // Step 1 — run a LATEST campaign on the simulated GH200 (the GPU with
     // pathological target columns, where latency awareness matters most).
     let spec = devices::gh200();
-    let (f_min, f_max) = (spec.ladder.min(), spec.ladder.max());
     println!(
         "measuring switching latencies on {} (LATEST campaign)...",
         spec.name
@@ -49,55 +51,44 @@ fn main() {
         table.avoid_list(5.0).len()
     );
 
-    // Step 2 — the workloads the introduction motivates.
-    let mut generator = TraceGenerator::new(0xBEEF);
-    let traces = [
-        generator.llm_training(12, 900.0),
-        generator.iterative_solver(40, 120.0),
-        generator.streaming_bursts(80, 25.0),
-    ];
+    // Step 2 — the daemon over the table's measured target frequencies.
+    let ladder = ZoneLadder::from_table(&table).expect("table has targets");
+    let daemon = GovernorDaemon::new(DaemonConfig::default(), PowerModel::sxm_class(ladder.max()));
 
-    // Step 3 — policies.
-    let power = PowerModel::sxm_class(f_max);
-    let candidates: Vec<FreqMhz> = table.known_targets();
-
-    for trace in &traces {
-        println!("workload: {} ({} phases)", trace.name, trace.phases.len());
+    // Step 3 — every policy against every builtin traffic shape.
+    let registry = TrafficRegistry::builtin();
+    for spec in registry.specs() {
+        let trace = spec.generate().expect("builtin traffic generates");
+        println!("traffic: {} ({} requests)", trace.name, trace.len());
         println!(
-            "  {:<20} {:>12} {:>11} {:>9} {:>10} {:>12} {:>10}",
-            "policy", "runtime[ms]", "energy[J]", "switches", "skipped", "saving[%]", "slower[%]"
+            "  {:<18} {:>9} {:>9} {:>10} {:>10} {:>9} {:>9}",
+            "policy", "missed", "p99[ms]", "energy[J]", "saving[%]", "switches", "declined"
         );
-
-        let baseline = {
-            let mut replay = TransitionReplay::new(table.clone(), 1);
-            simulate_policy(&RunAtMax { f_max }, trace, &power, &mut replay, f_max)
-        };
-        let oracle = StaticOracle::plan(trace, &candidates, f_max, &power, 0.05);
-        let policies: Vec<Box<dyn GovernorPolicy>> = vec![
-            Box::new(RunAtMax { f_max }),
-            Box::new(oracle),
-            Box::new(LatencyOblivious { f_min, f_max }),
-            Box::new(LatencyAware::new(table.clone(), f_min, f_max)),
-        ];
-
-        for policy in &policies {
-            let mut replay = TransitionReplay::new(table.clone(), 1);
-            let r = simulate_policy(policy.as_ref(), trace, &power, &mut replay, f_max);
+        let mut baseline_j = None;
+        for name in POLICY_NAMES {
+            let policy = make_policy(name, &table).expect("known policy");
+            let seed = replay_seed(0x60F, name, &trace.name);
+            let mut replay = TransitionReplay::new(table.clone(), seed);
+            let card = daemon.run(policy.as_ref(), &trace, &mut replay, seed);
+            // run-at-max comes first in POLICY_NAMES: the energy baseline.
+            let baseline_j = *baseline_j.get_or_insert(card.energy_j);
             println!(
-                "  {:<20} {:>12.0} {:>11.0} {:>9} {:>10} {:>12.1} {:>10.1}",
-                r.policy,
-                r.runtime_ms,
-                r.energy_j,
-                r.switches,
-                r.suppressed,
-                100.0 * r.energy_saving_vs(&baseline),
-                100.0 * r.runtime_extension_vs(&baseline),
+                "  {:<18} {:>9} {:>9.1} {:>10.0} {:>10.1} {:>9} {:>9}",
+                card.policy,
+                format!("{}/{}", card.missed_deadlines, card.with_deadline),
+                card.p99_latency_ms,
+                card.energy_j,
+                100.0 * (1.0 - card.energy_j / baseline_j),
+                card.switches,
+                card.suppressed,
             );
         }
         println!();
     }
 
-    println!("reading: dynamic DVFS beats static tuning when phases are long enough to");
-    println!("amortise the measured latency; when they are not, the latency-aware governor");
-    println!("suppresses the switch and avoids the oblivious policy's transition churn.");
+    println!("reading: the oblivious policy saves energy by following the load and pays");
+    println!("for every switch in time spent at the wrong clock. The aware policy declines");
+    println!("switches that do not amortise against the measured latency; since it decides");
+    println!("only at zone changes, a declined up-switch under sustained load is not");
+    println!("revisited and can strand the device at a low clock (the deadline rows).");
 }

@@ -1593,8 +1593,8 @@ usage: latest govern <command> [options]
 
 Close the measurement loop: run governor policies over synthetic traffic on
 a simulated device whose every frequency switch pays a latency replayed
-from a measured, archived campaign. Requests arriving mid-switch stall —
-the paper's overhead made end-to-end observable.
+from a measured, archived campaign. Until a switch lands the device keeps
+serving at the old clock — the paper's overhead made end-to-end observable.
 
 commands:
   run <traffic>... (--table <run-id|spec.json> | --predicted <model.json>)

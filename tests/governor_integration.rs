@@ -1,37 +1,50 @@
 //! Measurement-to-deployment integration: a LATEST campaign feeds the DVFS
-//! governor, and the latency knowledge must change (and improve) its
-//! decisions — the full loop the paper's Sec. VIII motivates.
+//! governor daemon, and the latency knowledge must change (and improve) its
+//! decisions under builtin traffic — the full loop the paper's Sec. VIII
+//! motivates.
 
 use latest::core::{CampaignConfig, CampaignEvent, CampaignSession, Latest};
-use latest::governor::simulate::TransitionReplay;
 use latest::governor::{
-    simulate_policy, LatencyAware, LatencyOblivious, LatencyTable, PowerModel, RunAtMax,
-    TraceGenerator,
+    make_policy, DaemonConfig, GovernorDaemon, LatencyTable, PowerModel, Scorecard,
+    TransitionReplay, ZoneLadder, POLICY_NAMES,
 };
 use latest::gpu_sim::devices;
+use latest::traffic::TrafficRegistry;
 
-fn measured_table(
-    seed: u64,
-) -> (
-    LatencyTable,
-    latest::gpu_sim::freq::FreqMhz,
-    latest::gpu_sim::freq::FreqMhz,
-) {
-    let spec = devices::gh200();
-    let (f_min, f_max) = (spec.ladder.min(), spec.ladder.max());
-    let config = CampaignConfig::builder(spec)
+fn measured_table(seed: u64) -> LatencyTable {
+    let config = CampaignConfig::builder(devices::gh200())
         .frequency_subset(6)
         .measurements(15, 30)
         .simulated_sms(Some(3))
         .seed(seed)
         .build();
     let result = Latest::new(config).run().expect("campaign");
-    (LatencyTable::from_campaign(&result), f_min, f_max)
+    LatencyTable::from_campaign(&result)
+}
+
+/// Score every daemon policy on one builtin traffic shape over `table`,
+/// in `POLICY_NAMES` order.
+fn score_all(table: &LatencyTable, traffic: &str, seed: u64) -> Vec<Scorecard> {
+    let trace = TrafficRegistry::builtin()
+        .get(traffic)
+        .unwrap()
+        .generate()
+        .unwrap();
+    let ladder = ZoneLadder::from_table(table).unwrap();
+    let daemon = GovernorDaemon::new(DaemonConfig::default(), PowerModel::sxm_class(ladder.max()));
+    POLICY_NAMES
+        .iter()
+        .map(|name| {
+            let policy = make_policy(name, table).unwrap();
+            let mut replay = TransitionReplay::new(table.clone(), seed);
+            daemon.run(policy.as_ref(), &trace, &mut replay, seed)
+        })
+        .collect()
 }
 
 #[test]
 fn campaign_table_is_complete_and_sane() {
-    let (table, _, _) = measured_table(201);
+    let table = measured_table(201);
     // 6 frequencies -> up to 30 ordered pairs (minus skipped/power-limited).
     assert!(table.len() >= 24, "only {} pairs measured", table.len());
     for pair in table.pairs() {
@@ -44,7 +57,7 @@ fn campaign_table_is_complete_and_sane() {
 
 #[test]
 fn table_survives_json_deployment_round_trip() {
-    let (table, _, _) = measured_table(202);
+    let table = measured_table(202);
     let restored = LatencyTable::from_json(&table.to_json()).unwrap();
     assert_eq!(restored.len(), table.len());
     for pair in table.pairs() {
@@ -59,93 +72,38 @@ fn table_survives_json_deployment_round_trip() {
 }
 
 #[test]
-fn latency_aware_governor_has_better_edp_on_hostile_workloads() {
-    // Short bursts against GH200-scale latencies: churn loses, knowledge
-    // wins. The aware governor must beat the oblivious one on energy-delay
-    // product and runtime extension.
-    let (table, f_min, f_max) = measured_table(203);
-    let trace = TraceGenerator::new(77).streaming_bursts(60, 20.0);
-    let power = PowerModel::sxm_class(f_max);
-
-    let baseline = {
-        let mut replay = TransitionReplay::new(table.clone(), 7);
-        simulate_policy(&RunAtMax { f_max }, &trace, &power, &mut replay, f_max)
-    };
-    let oblivious = {
-        let mut replay = TransitionReplay::new(table.clone(), 7);
-        simulate_policy(
-            &LatencyOblivious { f_min, f_max },
-            &trace,
-            &power,
-            &mut replay,
-            f_max,
-        )
-    };
-    let aware = {
-        let mut replay = TransitionReplay::new(table.clone(), 7);
-        simulate_policy(
-            &LatencyAware::new(table.clone(), f_min, f_max),
-            &trace,
-            &power,
-            &mut replay,
-            f_max,
-        )
-    };
-
+fn latency_aware_governor_misses_fewer_deadlines_on_deadline_traffic() {
+    // Tight deadlines against GH200 latencies: chasing every zone change
+    // leaves the device mid-switch at the wrong clock when work arrives.
+    // The aware governor declines the switches that do not amortise.
+    let table = measured_table(204);
+    let cards = score_all(&table, "deadline", 7);
+    let (oblivious, aware) = (&cards[1], &cards[2]);
+    assert!(aware.with_deadline > 0);
     assert!(
         aware.switches < oblivious.switches,
         "no suppression happened"
     );
+    assert!(aware.suppressed > 0);
     assert!(
-        aware.runtime_extension_vs(&baseline) < oblivious.runtime_extension_vs(&baseline),
-        "aware {:.1}% vs oblivious {:.1}% slower",
-        100.0 * aware.runtime_extension_vs(&baseline),
-        100.0 * oblivious.runtime_extension_vs(&baseline)
-    );
-    assert!(
-        aware.edp() < oblivious.edp(),
-        "aware EDP {:.0} vs oblivious {:.0}",
-        aware.edp(),
-        oblivious.edp()
+        aware.missed_deadlines < oblivious.missed_deadlines,
+        "aware {} vs oblivious {} missed of {}",
+        aware.missed_deadlines,
+        oblivious.missed_deadlines,
+        aware.with_deadline
     );
 }
 
 #[test]
 fn latency_aware_governor_keeps_dvfs_savings_on_friendly_workloads() {
-    // Long LLM-training phases amortise everything: the aware governor must
-    // not be *more* conservative than necessary — it should keep most of the
-    // oblivious policy's energy saving.
-    let (table, f_min, f_max) = measured_table(204);
-    let trace = TraceGenerator::new(78).llm_training(10, 800.0);
-    let power = PowerModel::sxm_class(f_max);
-
-    let baseline = {
-        let mut replay = TransitionReplay::new(table.clone(), 9);
-        simulate_policy(&RunAtMax { f_max }, &trace, &power, &mut replay, f_max)
-    };
-    let oblivious = {
-        let mut replay = TransitionReplay::new(table.clone(), 9);
-        simulate_policy(
-            &LatencyOblivious { f_min, f_max },
-            &trace,
-            &power,
-            &mut replay,
-            f_max,
-        )
-    };
-    let aware = {
-        let mut replay = TransitionReplay::new(table.clone(), 9);
-        simulate_policy(
-            &LatencyAware::new(table.clone(), f_min, f_max),
-            &trace,
-            &power,
-            &mut replay,
-            f_max,
-        )
-    };
-
-    let s_obl = oblivious.energy_saving_vs(&baseline);
-    let s_aware = aware.energy_saving_vs(&baseline);
+    // Steady load amortises GH200's switches: the aware governor must not
+    // be more conservative than necessary. It should keep most of the
+    // oblivious policy's energy saving against run-at-max.
+    let table = measured_table(203);
+    let cards = score_all(&table, "steady", 9);
+    let (baseline, oblivious, aware) = (&cards[0], &cards[1], &cards[2]);
+    let saving = |c: &Scorecard| 1.0 - c.energy_j / baseline.energy_j;
+    let (s_obl, s_aware) = (saving(oblivious), saving(aware));
     assert!(
         s_obl > 0.02,
         "oblivious saving {:.1}% too small to compare",
@@ -156,6 +114,13 @@ fn latency_aware_governor_keeps_dvfs_savings_on_friendly_workloads() {
         "aware saving {:.1}% lost too much of oblivious {:.1}%",
         100.0 * s_aware,
         100.0 * s_obl
+    );
+    // ...and not by leaving the device underclocked under load.
+    assert!(
+        aware.p99_latency_ms <= oblivious.p99_latency_ms,
+        "aware p99 {:.1} ms vs oblivious {:.1} ms",
+        aware.p99_latency_ms,
+        oblivious.p99_latency_ms
     );
 }
 
