@@ -22,11 +22,13 @@
 //! directory, exactly as the paper describes; fleet runs write a
 //! cross-device `fleet_summary.csv` instead.
 
+use std::fmt::Display;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use latest::core::output::write_pair_csv;
-use latest::core::spec::{CampaignSpec, FleetSpec, ScenarioSpec, SpecCheckpoint};
+use latest::core::spec::{CampaignSpec, FleetSpec, ScenarioSpec, SpecCheckpoint, SpecErrors};
 use latest::core::store::{ResultStore, StoreError, StoredRun};
 use latest::core::{CampaignEvent, CampaignResult, CampaignSession, FleetResult, PairOutcome};
 use latest::governor::{
@@ -72,8 +74,8 @@ commands:
   list-runs [--store <dir>] [--ids] [--family <prefix>] [--prune <n>]
                        enumerate the archive with spec provenance; --family
                        filters to one experiment family; --prune keeps only
-                       the latest n runs per family
-  queue <submit|serve|status|cancel|watch> [...]
+                       the latest n >= 1 runs per family
+  queue <submit|serve|status|stats|cancel|watch> [...]
                        the campaign execution service (see `latest queue help`)
   govern <run|list-policies|list-traffic> [...]
                        score governor policies against synthetic traffic
@@ -128,10 +130,152 @@ report/diff/list-runs options:
 Run targets for report/diff are either archived run ids (`run-<hex>`, any
 unambiguous prefix of at least 4 digits) or campaign scenario files, which
 resolve to the archived run of that exact spec.
+
+exit status (every command):
+  0                    ok
+  1                    runtime failure, or a significant regression in `diff`
+  2                    usage or input error
+  3                    `queue status` while jobs are still pending
 ";
 
 // ---------------------------------------------------------------------------
-// argument parsing
+// the front end: one error type, one reporter, one flag cursor
+
+/// Why a command stopped short. Commands return it; [`report`] prints it
+/// and picks the exit status, so every command keeps the same contract.
+enum CliError {
+    /// A malformed invocation: `error: …` and the command group's usage
+    /// text on stderr, exit 2. An empty message asks for help: the usage
+    /// text on stdout, exit 0.
+    Usage(&'static str, String),
+    /// Unusable input (an unreadable or invalid file, an unknown run or
+    /// job id, a store that cannot be opened): exit 2.
+    Input(String),
+    /// A runtime failure: exit 1.
+    Failed(String),
+}
+
+use CliError::{Failed, Input};
+
+/// What a command returns: its exit status, or why it stopped.
+type CliResult = Result<ExitCode, CliError>;
+
+fn usage(text: &'static str, msg: impl Into<String>) -> CliError {
+    CliError::Usage(text, msg.into())
+}
+
+fn report(err: CliError) -> ExitCode {
+    let (code, msg) = match err {
+        CliError::Usage(text, msg) if msg.is_empty() => {
+            print!("{text}");
+            return ExitCode::SUCCESS;
+        }
+        CliError::Usage(text, msg) => (2, format!("{msg}\n\n{text}")),
+        Input(msg) => (2, msg),
+        Failed(msg) => (1, msg),
+    };
+    eprintln!("error: {msg}");
+    ExitCode::from(code)
+}
+
+/// One argument as [`Args`] yields it.
+enum Arg<'a> {
+    Flag(&'a str),
+    Positional(&'a str),
+}
+
+use Arg::{Flag, Positional};
+
+/// A cursor over one command group's arguments. It yields flags and
+/// positionals, turns `--help`/`-h` into a help request, and reads the
+/// current flag's value with uniform error messages.
+struct Args<'a> {
+    rest: std::slice::Iter<'a, String>,
+    flag: &'a str,
+    usage: &'static str,
+}
+
+impl<'a> Args<'a> {
+    fn new(raw: &'a [String], usage: &'static str) -> Self {
+        Args {
+            rest: raw.iter(),
+            flag: "",
+            usage,
+        }
+    }
+
+    fn next(&mut self) -> Result<Option<Arg<'a>>, CliError> {
+        let Some(arg) = self.rest.next() else {
+            return Ok(None);
+        };
+        Ok(Some(match arg.as_str() {
+            "--help" | "-h" => return Err(self.error("")),
+            flag if flag.starts_with('-') => {
+                self.flag = flag;
+                Flag(flag)
+            }
+            positional => Positional(positional),
+        }))
+    }
+
+    /// The current flag's value: the next argument, whatever it looks like.
+    fn value(&mut self) -> Result<String, CliError> {
+        let value = self.rest.next().cloned();
+        value.ok_or_else(|| self.error(format!("missing value for {}", self.flag)))
+    }
+
+    /// The current flag's value, parsed.
+    fn parse<T: FromStr>(&mut self) -> Result<T, CliError>
+    where
+        T::Err: Display,
+    {
+        let text = self.value()?;
+        text.parse()
+            .map_err(|e| self.error(format!("{}: {e}", self.flag)))
+    }
+
+    /// A usage error against this group's usage text.
+    fn error(&self, msg: impl Into<String>) -> CliError {
+        usage(self.usage, msg)
+    }
+
+    fn unknown(&self) -> CliError {
+        self.error(format!("unknown option {}", self.flag))
+    }
+}
+
+/// Read a JSON document and parse it; either failure names the file.
+fn read_json<T, E: Display>(
+    path: impl AsRef<Path>,
+    from_json: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, String> {
+    let path = path.as_ref();
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    from_json(&text).map_err(|e| format!("parsing {}: {e}", path.display()))
+}
+
+fn parse_freq_list(text: &str) -> Result<Vec<u32>, String> {
+    let mut freqs = Vec::new();
+    for part in text.split(',') {
+        let mhz: u32 = part
+            .trim()
+            .parse()
+            .map_err(|_| format!("bad frequency {part:?} in list"))?;
+        freqs.push(mhz);
+    }
+    Ok(freqs)
+}
+
+/// Write an artefact bundle, returning the files written.
+fn write_bundle(bundle: &Bundle, dir: &Path) -> Result<Vec<PathBuf>, CliError> {
+    bundle
+        .write_to(dir)
+        .map_err(|e| Failed(format!("writing bundle: {e}")))
+}
+
+// ---------------------------------------------------------------------------
+// run arguments and the effective spec
 
 #[derive(Default)]
 struct RunArgs {
@@ -156,87 +300,45 @@ struct RunArgs {
     shard_pairs: Option<usize>,
 }
 
-fn parse_freq_list(text: &str) -> Result<Vec<u32>, String> {
-    let mut freqs = Vec::new();
-    for part in text.split(',') {
-        let mhz: u32 = part
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad frequency {part:?} in list"))?;
-        freqs.push(mhz);
-    }
-    Ok(freqs)
-}
-
-fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
+fn parse_run_args(raw: &[String]) -> Result<RunArgs, CliError> {
     let mut out = RunArgs {
         checkpoint_every: 5,
         ..RunArgs::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(String::new()),
-            "--model" => out.model = Some(value("--model")?),
-            "--device" => {
-                out.device_index = Some(
-                    value("--device")?
-                        .parse()
-                        .map_err(|e| format!("--device: {e}"))?,
-                )
-            }
-            "--rse" => out.rse = Some(value("--rse")?.parse().map_err(|e| format!("--rse: {e}"))?),
-            "--min" => out.min = Some(value("--min")?.parse().map_err(|e| format!("--min: {e}"))?),
-            "--max" => out.max = Some(value("--max")?.parse().map_err(|e| format!("--max: {e}"))?),
-            "--seed" => {
-                out.seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
-            "--hostname" => out.hostname = Some(value("--hostname")?),
-            "--sms" => out.sms = Some(value("--sms")?.parse().map_err(|e| format!("--sms: {e}"))?),
-            "--workload" => out.workload = Some(value("--workload")?),
-            "--out" => out.out_dir = Some(PathBuf::from(value("--out")?)),
-            "--store" => out.store = Some(PathBuf::from(value("--store")?)),
-            "--force" => out.force = true,
-            "--json" => out.json = true,
-            "--progress" => out.progress = true,
-            "--checkpoint" => out.checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
-            "--checkpoint-every" => {
-                out.checkpoint_every = value("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("--checkpoint-every: {e}"))?
-            }
-            "--shard-pairs" => {
-                out.shard_pairs = Some(
-                    value("--shard-pairs")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--shard-pairs: {e}"))?
-                        .max(1),
-                )
-            }
-            other if other.starts_with('-') => return Err(format!("unknown option {other}")),
-            positional => {
-                // A positional is either the scenario file or the legacy
-                // frequency list.
-                if positional.ends_with(".json") || Path::new(positional).is_file() {
-                    if out.spec_path.is_some() {
-                        return Err("multiple scenario files given".to_string());
-                    }
-                    out.spec_path = Some(PathBuf::from(positional));
-                } else {
-                    if out.frequencies.is_some() {
-                        return Err("multiple frequency lists given".to_string());
-                    }
-                    out.frequencies = Some(parse_freq_list(positional)?);
+    let mut args = Args::new(raw, USAGE);
+    while let Some(arg) = args.next()? {
+        match arg {
+            Flag("--model") => out.model = Some(args.value()?),
+            Flag("--device") => out.device_index = Some(args.parse()?),
+            Flag("--rse") => out.rse = Some(args.parse()?),
+            Flag("--min") => out.min = Some(args.parse()?),
+            Flag("--max") => out.max = Some(args.parse()?),
+            Flag("--seed") => out.seed = Some(args.parse()?),
+            Flag("--hostname") => out.hostname = Some(args.value()?),
+            Flag("--sms") => out.sms = Some(args.parse()?),
+            Flag("--workload") => out.workload = Some(args.value()?),
+            Flag("--out") => out.out_dir = Some(args.parse()?),
+            Flag("--store") => out.store = Some(args.parse()?),
+            Flag("--force") => out.force = true,
+            Flag("--json") => out.json = true,
+            Flag("--progress") => out.progress = true,
+            Flag("--checkpoint") => out.checkpoint = Some(args.parse()?),
+            Flag("--checkpoint-every") => out.checkpoint_every = args.parse()?,
+            Flag("--shard-pairs") => out.shard_pairs = Some(args.parse::<usize>()?.max(1)),
+            Flag(_) => return Err(args.unknown()),
+            // A positional is either the scenario file or the legacy
+            // frequency list.
+            Positional(p) if p.ends_with(".json") || Path::new(p).is_file() => {
+                if out.spec_path.is_some() {
+                    return Err(args.error("multiple scenario files given"));
                 }
+                out.spec_path = Some(PathBuf::from(p));
+            }
+            Positional(p) => {
+                if out.frequencies.is_some() {
+                    return Err(args.error("multiple frequency lists given"));
+                }
+                out.frequencies = Some(parse_freq_list(p).map_err(|msg| args.error(msg))?);
             }
         }
     }
@@ -246,14 +348,9 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
 /// Compile the invocation — scenario file plus flag overrides, or flags
 /// alone — into the effective spec. This is the single construction path:
 /// the legacy interface has no behaviour of its own.
-fn effective_spec(args: &RunArgs) -> Result<ScenarioSpec, String> {
+fn effective_spec(args: &RunArgs) -> Result<ScenarioSpec, CliError> {
     let mut scenario = match &args.spec_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading {}: {e}", path.display()))?;
-            ScenarioSpec::from_json(&text)
-                .map_err(|e| format!("parsing {}: {e}", path.display()))?
-        }
+        Some(path) => read_json(path, ScenarioSpec::from_json).map_err(|msg| usage(USAGE, msg))?,
         None => ScenarioSpec::Campaign(CampaignSpec::default()),
     };
     let apply = |spec: &mut CampaignSpec| {
@@ -293,21 +390,21 @@ fn effective_spec(args: &RunArgs) -> Result<ScenarioSpec, String> {
         ScenarioSpec::Fleet(fleet) => fleet.members.iter_mut().for_each(apply),
     }
     if args.spec_path.is_none() && args.frequencies.is_none() {
-        return Err(
-            "need a scenario file or a comma-separated frequency list (see `latest help`)"
-                .to_string(),
-        );
+        return Err(usage(
+            USAGE,
+            "need a scenario file or a comma-separated frequency list (see `latest help`)",
+        ));
     }
     Ok(scenario)
 }
 
-fn fail(msg: &str) -> ExitCode {
-    if msg.is_empty() {
-        print!("{USAGE}");
-        return ExitCode::SUCCESS;
+/// A spec that does not resolve, with every violation listed.
+fn invalid_spec(errors: SpecErrors) -> CliError {
+    let mut msg = "invalid spec:".to_string();
+    for e in errors.errors() {
+        msg.push_str(&format!("\n  - {e}"));
     }
-    eprintln!("error: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
+    Input(msg)
 }
 
 // ---------------------------------------------------------------------------
@@ -327,30 +424,17 @@ fn freq_plane(config: &latest::core::CampaignConfig) -> String {
     }
 }
 
-fn cmd_validate(args: &[String]) -> ExitCode {
+fn cmd_validate(args: &[String]) -> CliResult {
     let [path] = args else {
-        return fail("validate takes exactly one scenario file");
+        return Err(usage(USAGE, "validate takes exactly one scenario file"));
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: reading {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let scenario = match ScenarioSpec::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: parsing {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let scenario = read_json(path, ScenarioSpec::from_json).map_err(Input)?;
     if let Err(errors) = scenario.validate() {
         eprintln!("{path}: {} violation(s)", errors.errors().len());
         for e in errors.errors() {
             eprintln!("  - {e}");
         }
-        return ExitCode::from(2);
+        return Ok(ExitCode::from(2));
     }
     match &scenario {
         ScenarioSpec::Campaign(c) => {
@@ -378,24 +462,16 @@ fn cmd_validate(args: &[String]) -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_print_spec(raw: &[String]) -> ExitCode {
-    let args = match parse_run_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return fail(&msg),
-    };
-    match effective_spec(&args) {
-        Ok(scenario) => {
-            println!("{}", scenario.to_json());
-            ExitCode::SUCCESS
-        }
-        Err(msg) => fail(&msg),
-    }
+fn cmd_print_spec(raw: &[String]) -> CliResult {
+    let scenario = effective_spec(&parse_run_args(raw)?)?;
+    println!("{}", scenario.to_json());
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_list_devices() -> ExitCode {
+fn cmd_list_devices() -> CliResult {
     let registry = DeviceRegistry::builtin();
     let mut table = TextTable::with_header(&[
         "name",
@@ -424,33 +500,34 @@ fn cmd_list_devices() -> ExitCode {
     for entry in registry.entries() {
         println!("  {}: {}", entry.name(), entry.description());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_list_workloads() -> ExitCode {
+fn cmd_list_workloads() -> CliResult {
     let registry = WorkloadRegistry::builtin();
     let mut table = TextTable::with_header(&["name", "description"]);
     for entry in registry.entries() {
         table.row(&[entry.name().to_string(), entry.description().to_string()]);
     }
     println!("{}", table.render());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------
 // run
 
-fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> ExitCode {
-    let config = match spec.resolve() {
-        Ok(c) => c,
-        Err(errors) => {
-            eprintln!("error: invalid spec:");
-            for e in errors.errors() {
-                eprintln!("  - {e}");
-            }
-            return ExitCode::from(2);
-        }
-    };
+fn cmd_run(raw: &[String]) -> CliResult {
+    let args = parse_run_args(raw)?;
+    // No separate validation pass: resolve()/into_fleet() below report the
+    // same exhaustive SpecErrors.
+    match effective_spec(&args)? {
+        ScenarioSpec::Campaign(spec) => run_campaign(spec, &args),
+        ScenarioSpec::Fleet(spec) => run_fleet(spec, &args),
+    }
+}
+
+fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> CliResult {
+    let config = spec.resolve().map_err(invalid_spec)?;
     let hostname = config.hostname.clone();
     let device_index = config.device_index;
 
@@ -475,10 +552,7 @@ fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> ExitCode {
                 Err(e @ (StoreError::Parse { .. } | StoreError::Corrupt { .. })) => {
                     eprintln!("warning: archived entry is unreadable, re-measuring: {e}");
                 }
-                Err(e) => {
-                    eprintln!("error: consulting result store: {e}");
-                    return ExitCode::from(2);
-                }
+                Err(e) => return Err(Input(format!("consulting result store: {e}"))),
             }
         }
     }
@@ -503,27 +577,22 @@ fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> ExitCode {
     }
     if let Some(path) = &args.checkpoint {
         if path.is_file() {
-            let checkpoint = match SpecCheckpoint::load(path) {
-                Ok(cp) => cp,
-                Err(e) => {
-                    eprintln!(
-                        "error: checkpoint {} is unreadable ({e}); delete it to start fresh",
-                        path.display()
-                    );
-                    return ExitCode::from(2);
-                }
-            };
+            let checkpoint = SpecCheckpoint::load(path).map_err(|e| {
+                Input(format!(
+                    "checkpoint {} is unreadable ({e}); delete it to start fresh",
+                    path.display()
+                ))
+            })?;
             // The session validates device, seed and pair set itself, but
             // only the stored spec can reveal a knob mismatch (measurement
             // bounds, RSE, workload): refuse to mix configurations.
             if checkpoint.spec != spec {
-                eprintln!(
-                    "error: checkpoint {} was taken under a different spec; \
+                return Err(Input(format!(
+                    "checkpoint {} was taken under a different spec; \
                      rerun with the original scenario/flags, or delete the \
                      checkpoint to start fresh",
                     path.display()
-                );
-                return ExitCode::from(2);
+                )));
             }
             eprintln!(
                 "resuming from checkpoint {} ({} of {} pairs already settled)",
@@ -551,17 +620,11 @@ fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> ExitCode {
         });
     }
 
-    let outcome = match n_shards {
+    let result = match n_shards {
         Some(n) => session.run_sharded(n),
         None => session.run(),
-    };
-    let result = match outcome {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    }
+    .map_err(|e| Failed(e.to_string()))?;
 
     eprintln!(
         "phase 1: {} valid pairs, {} skipped as indistinguishable",
@@ -570,13 +633,10 @@ fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> ExitCode {
     );
 
     if let Some(dir) = &args.store {
-        match ResultStore::open(dir).and_then(|store| store.put(&spec, &result)) {
-            Ok(id) => eprintln!("archived as {id} in {}", dir.display()),
-            Err(e) => {
-                eprintln!("error: archiving result: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let id = ResultStore::open(dir)
+            .and_then(|store| store.put(&spec, &result))
+            .map_err(|e| Failed(format!("archiving result: {e}")))?;
+        eprintln!("archived as {id} in {}", dir.display());
     }
     finish_campaign(&result, args, &hostname, device_index)
 }
@@ -589,7 +649,7 @@ fn finish_campaign(
     args: &RunArgs,
     hostname: &str,
     device_index: usize,
-) -> ExitCode {
+) -> CliResult {
     let table = campaign_summary_table(result);
     let mut csv_files = 0usize;
     if let Some(dir) = &args.out_dir {
@@ -616,13 +676,14 @@ fn finish_campaign(
     if let Some(dir) = &args.out_dir {
         eprintln!("wrote {csv_files} CSV files to {}", dir.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run_fleet(spec: FleetSpec, args: &RunArgs) -> ExitCode {
+fn run_fleet(spec: FleetSpec, args: &RunArgs) -> CliResult {
     if args.checkpoint.is_some() {
-        eprintln!("error: --checkpoint supports single-campaign specs only");
-        return ExitCode::from(2);
+        return Err(Input(
+            "--checkpoint supports single-campaign specs only".to_string(),
+        ));
     }
     let n_members = spec.members.len();
     let member_specs = spec.members.clone();
@@ -649,34 +710,19 @@ fn run_fleet(spec: FleetSpec, args: &RunArgs) -> ExitCode {
                 }
                 Ok(Some(runs))
             });
-            match archived {
-                Ok(Some(runs)) => {
-                    eprintln!(
-                        "cache hit: serving {n_members} archived member run(s) from {} \
-                         (pass --force to re-measure)",
-                        dir.display()
-                    );
-                    return finish_fleet(&FleetResult::from_devices(runs), args);
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    eprintln!("error: consulting result store: {e}");
-                    return ExitCode::from(2);
-                }
+            let archived = archived.map_err(|e| Input(format!("consulting result store: {e}")))?;
+            if let Some(runs) = archived {
+                eprintln!(
+                    "cache hit: serving {n_members} archived member run(s) from {} \
+                     (pass --force to re-measure)",
+                    dir.display()
+                );
+                return finish_fleet(&FleetResult::from_devices(runs), args);
             }
         }
     }
 
-    let fleet = match spec.into_fleet() {
-        Ok(f) => f,
-        Err(errors) => {
-            eprintln!("error: invalid spec:");
-            for e in errors.errors() {
-                eprintln!("  - {e}");
-            }
-            return ExitCode::from(2);
-        }
-    };
+    let fleet = spec.into_fleet().map_err(invalid_spec)?;
     eprintln!("benchmarking a fleet of {n_members} device(s)");
     let fleet = if args.progress {
         let fmts =
@@ -693,13 +739,7 @@ fn run_fleet(spec: FleetSpec, args: &RunArgs) -> ExitCode {
         Some(n) => fleet.shard_pairs(n),
         None => fleet,
     };
-    let result = match fleet.run() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let result = fleet.run().map_err(|e| Failed(e.to_string()))?;
     if let Some(dir) = &args.store {
         // Members that were cancelled before starting have no result; the
         // started ones appear in `devices()` in slot order.
@@ -709,23 +749,17 @@ fn run_fleet(spec: FleetSpec, args: &RunArgs) -> ExitCode {
             .filter(|(slot, _)| !result.unstarted().contains(slot))
             .map(|(_, m)| m.clone())
             .collect();
-        let archive = ResultStore::open(dir).and_then(|store| {
-            let fleet_spec = FleetSpec {
-                description: String::new(),
-                members: started,
-            };
-            store.put_fleet(&fleet_spec, result.devices())
-        });
-        match archive {
-            Ok(ids) => {
-                for (slot, id) in ids.iter().enumerate() {
-                    eprintln!("archived member {slot} as {id} in {}", dir.display());
-                }
-            }
-            Err(e) => {
-                eprintln!("error: archiving fleet results: {e}");
-                return ExitCode::FAILURE;
-            }
+        let ids = ResultStore::open(dir)
+            .and_then(|store| {
+                let fleet_spec = FleetSpec {
+                    description: String::new(),
+                    members: started,
+                };
+                store.put_fleet(&fleet_spec, result.devices())
+            })
+            .map_err(|e| Failed(format!("archiving fleet results: {e}")))?;
+        for (slot, id) in ids.iter().enumerate() {
+            eprintln!("archived member {slot} as {id} in {}", dir.display());
         }
     }
     finish_fleet(&result, args)
@@ -733,7 +767,7 @@ fn run_fleet(spec: FleetSpec, args: &RunArgs) -> ExitCode {
 
 /// Render a fleet result (fresh or served from the archive): the
 /// cross-device table, `--json` output and the `--out` summary CSV.
-fn finish_fleet(result: &FleetResult, args: &RunArgs) -> ExitCode {
+fn finish_fleet(result: &FleetResult, args: &RunArgs) -> CliResult {
     let rows: Vec<CrossDeviceRow> = result.summary_rows().into_iter().map(Into::into).collect();
     let table = cross_device_table(&rows).render();
     if args.json {
@@ -743,18 +777,14 @@ fn finish_fleet(result: &FleetResult, args: &RunArgs) -> ExitCode {
         println!("{table}");
     }
     if let Some(dir) = &args.out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: creating {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|e| Failed(format!("creating {}: {e}", dir.display())))?;
         let path = dir.join("fleet_summary.csv");
-        if let Err(e) = std::fs::write(&path, result.summary_csv()) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, result.summary_csv())
+            .map_err(|e| Failed(format!("writing {}: {e}", path.display())))?;
         eprintln!("wrote cross-device summary to {}", path.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------
@@ -771,7 +801,7 @@ struct ArchiveArgs {
     family: Option<String>,
 }
 
-fn parse_archive_args(raw: &[String]) -> Result<ArchiveArgs, String> {
+fn parse_archive_args(raw: &[String]) -> Result<ArchiveArgs, CliError> {
     let mut out = ArchiveArgs {
         targets: Vec::new(),
         store: PathBuf::from("latest-store"),
@@ -782,148 +812,112 @@ fn parse_archive_args(raw: &[String]) -> Result<ArchiveArgs, String> {
         prune: None,
         family: None,
     };
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(String::new()),
-            "--store" => out.store = PathBuf::from(value("--store")?),
-            "--out" => out.out = Some(PathBuf::from(value("--out")?)),
-            "--against" => out.against = Some(value("--against")?),
-            "--alpha" => {
-                out.alpha = value("--alpha")?
-                    .parse()
-                    .map_err(|e| format!("--alpha: {e}"))?;
+    let mut args = Args::new(raw, USAGE);
+    while let Some(arg) = args.next()? {
+        match arg {
+            Flag("--store") => out.store = args.parse()?,
+            Flag("--out") => out.out = Some(args.parse()?),
+            Flag("--against") => out.against = Some(args.value()?),
+            Flag("--alpha") => {
+                out.alpha = args.parse()?;
                 if !(out.alpha > 0.0 && out.alpha < 1.0) {
-                    return Err(format!("--alpha must be in (0, 1), got {}", out.alpha));
+                    return Err(args.error(format!("--alpha must be in (0, 1), got {}", out.alpha)));
                 }
             }
-            "--ids" => out.ids_only = true,
-            "--family" => out.family = Some(value("--family")?),
-            "--prune" => {
-                out.prune = Some(
-                    value("--prune")?
-                        .parse()
-                        .map_err(|e| format!("--prune: {e}"))?,
-                )
+            Flag("--ids") => out.ids_only = true,
+            Flag("--family") => out.family = Some(args.value()?),
+            Flag("--prune") => {
+                // Keeping zero runs per family would empty the archive.
+                let keep = args.parse()?;
+                if keep == 0 {
+                    return Err(args.error("--prune must be at least 1"));
+                }
+                out.prune = Some(keep);
             }
-            other if other.starts_with('-') => return Err(format!("unknown option {other}")),
-            positional => out.targets.push(positional.to_string()),
+            Flag(_) => return Err(args.unknown()),
+            Positional(p) => out.targets.push(p.to_string()),
         }
     }
     Ok(out)
 }
 
+fn open_store(dir: &Path) -> Result<ResultStore, CliError> {
+    ResultStore::open(dir).map_err(|e| Input(format!("opening store: {e}")))
+}
+
 /// Resolve a run target — an archived run id (or unambiguous prefix), or a
 /// campaign scenario file whose spec addresses its archived run — to the
 /// stored run it names.
-fn resolve_stored_run(store: &ResultStore, target: &str) -> Result<StoredRun, String> {
+fn resolve_stored_run(store: &ResultStore, target: &str) -> Result<StoredRun, CliError> {
     if target.ends_with(".json") || Path::new(target).is_file() {
-        let text = std::fs::read_to_string(target).map_err(|e| format!("reading {target}: {e}"))?;
-        let scenario =
-            ScenarioSpec::from_json(&text).map_err(|e| format!("parsing {target}: {e}"))?;
-        let spec = match scenario {
+        let spec = match read_json(target, ScenarioSpec::from_json).map_err(Input)? {
             ScenarioSpec::Campaign(spec) => spec,
             ScenarioSpec::Fleet(_) => {
-                return Err(format!(
+                return Err(Input(format!(
                     "{target} is a fleet spec; fleet members are archived per slot — \
                      address one member's campaign spec or its run id"
-                ))
+                )))
             }
         };
         return store
             .latest_for(&spec)
-            .map_err(|e| e.to_string())?
+            .map_err(|e| Input(e.to_string()))?
             .ok_or_else(|| {
-                format!(
+                Input(format!(
                     "no archived run for the spec in {target} (expected {}); \
                      archive one with `latest run {target} --store {}`",
                     latest::core::RunId::of_spec(&spec),
                     store.root().display()
-                )
+                ))
             });
     }
-    let id = store.resolve(target).map_err(|e| e.to_string())?;
-    store.get(&id).map_err(|e| e.to_string())
+    store
+        .resolve(target)
+        .and_then(|id| store.get(&id))
+        .map_err(|e| Input(e.to_string()))
 }
 
-fn cmd_report(raw: &[String]) -> ExitCode {
-    let args = match parse_archive_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return fail(&msg),
-    };
+fn cmd_report(raw: &[String]) -> CliResult {
+    let args = parse_archive_args(raw)?;
     let [target] = args.targets.as_slice() else {
-        return fail("report takes exactly one run id or campaign scenario file");
+        return Err(usage(
+            USAGE,
+            "report takes exactly one run id or campaign scenario file",
+        ));
     };
-    let store = match ResultStore::open(&args.store) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: opening store: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let run = match resolve_stored_run(&store, target) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let store = open_store(&args.store)?;
+    let run = resolve_stored_run(&store, target)?;
     let out_dir = args
         .out
         .unwrap_or_else(|| PathBuf::from(format!("{}-report", run.run_id)));
-    let bundle = Bundle::for_campaign(&run.result);
-    match bundle.write_to(&out_dir) {
-        Ok(written) => {
-            eprintln!(
-                "rendered {} ({} on {}, seed {}): {} files in {}",
-                run.run_id,
-                run.spec.device,
-                run.provenance.device_name,
-                run.provenance.seed,
-                written.len(),
-                out_dir.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: writing bundle: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let written = write_bundle(&Bundle::for_campaign(&run.result), &out_dir)?;
+    eprintln!(
+        "rendered {} ({} on {}, seed {}): {} files in {}",
+        run.run_id,
+        run.spec.device,
+        run.provenance.device_name,
+        run.provenance.seed,
+        written.len(),
+        out_dir.display()
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_diff(raw: &[String]) -> ExitCode {
-    let args = match parse_archive_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return fail(&msg),
-    };
+fn cmd_diff(raw: &[String]) -> CliResult {
+    let args = parse_archive_args(raw)?;
     let (target_a, target_b) = match (args.targets.as_slice(), &args.against) {
-        ([a, b], None) => (a.clone(), b.clone()),
-        ([a], Some(b)) => (a.clone(), b.clone()),
-        _ => return fail("diff takes two run targets (either `diff A B` or `diff A --against B`)"),
-    };
-    let store = match ResultStore::open(&args.store) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: opening store: {e}");
-            return ExitCode::from(2);
+        ([a, b], None) => (a, b),
+        ([a], Some(b)) => (a, b),
+        _ => {
+            return Err(usage(
+                USAGE,
+                "diff takes two run targets (either `diff A B` or `diff A --against B`)",
+            ))
         }
     };
-    let (run_a, run_b) = match (
-        resolve_stored_run(&store, &target_a),
-        resolve_stored_run(&store, &target_b),
-    ) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(msg), _) | (_, Err(msg)) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let store = open_store(&args.store)?;
+    let run_a = resolve_stored_run(&store, target_a)?;
+    let run_b = resolve_stored_run(&store, target_b)?;
     let diff = CampaignDiff::between(&run_a.result, &run_b.result, args.alpha);
     eprintln!("A: {} (seed {})", run_a.run_id, run_a.provenance.seed);
     eprintln!("B: {} (seed {})", run_b.run_id, run_b.provenance.seed);
@@ -935,10 +929,9 @@ fn cmd_diff(raw: &[String]) -> ExitCode {
         let mut bundle = Bundle::new();
         bundle.add("delta_heatmap", heatmap);
         bundle.add("regression_table", table);
-        if let Err(e) = bundle.write_to(dir) {
-            eprintln!("error: writing diff artifacts: {e}");
-            return ExitCode::FAILURE;
-        }
+        bundle
+            .write_to(dir)
+            .map_err(|e| Failed(format!("writing diff artifacts: {e}")))?;
         eprintln!("wrote diff artifacts to {}", dir.display());
     }
     let regressions = diff.significant_regressions();
@@ -956,52 +949,35 @@ fn cmd_diff(raw: &[String]) -> ExitCode {
              losing a measurable transition gates like a regression"
         );
     }
-    if regressions > 0 || lost > 0 {
+    Ok(if regressions > 0 || lost > 0 {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
-fn cmd_list_runs(raw: &[String]) -> ExitCode {
-    let args = match parse_archive_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return fail(&msg),
-    };
+fn cmd_list_runs(raw: &[String]) -> CliResult {
+    let args = parse_archive_args(raw)?;
     if !args.targets.is_empty() {
-        return fail("list-runs takes no positional arguments");
+        return Err(usage(USAGE, "list-runs takes no positional arguments"));
     }
-    let store = match ResultStore::open(&args.store) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: opening {}: {e}", args.store.display());
-            return ExitCode::from(2);
-        }
-    };
+    let dir = args.store.display();
+    let store = ResultStore::open(&args.store).map_err(|e| Input(format!("opening {dir}: {e}")))?;
     if let Some(keep) = args.prune {
-        match store.gc(keep) {
-            Ok(removed) => {
-                for id in &removed {
-                    eprintln!("pruned {id}");
-                }
-                eprintln!(
-                    "pruned {} run(s), keeping the latest {keep} per experiment family",
-                    removed.len()
-                );
-            }
-            Err(e) => {
-                eprintln!("error: pruning {}: {e}", args.store.display());
-                return ExitCode::from(2);
-            }
+        let removed = store
+            .gc(keep)
+            .map_err(|e| Input(format!("pruning {dir}: {e}")))?;
+        for id in &removed {
+            eprintln!("pruned {id}");
         }
+        eprintln!(
+            "pruned {} run(s), keeping the latest {keep} per experiment family",
+            removed.len()
+        );
     }
-    let mut runs = match store.list() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: listing {}: {e}", args.store.display());
-            return ExitCode::from(2);
-        }
-    };
+    let mut runs = store
+        .list()
+        .map_err(|e| Input(format!("listing {dir}: {e}")))?;
     if let Some(prefix) = &args.family {
         runs.retain(|run| family_matches(&latest::core::RunId::family_of(&run.spec), prefix));
     }
@@ -1009,7 +985,7 @@ fn cmd_list_runs(raw: &[String]) -> ExitCode {
         for run in &runs {
             println!("{}", run.run_id);
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
     let mut table = TextTable::with_header(&[
         "run id",
@@ -1032,13 +1008,12 @@ fn cmd_list_runs(raw: &[String]) -> ExitCode {
     println!("{}", table.render());
     match &args.family {
         Some(prefix) => eprintln!(
-            "{} archived run(s) in {} in experiment family {prefix}*",
-            runs.len(),
-            args.store.display()
+            "{} archived run(s) in {dir} in experiment family {prefix}*",
+            runs.len()
         ),
-        None => eprintln!("{} archived run(s) in {}", runs.len(), args.store.display()),
+        None => eprintln!("{} archived run(s) in {dir}", runs.len()),
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 // ---------------------------------------------------------------------------
@@ -1080,15 +1055,6 @@ common options:
   --dir <dir>          the queue directory                    [latest-queue]
 ";
 
-fn queue_fail(msg: &str) -> ExitCode {
-    if msg.is_empty() {
-        print!("{QUEUE_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    eprintln!("error: {msg}\n\n{QUEUE_USAGE}");
-    ExitCode::from(2)
-}
-
 #[derive(Default)]
 struct QueueArgs {
     positionals: Vec<String>,
@@ -1114,133 +1080,78 @@ impl QueueArgs {
             .clone()
             .unwrap_or_else(|| PathBuf::from("latest-queue"))
     }
+
+    fn open(&self) -> Result<JobQueue, CliError> {
+        JobQueue::open(self.dir()).map_err(|e| Input(format!("opening queue: {e}")))
+    }
 }
 
-fn parse_queue_args(raw: &[String]) -> Result<QueueArgs, String> {
+fn parse_queue_args(raw: &[String]) -> Result<QueueArgs, CliError> {
     let mut out = QueueArgs::default();
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(String::new()),
-            "--dir" => out.dir = Some(PathBuf::from(value("--dir")?)),
-            "--workers" => {
-                out.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("--workers: {e}"))?,
-                )
+    let mut args = Args::new(raw, QUEUE_USAGE);
+    while let Some(arg) = args.next()? {
+        match arg {
+            Flag("--dir") => out.dir = Some(args.parse()?),
+            Flag("--workers") => {
+                // The pool cannot run without a worker.
+                let workers = args.parse()?;
+                if workers == 0 {
+                    return Err(args.error("--workers must be at least 1"));
+                }
+                out.workers = Some(workers);
             }
-            "--drain" => out.drain = true,
-            "--store" => out.store = Some(PathBuf::from(value("--store")?)),
-            "--checkpoint-every" => {
-                out.checkpoint_every = Some(
-                    value("--checkpoint-every")?
-                        .parse()
-                        .map_err(|e| format!("--checkpoint-every: {e}"))?,
-                )
-            }
-            "--poll-ms" => {
-                out.poll_ms = Some(
-                    value("--poll-ms")?
-                        .parse()
-                        .map_err(|e| format!("--poll-ms: {e}"))?,
-                )
-            }
-            "--stats-out" => out.stats_out = Some(PathBuf::from(value("--stats-out")?)),
-            "--shard-pairs" => {
-                out.shard_pairs = Some(
-                    value("--shard-pairs")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("--shard-pairs: {e}"))?
-                        .max(1),
-                )
-            }
-            "--priority" => {
-                out.priority = value("--priority")?
-                    .parse()
-                    .map_err(|e| format!("--priority: {e}"))?
-            }
-            "--force" => out.force = true,
-            "--log-max-bytes" => {
-                out.log_max_bytes = Some(
-                    value("--log-max-bytes")?
-                        .parse()
-                        .map_err(|e| format!("--log-max-bytes: {e}"))?,
-                )
-            }
-            "--virtual-clock" => out.virtual_clock = true,
-            "--json" => out.json = true,
-            "--csv" => out.csv = true,
-            other if other.starts_with('-') => return Err(format!("unknown option {other}")),
-            positional => out.positionals.push(positional.to_string()),
+            Flag("--drain") => out.drain = true,
+            Flag("--store") => out.store = Some(args.parse()?),
+            Flag("--checkpoint-every") => out.checkpoint_every = Some(args.parse()?),
+            Flag("--poll-ms") => out.poll_ms = Some(args.parse()?),
+            Flag("--stats-out") => out.stats_out = Some(args.parse()?),
+            Flag("--shard-pairs") => out.shard_pairs = Some(args.parse::<usize>()?.max(1)),
+            Flag("--priority") => out.priority = args.parse()?,
+            Flag("--force") => out.force = true,
+            Flag("--log-max-bytes") => out.log_max_bytes = Some(args.parse()?),
+            Flag("--virtual-clock") => out.virtual_clock = true,
+            Flag("--json") => out.json = true,
+            Flag("--csv") => out.csv = true,
+            Flag(_) => return Err(args.unknown()),
+            Positional(p) => out.positionals.push(p.to_string()),
         }
     }
     Ok(out)
 }
 
-fn queue_submit(raw: &[String]) -> ExitCode {
-    let args = match parse_queue_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return queue_fail(&msg),
-    };
+fn queue_submit(raw: &[String]) -> CliResult {
+    let args = parse_queue_args(raw)?;
     let [path] = args.positionals.as_slice() else {
-        return queue_fail("submit takes exactly one scenario file");
+        return Err(usage(QUEUE_USAGE, "submit takes exactly one scenario file"));
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: reading {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let spec = match ScenarioSpec::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: parsing {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let submit = JobQueue::open(args.dir()).and_then(|q| {
-        q.submit(
-            spec,
-            SubmitOptions {
-                priority: args.priority,
-                force: args.force,
-            },
-        )
-    });
-    match submit {
-        Ok(job) => {
-            println!("{}", job.id);
-            eprintln!(
-                "queued {} ({}, key {}, priority {}{})",
-                job.id,
-                job.describe(),
-                job.key(),
-                job.priority,
-                if job.force { ", forced" } else { "" }
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
-    }
+    let spec = read_json(path, ScenarioSpec::from_json).map_err(Input)?;
+    let job = JobQueue::open(args.dir())
+        .and_then(|q| {
+            q.submit(
+                spec,
+                SubmitOptions {
+                    priority: args.priority,
+                    force: args.force,
+                },
+            )
+        })
+        .map_err(|e| Input(e.to_string()))?;
+    println!("{}", job.id);
+    eprintln!(
+        "queued {} ({}, key {}, priority {}{})",
+        job.id,
+        job.describe(),
+        job.key(),
+        job.priority,
+        if job.force { ", forced" } else { "" }
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
-fn queue_serve(raw: &[String]) -> ExitCode {
-    let args = match parse_queue_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return queue_fail(&msg),
-    };
+fn queue_serve(raw: &[String]) -> CliResult {
+    let args = parse_queue_args(raw)?;
     if !args.positionals.is_empty() {
-        return queue_fail("serve takes no positional arguments");
+        return Err(usage(QUEUE_USAGE, "serve takes no positional arguments"));
     }
     // --virtual-clock: per-thread deterministic tick clocks in place of
     // monotonic time, so two drains of the same scenario (with
@@ -1250,8 +1161,9 @@ fn queue_serve(raw: &[String]) -> ExitCode {
     } else {
         ClockSpec::Monotonic
     };
+    let workers = args.workers.unwrap_or(2);
     let config = PoolConfig {
-        workers: args.workers.unwrap_or(2),
+        workers,
         checkpoint_every: args.checkpoint_every.unwrap_or(1),
         poll_interval: std::time::Duration::from_millis(args.poll_ms.unwrap_or(50)),
         store_dir: args.store.clone(),
@@ -1260,17 +1172,11 @@ fn queue_serve(raw: &[String]) -> ExitCode {
         ..PoolConfig::default()
     };
     let dir = args.dir();
-    let pool = match WorkerPool::open(&dir, config) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: opening queue {}: {e}", dir.display());
-            return ExitCode::from(2);
-        }
-    };
+    let pool = WorkerPool::open(&dir, config)
+        .map_err(|e| Input(format!("opening queue {}: {e}", dir.display())))?;
     eprintln!(
-        "serving {} with {} worker(s); archive at {}",
+        "serving {} with {workers} worker(s); archive at {}",
         dir.display(),
-        args.workers.unwrap_or(2),
         pool.store().root().display()
     );
 
@@ -1283,14 +1189,8 @@ fn queue_serve(raw: &[String]) -> ExitCode {
         &log_path,
         pool.queue().rotated_events_log_path(),
         args.log_max_bytes.unwrap_or(8 * 1024 * 1024),
-    );
-    let log = match log {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("error: opening {}: {e}", log_path.display());
-            return ExitCode::from(2);
-        }
-    };
+    )
+    .map_err(|e| Input(format!("opening {}: {e}", log_path.display())))?;
     // One formatter per *job* (not per member): the `Planned` event seeds
     // the job-wide pair total, so fleet jobs get one done/total counter
     // and ETA spanning every member's shards. Under --virtual-clock the
@@ -1317,62 +1217,31 @@ fn queue_serve(raw: &[String]) -> ExitCode {
         let _ = log.append_line(&line);
     });
 
-    let outcome = if args.drain {
+    let stats = if args.drain {
         pool.drain()
     } else {
         pool.serve()
-    };
-    match outcome {
-        Ok(stats) => {
-            eprintln!("{stats}");
-            if let Some(path) = &args.stats_out {
-                let json = stats.to_json();
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("error: writing {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
     }
+    .map_err(|e| Failed(e.to_string()))?;
+    eprintln!("{stats}");
+    if let Some(path) = &args.stats_out {
+        std::fs::write(path, stats.to_json())
+            .map_err(|e| Failed(format!("writing {}: {e}", path.display())))?;
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
-fn queue_status(raw: &[String]) -> ExitCode {
-    let args = match parse_queue_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return queue_fail(&msg),
-    };
-    let queue = match JobQueue::open(args.dir()) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("error: opening queue: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn queue_status(raw: &[String]) -> CliResult {
+    let args = parse_queue_args(raw)?;
+    let queue = args.open()?;
     let jobs = match args.positionals.as_slice() {
-        [] => match queue.jobs() {
-            Ok(jobs) => jobs,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        [id] => {
-            let job = JobId::parse(id).and_then(|id| queue.load(id));
-            match job {
-                Ok(job) => vec![job],
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        _ => return queue_fail("status takes at most one job id"),
-    };
+        [] => queue.jobs(),
+        [id] => JobId::parse(id)
+            .and_then(|id| queue.load(id))
+            .map(|job| vec![job]),
+        _ => return Err(usage(QUEUE_USAGE, "status takes at most one job id")),
+    }
+    .map_err(|e| Input(e.to_string()))?;
     let mut table = TextTable::with_header(&["job", "priority", "state", "work", "detail"]);
     for job in &jobs {
         // A pending job with a journaled shard ledger (running, or
@@ -1407,28 +1276,26 @@ fn queue_status(raw: &[String]) -> ExitCode {
     // Service latency one-liner from the last drain's persisted
     // telemetry snapshot (queue wait = submit-to-claim, turnaround =
     // claim-to-settled); `queue stats` has the full per-stage table.
-    if let Ok(text) = std::fs::read_to_string(queue.telemetry_path()) {
-        if let Ok(snapshot) = TelemetrySnapshot::from_json(&text) {
-            let wait = snapshot.stage(Stage::QueueWait);
-            let turn = snapshot.stage(Stage::SettleLatency);
-            eprintln!(
-                "last drain: queue-wait n={} p50={} p99={}; turnaround n={} p50={} p99={}",
-                wait.count(),
-                human_ns(wait.quantile(0.50)),
-                human_ns(wait.quantile(0.99)),
-                turn.count(),
-                human_ns(turn.quantile(0.50)),
-                human_ns(turn.quantile(0.99)),
-            );
-        }
+    if let Ok(snapshot) = read_json(queue.telemetry_path(), TelemetrySnapshot::from_json) {
+        let wait = snapshot.stage(Stage::QueueWait);
+        let turn = snapshot.stage(Stage::SettleLatency);
+        eprintln!(
+            "last drain: queue-wait n={} p50={} p99={}; turnaround n={} p50={} p99={}",
+            wait.count(),
+            human_ns(wait.quantile(0.50)),
+            human_ns(wait.quantile(0.99)),
+            turn.count(),
+            human_ns(turn.quantile(0.50)),
+            human_ns(turn.quantile(0.99)),
+        );
     }
-    if unhappy > 0 {
+    Ok(if unhappy > 0 {
         ExitCode::FAILURE
     } else if pending > 0 {
         ExitCode::from(3)
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// Human-readable duration for an optional nanosecond quantile.
@@ -1442,39 +1309,20 @@ fn human_ns(ns: Option<u64>) -> String {
     }
 }
 
-fn queue_stats(raw: &[String]) -> ExitCode {
-    let args = match parse_queue_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return queue_fail(&msg),
-    };
+fn queue_stats(raw: &[String]) -> CliResult {
+    let args = parse_queue_args(raw)?;
     if !args.positionals.is_empty() {
-        return queue_fail("stats takes no positional arguments");
+        return Err(usage(QUEUE_USAGE, "stats takes no positional arguments"));
     }
-    let queue = match JobQueue::open(args.dir()) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("error: opening queue: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let path = queue.telemetry_path();
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "error: no telemetry snapshot at {} ({e}); run `latest queue serve` first",
-                path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let snapshot = match TelemetrySnapshot::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: parsing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    };
+    let path = args.open()?.telemetry_path();
+    let text = std::fs::read_to_string(&path).map_err(|e| {
+        Failed(format!(
+            "no telemetry snapshot at {} ({e}); run `latest queue serve` first",
+            path.display()
+        ))
+    })?;
+    let snapshot = TelemetrySnapshot::from_json(&text)
+        .map_err(|e| Input(format!("parsing {}: {e}", path.display())))?;
     let format = if args.json {
         Format::Json
     } else if args.csv {
@@ -1482,60 +1330,34 @@ fn queue_stats(raw: &[String]) -> ExitCode {
     } else {
         Format::Text
     };
-    match render_to_string(&stage_latency_table(&snapshot), format) {
-        Ok(rendered) => {
-            print!("{rendered}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: rendering telemetry: {e}");
-            ExitCode::from(2)
-        }
-    }
+    let rendered = render_to_string(&stage_latency_table(&snapshot), format)
+        .map_err(|e| Input(format!("rendering telemetry: {e}")))?;
+    print!("{rendered}");
+    Ok(ExitCode::SUCCESS)
 }
 
-fn queue_cancel(raw: &[String]) -> ExitCode {
-    let args = match parse_queue_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return queue_fail(&msg),
-    };
+fn queue_cancel(raw: &[String]) -> CliResult {
+    let args = parse_queue_args(raw)?;
     let [id] = args.positionals.as_slice() else {
-        return queue_fail("cancel takes exactly one job id");
+        return Err(usage(QUEUE_USAGE, "cancel takes exactly one job id"));
     };
-    let outcome = JobId::parse(id)
+    let (id, accepted) = JobId::parse(id)
         .and_then(|id| JobQueue::open(args.dir()).map(|q| (q, id)))
-        .and_then(|(q, id)| q.request_cancel(id).map(|accepted| (id, accepted)));
-    match outcome {
-        Ok((id, true)) => {
-            eprintln!("cancellation requested for {id}");
-            ExitCode::SUCCESS
-        }
-        Ok((id, false)) => {
-            eprintln!("error: {id} has already settled");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(2)
-        }
+        .and_then(|(q, id)| q.request_cancel(id).map(|accepted| (id, accepted)))
+        .map_err(|e| Input(e.to_string()))?;
+    if !accepted {
+        return Err(Failed(format!("{id} has already settled")));
     }
+    eprintln!("cancellation requested for {id}");
+    Ok(ExitCode::SUCCESS)
 }
 
-fn queue_watch(raw: &[String]) -> ExitCode {
-    let args = match parse_queue_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return queue_fail(&msg),
-    };
+fn queue_watch(raw: &[String]) -> CliResult {
+    let args = parse_queue_args(raw)?;
     if !args.positionals.is_empty() {
-        return queue_fail("watch takes no positional arguments");
+        return Err(usage(QUEUE_USAGE, "watch takes no positional arguments"));
     }
-    let queue = match JobQueue::open(args.dir()) {
-        Ok(q) => q,
-        Err(e) => {
-            eprintln!("error: opening queue: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let queue = args.open()?;
     // Tail incrementally, following rotations: the EventTail reads only
     // the bytes appended since the last poll, and when serve rotates
     // events.log to events.log.1 mid-watch it finishes the rotated
@@ -1543,45 +1365,37 @@ fn queue_watch(raw: &[String]) -> ExitCode {
     let mut tail = EventTail::new(queue.events_log_path(), queue.rotated_events_log_path());
     let poll = std::time::Duration::from_millis(args.poll_ms.unwrap_or(200));
     loop {
-        match tail.poll() {
-            Ok(lines) => {
-                for line in lines {
-                    println!("{line}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: tailing event log: {e}");
-                return ExitCode::from(2);
-            }
+        let lines = tail
+            .poll()
+            .map_err(|e| Input(format!("tailing event log: {e}")))?;
+        for line in lines {
+            println!("{line}");
         }
-        match queue.counts() {
-            Ok(counts) if counts.pending() == 0 => {
-                eprintln!(
-                    "queue settled: {} done, {} failed, {} cancelled",
-                    counts.done, counts.failed, counts.cancelled
-                );
-                return ExitCode::SUCCESS;
-            }
-            Ok(_) => {}
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
+        let counts = queue.counts().map_err(|e| Input(e.to_string()))?;
+        if counts.pending() == 0 {
+            eprintln!(
+                "queue settled: {} done, {} failed, {} cancelled",
+                counts.done, counts.failed, counts.cancelled
+            );
+            return Ok(ExitCode::SUCCESS);
         }
         std::thread::sleep(poll);
     }
 }
 
-fn cmd_queue(raw: &[String]) -> ExitCode {
+fn cmd_queue(raw: &[String]) -> CliResult {
     match raw.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => queue_fail(""),
+        None | Some("help" | "--help" | "-h") => Err(usage(QUEUE_USAGE, "")),
         Some("submit") => queue_submit(&raw[1..]),
         Some("serve") => queue_serve(&raw[1..]),
         Some("status") => queue_status(&raw[1..]),
         Some("stats") => queue_stats(&raw[1..]),
         Some("cancel") => queue_cancel(&raw[1..]),
         Some("watch") => queue_watch(&raw[1..]),
-        Some(other) => queue_fail(&format!("unknown queue command {other:?}")),
+        Some(other) => Err(usage(
+            QUEUE_USAGE,
+            format!("unknown queue command {other:?}"),
+        )),
     }
 }
 
@@ -1630,15 +1444,6 @@ predicted) and the same --seed give bitwise-identical scorecards,
 independent of cell order.
 ";
 
-fn govern_fail(msg: &str) -> ExitCode {
-    if msg.is_empty() {
-        print!("{GOVERN_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    eprintln!("error: {msg}\n\n{GOVERN_USAGE}");
-    ExitCode::from(2)
-}
-
 #[derive(Default)]
 struct GovernArgs {
     traffics: Vec<String>,
@@ -1654,41 +1459,38 @@ struct GovernArgs {
     json: bool,
 }
 
-fn parse_govern_args(raw: &[String]) -> Result<GovernArgs, String> {
+/// `--gate`: the confidence gate, a non-negative relative width.
+fn parse_gate(args: &mut Args) -> Result<f64, CliError> {
+    let gate: f64 = args.parse()?;
+    if gate.is_nan() || gate < 0.0 {
+        return Err(args.error(format!("--gate must be non-negative, got {gate}")));
+    }
+    Ok(gate)
+}
+
+/// `--freqs`: a comma-separated frequency list.
+fn parse_freqs(args: &mut Args) -> Result<Vec<u32>, CliError> {
+    let text = args.value()?;
+    parse_freq_list(&text).map_err(|msg| args.error(msg))
+}
+
+fn parse_govern_args(raw: &[String]) -> Result<GovernArgs, CliError> {
     let mut out = GovernArgs::default();
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(String::new()),
-            "--table" => out.table = Some(value("--table")?),
-            "--predicted" => out.predicted = Some(PathBuf::from(value("--predicted")?)),
-            "--gate" => {
-                let gate: f64 = value("--gate")?
-                    .parse()
-                    .map_err(|e| format!("--gate: {e}"))?;
-                if gate.is_nan() || gate < 0.0 {
-                    return Err(format!("--gate must be non-negative, got {gate}"));
-                }
-                out.gate = Some(gate);
-            }
-            "--freqs" => out.freqs = Some(parse_freq_list(&value("--freqs")?)?),
-            "--store" => out.store = Some(PathBuf::from(value("--store")?)),
-            "--policy" => out.policies.push(value("--policy")?),
-            "--compare" => out.compare = true,
-            "--seed" => {
-                out.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--out" => out.out = Some(PathBuf::from(value("--out")?)),
-            "--json" => out.json = true,
-            other if other.starts_with('-') => return Err(format!("unknown option {other}")),
-            positional => out.traffics.push(positional.to_string()),
+    let mut args = Args::new(raw, GOVERN_USAGE);
+    while let Some(arg) = args.next()? {
+        match arg {
+            Flag("--table") => out.table = Some(args.value()?),
+            Flag("--predicted") => out.predicted = Some(args.parse()?),
+            Flag("--gate") => out.gate = Some(parse_gate(&mut args)?),
+            Flag("--freqs") => out.freqs = Some(parse_freqs(&mut args)?),
+            Flag("--store") => out.store = Some(args.parse()?),
+            Flag("--policy") => out.policies.push(args.value()?),
+            Flag("--compare") => out.compare = true,
+            Flag("--seed") => out.seed = args.parse()?,
+            Flag("--out") => out.out = Some(args.parse()?),
+            Flag("--json") => out.json = true,
+            Flag(_) => return Err(args.unknown()),
+            Positional(p) => out.traffics.push(p.to_string()),
         }
     }
     Ok(out)
@@ -1701,8 +1503,7 @@ fn resolve_traffic(registry: &TrafficRegistry, target: &str) -> Result<TrafficSp
         return Ok(spec.clone());
     }
     if target.ends_with(".json") || Path::new(target).is_file() {
-        let text = std::fs::read_to_string(target).map_err(|e| format!("reading {target}: {e}"))?;
-        let spec = TrafficSpec::from_json(&text).map_err(|e| format!("parsing {target}: {e}"))?;
+        let spec = read_json(target, TrafficSpec::from_json)?;
         spec.validate().map_err(|e| format!("{target}: {e}"))?;
         return Ok(spec);
     }
@@ -1712,43 +1513,39 @@ fn resolve_traffic(registry: &TrafficRegistry, target: &str) -> Result<TrafficSp
     ))
 }
 
-fn govern_run(raw: &[String]) -> ExitCode {
-    let args = match parse_govern_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return govern_fail(&msg),
-    };
+fn govern_run(raw: &[String]) -> CliResult {
+    let args = parse_govern_args(raw)?;
     if args.traffics.is_empty() {
-        return govern_fail("govern run takes at least one traffic scenario");
+        return Err(usage(
+            GOVERN_USAGE,
+            "govern run takes at least one traffic scenario",
+        ));
     }
     if args.predicted.is_none() && (args.gate.is_some() || args.freqs.is_some()) {
-        return govern_fail("--gate and --freqs only apply with --predicted");
+        return Err(usage(
+            GOVERN_USAGE,
+            "--gate and --freqs only apply with --predicted",
+        ));
     }
     let (table, table_label) = match (&args.table, &args.predicted) {
-        (Some(_), Some(_)) => return govern_fail("--table and --predicted are mutually exclusive"),
+        (Some(_), Some(_)) => {
+            return Err(usage(
+                GOVERN_USAGE,
+                "--table and --predicted are mutually exclusive",
+            ))
+        }
         (None, None) => {
-            return govern_fail(
+            return Err(usage(
+                GOVERN_USAGE,
                 "one of --table <run-id|spec.json> or --predicted <model.json> is required",
-            )
+            ))
         }
         (Some(table_target), None) => {
             let store_dir = args
                 .store
                 .clone()
                 .unwrap_or_else(|| PathBuf::from("latest-store"));
-            let store = match ResultStore::open(&store_dir) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: opening store: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let run = match resolve_stored_run(&store, table_target) {
-                Ok(r) => r,
-                Err(msg) => {
-                    eprintln!("error: {msg}");
-                    return ExitCode::from(2);
-                }
-            };
+            let run = resolve_stored_run(&open_store(&store_dir)?, table_target)?;
             let (table, skipped) = LatencyTable::from_campaign_counting(&run.result);
             if !skipped.is_empty() {
                 eprintln!("note: {} ({})", skipped, run.run_id);
@@ -1756,20 +1553,7 @@ fn govern_run(raw: &[String]) -> ExitCode {
             (table, run.run_id.to_string())
         }
         (None, Some(model_path)) => {
-            let text = match std::fs::read_to_string(model_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: reading {}: {e}", model_path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let model = match PredictModel::from_json(&text) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("error: {}: {e}", model_path.display());
-                    return ExitCode::from(2);
-                }
-            };
+            let model = read_json(model_path, PredictModel::from_json).map_err(Input)?;
             let freqs = args
                 .freqs
                 .clone()
@@ -1790,8 +1574,9 @@ fn govern_run(raw: &[String]) -> ExitCode {
         }
     };
     let Some(ladder) = ZoneLadder::from_table(&table) else {
-        eprintln!("error: {table_label} yields an empty latency table");
-        return ExitCode::from(2);
+        return Err(Input(format!(
+            "{table_label} yields an empty latency table"
+        )));
     };
 
     let policy_names: Vec<String> = if args.policies.is_empty() || args.compare {
@@ -1799,25 +1584,19 @@ fn govern_run(raw: &[String]) -> ExitCode {
     } else {
         args.policies.clone()
     };
-    let mut policies = Vec::new();
-    for name in &policy_names {
-        match make_policy(name, &table) {
-            Ok(p) => policies.push(p),
-            Err(msg) => return govern_fail(&msg),
-        }
-    }
+    let policies = policy_names
+        .iter()
+        .map(|name| make_policy(name, &table).map_err(|msg| usage(GOVERN_USAGE, msg)))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let registry = TrafficRegistry::builtin();
     let mut traces = Vec::new();
     for target in &args.traffics {
-        let spec = match resolve_traffic(&registry, target) {
-            Ok(s) => s,
-            Err(msg) => return govern_fail(&msg),
-        };
-        match spec.generate() {
-            Ok(trace) => traces.push(trace),
-            Err(e) => return govern_fail(&format!("{target}: {e}")),
-        }
+        let spec = resolve_traffic(&registry, target).map_err(|msg| usage(GOVERN_USAGE, msg))?;
+        let trace = spec
+            .generate()
+            .map_err(|e| usage(GOVERN_USAGE, format!("{target}: {e}")))?;
+        traces.push(trace);
     }
 
     let daemon = GovernorDaemon::new(DaemonConfig::default(), PowerModel::sxm_class(ladder.max()));
@@ -1866,20 +1645,13 @@ fn govern_run(raw: &[String]) -> ExitCode {
         bundle.add("missed_rate", missed_rate_heatmap(&rows));
         bundle.add("energy", energy_heatmap(&rows));
         bundle.add_file("scorecards.json", scorecards_to_json(&cards));
-        match bundle.write_to(out_dir) {
-            Ok(written) => {
-                eprintln!("wrote {} files to {}", written.len(), out_dir.display());
-            }
-            Err(e) => {
-                eprintln!("error: writing bundle: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let written = write_bundle(&bundle, out_dir)?;
+        eprintln!("wrote {} files to {}", written.len(), out_dir.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn govern_list_policies() -> ExitCode {
+fn govern_list_policies() -> CliResult {
     let mut table = TextTable::with_header(&["policy", "behaviour"]);
     table.row(&[
         "run-at-max".to_string(),
@@ -1894,10 +1666,10 @@ fn govern_list_policies() -> ExitCode {
         "switch only when the measured cost amortises; detour pathological pairs".to_string(),
     ]);
     println!("{}", table.render());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn govern_list_traffic() -> ExitCode {
+fn govern_list_traffic() -> CliResult {
     let registry = TrafficRegistry::builtin();
     let mut table = TextTable::with_header(&["name", "shape", "duration ms", "description"]);
     for spec in registry.specs() {
@@ -1909,16 +1681,19 @@ fn govern_list_traffic() -> ExitCode {
         ]);
     }
     println!("{}", table.render());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_govern(raw: &[String]) -> ExitCode {
+fn cmd_govern(raw: &[String]) -> CliResult {
     match raw.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => govern_fail(""),
+        None | Some("help" | "--help" | "-h") => Err(usage(GOVERN_USAGE, "")),
         Some("run") => govern_run(&raw[1..]),
         Some("list-policies") => govern_list_policies(),
         Some("list-traffic") => govern_list_traffic(),
-        Some(other) => govern_fail(&format!("unknown govern command {other:?}")),
+        Some(other) => Err(usage(
+            GOVERN_USAGE,
+            format!("unknown govern command {other:?}"),
+        )),
     }
 }
 
@@ -1977,15 +1752,6 @@ validate options:
   --json               emit the validation report(s) as JSON on stdout
 ";
 
-fn predict_fail(msg: &str) -> ExitCode {
-    if msg.is_empty() {
-        print!("{PREDICT_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    eprintln!("error: {msg}\n\n{PREDICT_USAGE}");
-    ExitCode::from(2)
-}
-
 struct PredictArgs {
     positionals: Vec<String>,
     store: PathBuf,
@@ -2004,7 +1770,7 @@ struct PredictArgs {
     json: bool,
 }
 
-fn parse_predict_args(raw: &[String]) -> Result<PredictArgs, String> {
+fn parse_predict_args(raw: &[String]) -> Result<PredictArgs, CliError> {
     let mut out = PredictArgs {
         positionals: Vec::new(),
         store: PathBuf::from("latest-store"),
@@ -2022,113 +1788,69 @@ fn parse_predict_args(raw: &[String]) -> Result<PredictArgs, String> {
         seed: 0,
         json: false,
     };
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Err(String::new()),
-            "--store" => out.store = PathBuf::from(value("--store")?),
-            "--device" => out.device = Some(value("--device")?),
-            "--family" => out.family = Some(value("--family")?),
-            "--out" => out.out = Some(PathBuf::from(value("--out")?)),
-            "--gate" => {
-                out.gate = value("--gate")?
-                    .parse()
-                    .map_err(|e| format!("--gate: {e}"))?;
-                if out.gate.is_nan() || out.gate < 0.0 {
-                    return Err(format!("--gate must be non-negative, got {}", out.gate));
-                }
-            }
-            "--batch" => out.batch = Some(PathBuf::from(value("--batch")?)),
-            "--freqs" => out.freqs = Some(parse_freq_list(&value("--freqs")?)?),
-            "--queue" => out.queue = Some(PathBuf::from(value("--queue")?)),
-            "--spec" => out.spec = Some(PathBuf::from(value("--spec")?)),
-            "--folds" => {
-                out.folds = value("--folds")?
-                    .parse()
-                    .map_err(|e| format!("--folds: {e}"))?
-            }
-            "--closed-loop" => out.closed_loop = true,
-            "--reps" => {
-                out.reps = value("--reps")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?
-            }
-            "--seed" => {
-                out.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--json" => out.json = true,
-            other if other.starts_with('-') => return Err(format!("unknown option {other}")),
-            positional => out.positionals.push(positional.to_string()),
+    let mut args = Args::new(raw, PREDICT_USAGE);
+    while let Some(arg) = args.next()? {
+        match arg {
+            Flag("--store") => out.store = args.parse()?,
+            Flag("--device") => out.device = Some(args.value()?),
+            Flag("--family") => out.family = Some(args.value()?),
+            Flag("--out") => out.out = Some(args.parse()?),
+            Flag("--gate") => out.gate = parse_gate(&mut args)?,
+            Flag("--batch") => out.batch = Some(args.parse()?),
+            Flag("--freqs") => out.freqs = Some(parse_freqs(&mut args)?),
+            Flag("--queue") => out.queue = Some(args.parse()?),
+            Flag("--spec") => out.spec = Some(args.parse()?),
+            Flag("--folds") => out.folds = args.parse()?,
+            Flag("--closed-loop") => out.closed_loop = true,
+            Flag("--reps") => out.reps = args.parse()?,
+            Flag("--seed") => out.seed = args.parse()?,
+            Flag("--json") => out.json = true,
+            Flag(_) => return Err(args.unknown()),
+            Positional(p) => out.positionals.push(p.to_string()),
         }
     }
     Ok(out)
 }
 
 /// The per-device corpora selected by the `--device` / `--family` filters.
-fn predict_corpora(args: &PredictArgs) -> Result<Vec<latest::predict::Corpus>, String> {
+fn predict_corpora(args: &PredictArgs) -> Result<Vec<latest::predict::Corpus>, CliError> {
     let store = ResultStore::open(&args.store)
-        .map_err(|e| format!("opening {}: {e}", args.store.display()))?;
-    match &args.device {
-        Some(device) => corpus_for_device(&store, device, args.family.as_deref())
-            .map(|c| vec![c])
-            .map_err(|e| e.to_string()),
-        None => {
-            let corpora =
-                build_corpora(&store, args.family.as_deref()).map_err(|e| e.to_string())?;
-            if corpora.is_empty() {
-                return Err(format!(
-                    "the archive at {} holds no runs matching the filter",
-                    args.store.display()
-                ));
-            }
-            Ok(corpora)
-        }
+        .map_err(|e| Input(format!("opening {}: {e}", args.store.display())))?;
+    let corpora = match &args.device {
+        Some(device) => corpus_for_device(&store, device, args.family.as_deref()).map(|c| vec![c]),
+        None => build_corpora(&store, args.family.as_deref()),
     }
+    .map_err(|e| Input(e.to_string()))?;
+    if corpora.is_empty() {
+        return Err(Input(format!(
+            "the archive at {} holds no runs matching the filter",
+            args.store.display()
+        )));
+    }
+    Ok(corpora)
 }
 
-fn predict_fit(raw: &[String]) -> ExitCode {
-    let args = match parse_predict_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return predict_fail(&msg),
-    };
+fn predict_fit(raw: &[String]) -> CliResult {
+    let args = parse_predict_args(raw)?;
     if !args.positionals.is_empty() {
-        return predict_fail("predict fit takes no positional arguments");
+        return Err(usage(
+            PREDICT_USAGE,
+            "predict fit takes no positional arguments",
+        ));
     }
-    let corpora = match predict_corpora(&args) {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
+    let corpora = predict_corpora(&args)?;
     let out_dir = args
         .out
         .clone()
         .unwrap_or_else(|| PathBuf::from("predict-models"));
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("error: creating {}: {e}", out_dir.display());
-        return ExitCode::FAILURE;
-    }
+    std::fs::create_dir_all(&out_dir)
+        .map_err(|e| Failed(format!("creating {}: {e}", out_dir.display())))?;
     for corpus in &corpora {
-        let model = match PredictModel::fit(corpus) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("error: fitting {}: {e}", corpus.device);
-                return ExitCode::FAILURE;
-            }
-        };
+        let model = PredictModel::fit(corpus)
+            .map_err(|e| Failed(format!("fitting {}: {e}", corpus.device)))?;
         let path = out_dir.join(format!("{}.model.json", corpus.device));
-        if let Err(e) = std::fs::write(&path, model.to_json()) {
-            eprintln!("error: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+        std::fs::write(&path, model.to_json())
+            .map_err(|e| Failed(format!("writing {}: {e}", path.display())))?;
         eprintln!(
             "fitted {}: {} pairs / {} samples from {} run(s), {} features -> {}",
             corpus.device,
@@ -2139,7 +1861,7 @@ fn predict_fit(raw: &[String]) -> ExitCode {
             path.display()
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Render served predictions as an aligned table.
@@ -2167,33 +1889,23 @@ fn predicted_pairs_table(pairs: &[latest::predict::PredictedPair]) -> TextTable 
     table
 }
 
-fn predict_query(raw: &[String]) -> ExitCode {
-    let args = match parse_predict_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return predict_fail(&msg),
-    };
+fn predict_query(raw: &[String]) -> CliResult {
+    let args = parse_predict_args(raw)?;
     let Some((model_path, pair_args)) = args.positionals.split_first() else {
-        return predict_fail("predict query takes a model file first");
+        return Err(usage(
+            PREDICT_USAGE,
+            "predict query takes a model file first",
+        ));
     };
-    let text = match std::fs::read_to_string(model_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: reading {model_path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let model = match PredictModel::from_json(&text) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {model_path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let model = read_json(model_path, PredictModel::from_json).map_err(Input)?;
 
     // Table mode: every ordered pair over a frequency set.
     if let Some(freqs) = &args.freqs {
         if !pair_args.is_empty() || args.batch.is_some() {
-            return predict_fail("--freqs replaces explicit pairs; give one or the other");
+            return Err(usage(
+                PREDICT_USAGE,
+                "--freqs replaces explicit pairs; give one or the other",
+            ));
         }
         let table = PredictedTable::over(&model, freqs, args.gate);
         if args.json {
@@ -2208,7 +1920,7 @@ fn predict_query(raw: &[String]) -> ExitCode {
                 table.device
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     // Batch mode: explicit pairs from the command line and/or a batch file.
@@ -2216,74 +1928,49 @@ fn predict_query(raw: &[String]) -> ExitCode {
     for arg in pair_args {
         match parse_freq_list(arg).as_deref() {
             Ok([init, target]) => pairs.push((*init, *target)),
-            _ => return predict_fail(&format!("bad pair {arg:?}: expected <init,target>")),
+            _ => {
+                return Err(usage(
+                    PREDICT_USAGE,
+                    format!("bad pair {arg:?}: expected <init,target>"),
+                ))
+            }
         }
     }
     if let Some(batch_path) = &args.batch {
-        let text = match std::fs::read_to_string(batch_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: reading {}: {e}", batch_path.display());
-                return ExitCode::from(2);
-            }
-        };
-        match parse_batch_pairs(&text) {
-            Ok(batch) => pairs.extend(batch),
-            Err(e) => {
-                eprintln!("error: {}: {e}", batch_path.display());
-                return ExitCode::from(2);
-            }
-        }
+        pairs.extend(read_json(batch_path, parse_batch_pairs).map_err(Input)?);
     }
     if pairs.is_empty() {
-        return predict_fail("predict query needs pairs (positional <init,target> or --batch)");
+        return Err(usage(
+            PREDICT_USAGE,
+            "predict query needs pairs (positional <init,target> or --batch)",
+        ));
     }
 
-    let queue;
-    let template;
-    let mut follow_up = None;
-    match (&args.queue, &args.spec) {
+    let follow_up = match (&args.queue, &args.spec) {
         (Some(queue_dir), Some(spec_path)) => {
-            queue = match JobQueue::open(queue_dir) {
-                Ok(q) => q,
-                Err(e) => {
-                    eprintln!("error: opening queue {}: {e}", queue_dir.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let text = match std::fs::read_to_string(spec_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: reading {}: {e}", spec_path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            template = match ScenarioSpec::from_json(&text) {
-                Ok(ScenarioSpec::Campaign(spec)) => spec,
-                Ok(ScenarioSpec::Fleet(_)) => {
-                    eprintln!(
-                        "error: {} is a fleet spec; the follow-up template must be a campaign",
+            let queue = JobQueue::open(queue_dir)
+                .map_err(|e| Input(format!("opening queue {}: {e}", queue_dir.display())))?;
+            let template = match read_json(spec_path, ScenarioSpec::from_json).map_err(Input)? {
+                ScenarioSpec::Campaign(spec) => spec,
+                ScenarioSpec::Fleet(_) => {
+                    return Err(Input(format!(
+                        "{} is a fleet spec; the follow-up template must be a campaign",
                         spec_path.display()
-                    );
-                    return ExitCode::from(2);
-                }
-                Err(e) => {
-                    eprintln!("error: parsing {}: {e}", spec_path.display());
-                    return ExitCode::from(2);
+                    )))
                 }
             };
-            follow_up = Some((&queue, &template));
+            Some((queue, template))
         }
-        (None, None) => {}
-        _ => return predict_fail("--queue and --spec go together"),
-    }
-    let outcome = match serve_batch(&model, &pairs, args.gate, follow_up) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
+        (None, None) => None,
+        _ => return Err(usage(PREDICT_USAGE, "--queue and --spec go together")),
     };
+    let outcome = serve_batch(
+        &model,
+        &pairs,
+        args.gate,
+        follow_up.as_ref().map(|(q, t)| (q, t)),
+    )
+    .map_err(|e| Input(e.to_string()))?;
     if args.json {
         print!("{}", outcome.to_json());
     } else {
@@ -2299,39 +1986,29 @@ fn predict_query(raw: &[String]) -> ExitCode {
             eprintln!("submitted follow-up measurement campaign as {job}");
         }
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn predict_validate(raw: &[String]) -> ExitCode {
-    let args = match parse_predict_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return predict_fail(&msg),
-    };
+fn predict_validate(raw: &[String]) -> CliResult {
+    let args = parse_predict_args(raw)?;
     if !args.positionals.is_empty() {
-        return predict_fail("predict validate takes no positional arguments");
+        return Err(usage(
+            PREDICT_USAGE,
+            "predict validate takes no positional arguments",
+        ));
     }
-    let corpora = match predict_corpora(&args) {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-
+    let corpora = predict_corpora(&args)?;
     if args.closed_loop {
         return predict_validate_closed_loop(&args, &corpora);
     }
 
-    let mut reports = Vec::new();
-    for corpus in &corpora {
-        match cross_validate(corpus, args.folds) {
-            Ok(r) => reports.push(r),
-            Err(e) => {
-                eprintln!("error: validating {}: {e}", corpus.device);
-                return ExitCode::from(2);
-            }
-        }
-    }
+    let reports = corpora
+        .iter()
+        .map(|corpus| {
+            cross_validate(corpus, args.folds)
+                .map_err(|e| Input(format!("validating {}: {e}", corpus.device)))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     if args.json {
         if let [report] = reports.as_slice() {
             print!("{}", report.to_json());
@@ -2370,46 +2047,31 @@ fn predict_validate(raw: &[String]) -> ExitCode {
             );
             bundle.add_file(format!("{}_held_out.json", report.device), report.to_json());
         }
-        match bundle.write_to(out_dir) {
-            Ok(written) => eprintln!("wrote {} files to {}", written.len(), out_dir.display()),
-            Err(e) => {
-                eprintln!("error: writing bundle: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let written = write_bundle(&bundle, out_dir)?;
+        eprintln!("wrote {} files to {}", written.len(), out_dir.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 fn predict_validate_closed_loop(
     args: &PredictArgs,
     corpora: &[latest::predict::Corpus],
-) -> ExitCode {
+) -> CliResult {
     let registry = DeviceRegistry::builtin();
     let mut reports = Vec::new();
     for corpus in corpora {
-        let model = match PredictModel::fit(corpus) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("error: fitting {}: {e}", corpus.device);
-                return ExitCode::from(2);
-            }
-        };
+        let model = PredictModel::fit(corpus)
+            .map_err(|e| Input(format!("fitting {}: {e}", corpus.device)))?;
         let Some(device) = registry.get(&corpus.device) else {
-            eprintln!(
-                "error: device '{}' is not in the registry; closed-loop replay needs a \
+            return Err(Input(format!(
+                "device '{}' is not in the registry; closed-loop replay needs a \
                  simulator spec",
                 corpus.device
-            );
-            return ExitCode::from(2);
+            )));
         };
-        match closed_loop_validate(&model, &device, args.reps, args.seed) {
-            Ok(r) => reports.push(r),
-            Err(e) => {
-                eprintln!("error: replaying {}: {e}", corpus.device);
-                return ExitCode::from(2);
-            }
-        }
+        let report = closed_loop_validate(&model, &device, args.reps, args.seed)
+            .map_err(|e| Input(format!("replaying {}: {e}", corpus.device)))?;
+        reports.push(report);
     }
     if args.json {
         if let [report] = reports.as_slice() {
@@ -2444,48 +2106,29 @@ fn predict_validate_closed_loop(
                 report.to_json(),
             );
         }
-        match bundle.write_to(out_dir) {
-            Ok(written) => eprintln!("wrote {} files to {}", written.len(), out_dir.display()),
-            Err(e) => {
-                eprintln!("error: writing bundle: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let written = write_bundle(&bundle, out_dir)?;
+        eprintln!("wrote {} files to {}", written.len(), out_dir.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_predict(raw: &[String]) -> ExitCode {
+fn cmd_predict(raw: &[String]) -> CliResult {
     match raw.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => predict_fail(""),
+        None | Some("help" | "--help" | "-h") => Err(usage(PREDICT_USAGE, "")),
         Some("fit") => predict_fit(&raw[1..]),
         Some("query") => predict_query(&raw[1..]),
         Some("validate") => predict_validate(&raw[1..]),
-        Some(other) => predict_fail(&format!("unknown predict command {other:?}")),
-    }
-}
-
-fn cmd_run(raw: &[String]) -> ExitCode {
-    let args = match parse_run_args(raw) {
-        Ok(a) => a,
-        Err(msg) => return fail(&msg),
-    };
-    let scenario = match effective_spec(&args) {
-        Ok(s) => s,
-        Err(msg) => return fail(&msg),
-    };
-    // No separate validation pass: resolve()/into_fleet() below report the
-    // same exhaustive SpecErrors, and run_campaign/run_fleet print them.
-    match scenario {
-        ScenarioSpec::Campaign(spec) => run_campaign(spec, &args),
-        ScenarioSpec::Fleet(spec) => run_fleet(spec, &args),
+        Some(other) => Err(usage(
+            PREDICT_USAGE,
+            format!("unknown predict command {other:?}"),
+        )),
     }
 }
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => fail(""),
+    let outcome = match argv.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => Err(usage(USAGE, "")),
         Some("run") => cmd_run(&argv[1..]),
         Some("report") => cmd_report(&argv[1..]),
         Some("diff") => cmd_diff(&argv[1..]),
@@ -2499,5 +2142,6 @@ fn main() -> ExitCode {
         Some("list-workloads") => cmd_list_workloads(),
         // Legacy shorthand: `latest [OPTIONS] <freq,freq,...>` is `run`.
         Some(_) => cmd_run(&argv),
-    }
+    };
+    outcome.unwrap_or_else(report)
 }
