@@ -1,6 +1,10 @@
 //! Golden-file tests: a fixed seeded campaign rendered through every sink
 //! must reproduce the committed artefacts byte for byte.
 //!
+//! The whole paper-artefact bundle of that campaign is pinned under
+//! `tests/golden/bundle/`: every figure in all four formats, plus
+//! `EXPERIMENTS.md` and `summary.json`.
+//!
 //! These pin two properties at once: the simulator + methodology are
 //! deterministic under a fixed seed, and the rendering pipeline is
 //! deterministic given a result. If an intentional change moves the output
@@ -16,7 +20,7 @@ use std::path::PathBuf;
 
 use latest_core::{CampaignConfig, CampaignResult, Latest};
 use latest_gpu_sim::devices;
-use latest_report::{campaign_summary_table, render_to_string, Format};
+use latest_report::{campaign_summary_table, render_to_string, Bundle, Format};
 
 fn fixed_campaign() -> CampaignResult {
     let config = CampaignConfig::builder(devices::a100_sxm4())
@@ -35,7 +39,7 @@ fn golden_dir() -> PathBuf {
 fn check(name: &str, rendered: &str) {
     let path = golden_dir().join(name);
     if std::env::var_os("GOLDEN_UPDATE").is_some() {
-        std::fs::create_dir_all(golden_dir()).unwrap();
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, rendered).unwrap();
         return;
     }
@@ -72,6 +76,24 @@ fn fixed_campaign_renders_golden_artifacts_through_every_sink() {
         "summary_table.csv",
         &render_to_string(&table, Format::Csv).unwrap(),
     );
+}
+
+#[test]
+fn fixed_campaign_bundle_matches_its_golden_directory() {
+    let files = Bundle::for_campaign(&fixed_campaign()).render_all().unwrap();
+    for (name, content) in &files {
+        check(&format!("bundle/{name}"), content);
+    }
+    // The pinned set is exactly the rendered set: a figure the bundle
+    // stops emitting must not linger as a passing golden file.
+    let mut rendered: Vec<String> = files.into_iter().map(|(name, _)| name).collect();
+    let mut pinned: Vec<String> = std::fs::read_dir(golden_dir().join("bundle"))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    rendered.sort();
+    pinned.sort();
+    assert_eq!(rendered, pinned);
 }
 
 #[test]
