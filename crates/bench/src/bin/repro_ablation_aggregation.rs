@@ -10,7 +10,7 @@ use latest_core::phase3::evaluate_pass;
 use latest_core::{CampaignConfig, SimPlatform};
 use latest_gpu_sim::devices;
 use latest_gpu_sim::freq::FreqMhz;
-use latest_report::TextTable;
+use latest_report::{Artifact, Format, TextTable};
 
 fn main() {
     let config = CampaignConfig::builder(devices::gh200())
@@ -75,7 +75,7 @@ fn main() {
             format!("{:.3}", r[3]),
         ]);
     }
-    println!("{}", t.render());
+    println!("{}", t.render(Format::Text));
     let n = rows.len();
     println!("passes where the aggregate UNDER-estimates the ground truth (of {n}):");
     println!("  max  over cores: {under_max}");

@@ -15,7 +15,7 @@ use latest_core::phase3::evaluate_pass;
 use latest_core::{CampaignConfig, SimPlatform};
 use latest_gpu_sim::devices;
 use latest_gpu_sim::freq::FreqMhz;
-use latest_report::TextTable;
+use latest_report::{Artifact, Format, TextTable};
 use latest_stats::Summary;
 
 fn main() {
@@ -94,7 +94,7 @@ fn main() {
             format!("{rel:.1}%", rel = rel * 100.0),
         ]);
     }
-    println!("{}", t.render());
+    println!("{}", t.render(Format::Text));
     println!(
         "Shape check: the stderr band (narrower than the 1 us timer tick) must\n\
          succeed rarely or never, while the 2-sigma band succeeds on (nearly)\n\

@@ -8,7 +8,7 @@
 //! legitimate secondary clusters; 3σ trimming fails exactly there.
 
 use latest_cluster::{adaptive_outlier_filter, AdaptiveConfig, Dbscan};
-use latest_report::TextTable;
+use latest_report::{Artifact, Format, TextTable};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -95,7 +95,7 @@ fn main() {
             fnn.to_string(),
         ]);
     }
-    println!("{}", t.render());
+    println!("{}", t.render(Format::Text));
     println!(
         "Shape check: adaptive DBSCAN keeps both legitimate clusters while\n\
          flagging stalls; 3-sigma trimming either keeps stalls (inflated sigma)\n\

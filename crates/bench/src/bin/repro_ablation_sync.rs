@@ -6,7 +6,7 @@
 use latest_clock_sync::SyncConfig;
 use latest_core::{Platform, SimPlatform};
 use latest_gpu_sim::devices;
-use latest_report::TextTable;
+use latest_report::{Artifact, Format, TextTable};
 
 fn main() {
     println!("ABLATION: PTP sync error vs number of exchange rounds\n");
@@ -51,7 +51,7 @@ fn main() {
             format!("{held}/{REPS}"),
         ]);
     }
-    println!("{}", t.render());
+    println!("{}", t.render(Format::Text));
     println!(
         "Shape check: error and bound shrink with rounds (min-filtering) and\n\
          flatten near the device-timer quantisation (1 us) — more rounds past\n\

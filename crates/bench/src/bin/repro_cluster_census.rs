@@ -7,7 +7,7 @@
 use bench_support::repro_config;
 use latest_core::{CampaignConfig, Latest};
 use latest_gpu_sim::devices;
-use latest_report::TextTable;
+use latest_report::{Artifact, Format, TextTable};
 
 struct Census {
     device: String,
@@ -85,7 +85,7 @@ fn main() {
             },
         ]);
     }
-    println!("{}", t.render());
+    println!("{}", t.render(Format::Text));
 
     let avg_sil = if all_sil.is_empty() {
         f64::NAN

@@ -9,7 +9,7 @@ use latest_ftalat::cpu::{intel_skylake_sp, slow_governor_cpu, SimCpuCore};
 use latest_ftalat::{ftalat_phase1, measure_transition};
 use latest_gpu_sim::devices;
 use latest_gpu_sim::freq::FreqMhz;
-use latest_report::TextTable;
+use latest_report::{Artifact, Format, TextTable};
 use latest_sim_clock::SharedClock;
 
 const CPU_WORK: f64 = 3_000.0;
@@ -76,7 +76,7 @@ fn main() {
             format!("{best:.1} - {worst:.1}"),
         ]);
     }
-    println!("{}", t.render());
+    println!("{}", t.render(Format::Text));
 
     let cpu_worst = cpus.iter().map(|c| c.1).fold(0.0f64, f64::max);
     let gpu_best = gpus.iter().map(|g| g.1).fold(f64::INFINITY, f64::min);

@@ -8,7 +8,9 @@
 //! plus the paper's structural observation that *the target frequency has a
 //! much higher impact than the initial frequency* (row/column pattern).
 
-use bench_support::{campaign_heatmap, direction_split, freqs_mhz, repro_config, CellStat};
+use bench_support::{
+    campaign_heatmap, direction_split, freqs_mhz, heatmap_text, repro_config, CellStat,
+};
 use latest_core::Latest;
 use latest_gpu_sim::devices;
 
@@ -26,45 +28,32 @@ fn column_dominance(hm: &latest_report::Heatmap) -> (f64, f64) {
 }
 
 fn main() {
-    let color = std::env::var("NO_COLOR").is_err();
-
     // --- GH200: min and max (Fig. 3a, 3b) ---
     let config = repro_config(devices::gh200(), 18, 0xF163A);
     let freqs = freqs_mhz(&config);
     let gh = Latest::new(config).run().expect("GH200 sweep");
-    let gh_min = campaign_heatmap(&gh, &freqs, CellStat::Min);
-    let gh_max = campaign_heatmap(&gh, &freqs, CellStat::Max);
-    println!(
-        "{}",
-        gh_min.render("FIG. 3a: GH200 minimum switching latencies [ms]", color)
-    );
-    println!(
-        "{}",
-        gh_max.render("FIG. 3b: GH200 maximum switching latencies [ms]", color)
-    );
+    let gh_min = campaign_heatmap(&gh, &freqs, CellStat::Min)
+        .with_title("FIG. 3a: GH200 minimum switching latencies [ms]");
+    let gh_max = campaign_heatmap(&gh, &freqs, CellStat::Max)
+        .with_title("FIG. 3b: GH200 maximum switching latencies [ms]");
+    println!("{}", heatmap_text(&gh_min));
+    println!("{}", heatmap_text(&gh_max));
 
     // --- A100 max (Fig. 3c) ---
     let config = repro_config(devices::a100_sxm4(), 18, 0xF163C);
     let freqs = freqs_mhz(&config);
     let a100 = Latest::new(config).run().expect("A100 sweep");
-    let a100_max = campaign_heatmap(&a100, &freqs, CellStat::Max);
-    println!(
-        "{}",
-        a100_max.render("FIG. 3c: A100 maximum switching latencies [ms]", color)
-    );
+    let a100_max = campaign_heatmap(&a100, &freqs, CellStat::Max)
+        .with_title("FIG. 3c: A100 maximum switching latencies [ms]");
+    println!("{}", heatmap_text(&a100_max));
 
     // --- RTX Quadro 6000 max (Fig. 3d) ---
     let config = repro_config(devices::rtx_quadro_6000(), 14, 0xF163D);
     let freqs = freqs_mhz(&config);
     let quadro = Latest::new(config).run().expect("Quadro sweep");
-    let quadro_max = campaign_heatmap(&quadro, &freqs, CellStat::Max);
-    println!(
-        "{}",
-        quadro_max.render(
-            "FIG. 3d: RTX Quadro 6000 maximum switching latencies [ms]",
-            color
-        )
-    );
+    let quadro_max = campaign_heatmap(&quadro, &freqs, CellStat::Max)
+        .with_title("FIG. 3d: RTX Quadro 6000 maximum switching latencies [ms]");
+    println!("{}", heatmap_text(&quadro_max));
 
     // --- Shape checks ---
     println!("Shape checks vs the paper:");

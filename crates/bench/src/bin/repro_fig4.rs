@@ -49,7 +49,7 @@ fn main() {
                         v.summary.max,
                         v.mode_count(0.25),
                     );
-                    println!("{}", v.render(60));
+                    println!("{}", v.ascii_bars(60));
                 }
                 None => println!("  {dir:<10}: insufficient data"),
             }

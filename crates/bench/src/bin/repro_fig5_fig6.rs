@@ -10,7 +10,7 @@
 use latest_cluster::{adaptive_outlier_filter, silhouette_score_1d, AdaptiveConfig};
 use latest_core::{CampaignConfig, Latest};
 use latest_gpu_sim::devices;
-use latest_report::render_scatter;
+use latest_report::Scatter;
 
 fn measure_pair(init: u32, target: u32, seed: u64) -> Vec<f64> {
     let config = CampaignConfig::builder(devices::gh200())
@@ -31,8 +31,11 @@ fn measure_pair(init: u32, target: u32, seed: u64) -> Vec<f64> {
 
 fn show(title: &str, data: &[f64]) {
     let outcome = adaptive_outlier_filter(data, &AdaptiveConfig::default());
-    let labeling = outcome.as_ref().map(|o| &o.labeling);
-    println!("{}", render_scatter(title, data, labeling, 24, 72));
+    let scatter = match &outcome {
+        Some(o) => Scatter::from_labeling(title, data.to_vec(), &o.labeling),
+        None => Scatter::new(title, data.to_vec(), Vec::new()),
+    };
+    println!("{}", scatter.ascii_plot(24, 72));
     if let Some(o) = &outcome {
         let sil = silhouette_score_1d(data, &o.labeling);
         println!(

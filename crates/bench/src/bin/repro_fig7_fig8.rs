@@ -6,13 +6,12 @@
 //! * Fig. 8: per-pair range of the **worst-case** (maximum) latencies —
 //!   paper shows up to ~12 ms on isolated pairs.
 
-use bench_support::{campaign_heatmap, freqs_mhz, repro_config, CellStat};
+use bench_support::{campaign_heatmap, freqs_mhz, heatmap_text, repro_config, CellStat};
 use latest_core::Latest;
 use latest_gpu_sim::devices;
 use latest_report::Heatmap;
 
 fn main() {
-    let color = std::env::var("NO_COLOR").is_err();
     let n_freqs = 12usize;
 
     // Sweep each unit (all units share the same ladder, hence one freq list).
@@ -40,23 +39,12 @@ fn main() {
         }
         hi.combine(&lo, |a, b| a - b)
     };
-    let fig7 = range_of(&mins);
-    let fig8 = range_of(&maxs);
-
-    println!(
-        "{}",
-        fig7.render(
-            "FIG. 7: ranges of minimum switching latencies across four A100 units [ms]",
-            color
-        )
-    );
-    println!(
-        "{}",
-        fig8.render(
-            "FIG. 8: ranges of maximum switching latencies across four A100 units [ms]",
-            color
-        )
-    );
+    let fig7 = range_of(&mins)
+        .with_title("FIG. 7: ranges of minimum switching latencies across four A100 units [ms]");
+    let fig8 = range_of(&maxs)
+        .with_title("FIG. 8: ranges of maximum switching latencies across four A100 units [ms]");
+    println!("{}", heatmap_text(&fig7));
+    println!("{}", heatmap_text(&fig8));
 
     let f7_mean = fig7.mean().unwrap();
     let f8_mean = fig8.mean().unwrap();

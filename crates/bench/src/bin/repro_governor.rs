@@ -14,7 +14,7 @@ use latest_governor::{
     TransitionReplay, ZoneLadder, POLICY_NAMES,
 };
 use latest_gpu_sim::devices;
-use latest_report::TextTable;
+use latest_report::{Artifact, Format, TextTable};
 use latest_traffic::{TrafficRegistry, TrafficTrace};
 
 fn main() {
@@ -78,7 +78,7 @@ fn main() {
                 ]);
             }
         }
-        println!("{}", t.render());
+        println!("{}", t.render(Format::Text));
     }
 
     println!("\nreading: on the Quadro (switches of ~100 ms) the aware governor matches");

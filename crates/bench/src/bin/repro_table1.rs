@@ -3,7 +3,7 @@
 //! three simulated GPUs.
 
 use latest_gpu_sim::devices;
-use latest_report::TextTable;
+use latest_report::{Artifact, Format, TextTable};
 
 fn main() {
     let specs = devices::paper_devices();
@@ -32,7 +32,7 @@ fn main() {
         ]);
     }
     println!("TABLE I: Used hardware experimental setup (simulated devices)\n");
-    println!("{}", t.render());
+    println!("{}", t.render(Format::Text));
     println!(
         "Paper reference: RTX Quadro 6000 (72 SM, 300-2100 MHz, 120 steps), \
          A100 SXM-4 (108 SM, 210-1410 MHz, 81 steps), GH200 (132 SM, 345-1980 MHz, 110 steps)."

@@ -4,7 +4,7 @@
 //! extremes, after outlier removal.
 
 use bench_support::{repro_spec, table2_row, CellStat, Table2Row};
-use latest_report::{ExperimentRecord, TextTable};
+use latest_report::{Artifact, ExperimentRecord, Format, TextTable};
 
 fn fmt_pair(v: (f64, u32, u32)) -> String {
     format!("{:.3} ({}->{})", v.0, v.1, v.2)
@@ -57,7 +57,7 @@ fn main() {
             fmt_pair(rows[1].max),
             fmt_pair(rows[2].max),
         ]);
-        println!("{}", t.render());
+        println!("{}", t.render(Format::Text));
     }
 
     // Machine-readable paper-vs-measured record.
@@ -109,7 +109,7 @@ fn main() {
         worst[0].mean > 2.0 * worst[1].mean,
         "Quadro an order of magnitude slower on average",
     );
-    println!("{}", rec.render_markdown());
+    println!("{}", rec.render(Format::Text));
     if !rec.all_shapes_hold() {
         eprintln!("WARNING: some qualitative shapes did NOT hold — inspect above");
         std::process::exit(1);

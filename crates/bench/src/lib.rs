@@ -11,7 +11,7 @@
 use latest_core::view::{LatencyView, PairStat, PairView};
 use latest_core::{CampaignConfig, CampaignResult, Latest, PairMeasurement};
 use latest_gpu_sim::devices::DeviceSpec;
-use latest_report::{DirectionSplit, Heatmap};
+use latest_report::{Artifact, DirectionSplit, Format, Heatmap};
 
 /// The standard repro-scale campaign: `n_freqs` evenly spaced ladder
 /// frequencies, 25–60 measurements per pair at 5 % RSE, 6 simulated SM
@@ -53,6 +53,16 @@ pub type CellStat = PairStat;
 /// Extract the requested statistic from one pair (post-outlier-filter).
 pub fn pair_stat(p: &PairMeasurement, stat: CellStat) -> Option<f64> {
     PairView::new(p).stat(stat)
+}
+
+/// A heatmap for the terminal: ANSI-coloured, or the plain
+/// [`Format::Text`] rendering when `NO_COLOR` is set.
+pub fn heatmap_text(hm: &Heatmap) -> String {
+    if std::env::var("NO_COLOR").is_err() {
+        hm.ansi_text()
+    } else {
+        hm.render(Format::Text)
+    }
 }
 
 /// Build the paper-layout heatmap (initial frequency in rows, target in

@@ -240,7 +240,7 @@ impl FleetResult {
         serde_json::from_str(text)
     }
 
-    /// Cross-device summary as CSV, mirroring `Heatmap::to_csv`'s
+    /// Cross-device summary as CSV, with the report heatmaps' CSV
     /// conventions: one row per device, non-finite statistics (a device
     /// with no completed pairs) left as empty cells.
     pub fn summary_csv(&self) -> String {

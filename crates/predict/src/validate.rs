@@ -404,11 +404,11 @@ mod tests {
 
     #[test]
     fn report_artifacts_render() {
-        use latest_report::{render_to_string, Format};
+        use latest_report::{Artifact, Format};
         let report = cross_validate(&corpus(&[500, 750, 1000]), 3).unwrap();
         let scatter = report.scatter();
         for format in Format::ALL {
-            assert!(!render_to_string(&scatter, format).unwrap().is_empty());
+            assert!(!scatter.render(format).is_empty());
         }
         let hm = report.error_heatmap();
         assert_eq!(hm.n_rows(), 3);

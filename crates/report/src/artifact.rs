@@ -1,55 +1,44 @@
-//! The unified rendering contract: every figure is an [`Artifact`], every
-//! output format a [`Sink`].
+//! The rendering contract: every figure is an [`Artifact`], and every
+//! output [`Format`] is one arm of its one verb.
 //!
 //! The paper's evaluation is artefact-driven — heatmaps (Figs. 3, 7, 8),
 //! violins (Fig. 4), scatters (Figs. 5, 6), boxplots (Fig. 9), Tables I–II
-//! and the EXPERIMENTS.md records — but this crate used to expose each as
-//! its own unrelated API (`Heatmap::render`, `ViolinSummary::render`,
-//! `render_scatter`, `boxplot_svg`, …). The [`Artifact`] trait replaces all
-//! of that with one verb:
+//! and the EXPERIMENTS.md records — and each of them renders the same way:
 //!
 //! ```
-//! use latest_report::{Artifact, Format, Heatmap, TextSink};
+//! use latest_report::{Artifact, Format, Heatmap};
 //!
 //! let hm = Heatmap::build(&[705u32, 1410], &[705u32, 1410], |r, c| {
 //!     if r == c { None } else { Some(1.0) }
 //! })
 //! .with_title("demo [ms]");
-//! let mut sink = TextSink::new();
-//! Artifact::render(&hm, &mut sink).unwrap();
-//! assert!(sink.as_str().contains("demo"));
-//! // Or in one call, for any of the four formats:
-//! let svg = latest_report::render_to_string(&hm, Format::Svg).unwrap();
-//! assert!(svg.starts_with("<svg"));
+//! assert!(hm.render(Format::Text).starts_with("demo [ms]\n"));
+//! assert!(hm.render(Format::Svg).starts_with("<svg"));
 //! ```
 //!
-//! Figure types that predate the trait keep their historical inherent
-//! renderers (`Heatmap::render(title, color)`, `TextTable::render()`,
-//! `ViolinSummary::render(width)`), which shadow the trait method on a
-//! direct call — go through [`render_to_string`] or
-//! `Artifact::render(&x, &mut sink)` when you want the sink-driven path.
+//! Rendering is infallible: it builds a `String`, and only writing a
+//! [`Bundle`](crate::Bundle) to disk can fail. Every figure type renders in
+//! **all four** formats:
 //!
-//! Every figure type renders through **all four** sinks:
-//!
-//! | Sink | Produces |
+//! | Format | Produces |
 //! |---|---|
-//! | [`TextSink`] | the terminal rendering (tables, ASCII plots) |
-//! | [`SvgSink`] | a standalone deterministic SVG document |
-//! | [`CsvSink`] | the figure's underlying data as CSV |
-//! | [`JsonSink`] | the figure's underlying data as JSON |
+//! | [`Format::Text`] | the terminal rendering (tables, ASCII plots) |
+//! | [`Format::Svg`] | a standalone deterministic SVG document |
+//! | [`Format::Csv`] | the figure's underlying data as CSV |
+//! | [`Format::Json`] | the figure's underlying data as JSON |
 //!
 //! All renderings are deterministic: the same artifact renders to the same
 //! bytes, so bundles can be committed and diffed.
 
 use std::fmt::Write as _;
 
+use serde::Serialize as _;
+
 use crate::boxplot::{BoxStats, BoxplotGroup};
 use crate::experiments::ExperimentRecord;
 use crate::heatmap::Heatmap;
-use crate::scatter::{render_scatter, Scatter};
-use crate::svg::{
-    boxplot_svg, heatmap_svg, scatter_svg, text_svg, violin_pair_svg, violins_svg, SvgStyle,
-};
+use crate::scatter::Scatter;
+use crate::svg::{boxplot_svg, heatmap_svg, scatter_svg, text_svg, violin_pair_svg, violin_svg};
 use crate::table::TextTable;
 use crate::violin::{ViolinPair, ViolinSummary};
 
@@ -92,141 +81,14 @@ impl std::fmt::Display for Format {
     }
 }
 
-/// Errors surfaced by the rendering pipeline.
-#[derive(Debug)]
-pub enum ReportError {
-    /// Underlying I/O failure (bundle writes).
-    Io(std::io::Error),
-}
-
-impl std::fmt::Display for ReportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReportError::Io(e) => write!(f, "report I/O: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ReportError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ReportError::Io(e) => Some(e),
-        }
-    }
-}
-
-impl From<std::io::Error> for ReportError {
-    fn from(e: std::io::Error) -> Self {
-        ReportError::Io(e)
-    }
-}
-
-/// Result alias for rendering operations.
-pub type ReportResult<T> = Result<T, ReportError>;
-
-/// An output destination with a declared [`Format`]. Artifacts ask the sink
-/// which format it wants and write the matching rendering.
-pub trait Sink {
-    /// The format this sink accepts.
-    fn format(&self) -> Format;
-    /// Append rendered content.
-    fn write_str(&mut self, s: &str) -> ReportResult<()>;
-}
-
-macro_rules! string_sink {
-    ($(#[$doc:meta])* $name:ident, $format:expr) => {
-        $(#[$doc])*
-        #[derive(Clone, Debug, Default)]
-        pub struct $name {
-            buf: String,
-        }
-
-        impl $name {
-            /// An empty sink.
-            pub fn new() -> Self {
-                Self { buf: String::new() }
-            }
-
-            /// The content rendered so far.
-            pub fn as_str(&self) -> &str {
-                &self.buf
-            }
-
-            /// Consume the sink, yielding its content.
-            pub fn into_string(self) -> String {
-                self.buf
-            }
-        }
-
-        impl Sink for $name {
-            fn format(&self) -> Format {
-                $format
-            }
-
-            fn write_str(&mut self, s: &str) -> ReportResult<()> {
-                self.buf.push_str(s);
-                Ok(())
-            }
-        }
-    };
-}
-
-string_sink!(
-    /// In-memory sink collecting the plain-text rendering.
-    TextSink,
-    Format::Text
-);
-string_sink!(
-    /// In-memory sink collecting the SVG rendering.
-    SvgSink,
-    Format::Svg
-);
-string_sink!(
-    /// In-memory sink collecting the CSV rendering.
-    CsvSink,
-    Format::Csv
-);
-string_sink!(
-    /// In-memory sink collecting the JSON rendering.
-    JsonSink,
-    Format::Json
-);
-
 /// A renderable paper artefact. One implementation per figure type; one
-/// rendering per [`Sink`] format.
+/// match arm per [`Format`].
 pub trait Artifact {
     /// Human title of the artefact (figure caption / table heading).
     fn title(&self) -> &str;
 
-    /// Render into `sink`, in the format the sink declares.
-    fn render(&self, sink: &mut dyn Sink) -> ReportResult<()>;
-}
-
-/// Render an artifact to a string in the given format — the convenience
-/// wrapper over the four sink types.
-pub fn render_to_string(artifact: &dyn Artifact, format: Format) -> ReportResult<String> {
-    match format {
-        Format::Text => {
-            let mut sink = TextSink::new();
-            artifact.render(&mut sink)?;
-            Ok(sink.into_string())
-        }
-        Format::Svg => {
-            let mut sink = SvgSink::new();
-            artifact.render(&mut sink)?;
-            Ok(sink.into_string())
-        }
-        Format::Csv => {
-            let mut sink = CsvSink::new();
-            artifact.render(&mut sink)?;
-            Ok(sink.into_string())
-        }
-        Format::Json => {
-            let mut sink = JsonSink::new();
-            artifact.render(&mut sink)?;
-            Ok(sink.into_string())
-        }
-    }
+    /// Render in `format`.
+    fn render(&self, format: Format) -> String;
 }
 
 // --- shared rendering helpers ----------------------------------------------
@@ -284,6 +146,10 @@ pub(crate) fn f64_seq(xs: &[f64]) -> serde::Value {
     serde::Value::Seq(xs.iter().map(|&x| f64_v(x)).collect())
 }
 
+fn str_seq(xs: &[String]) -> serde::Value {
+    serde::Value::Seq(xs.iter().map(|x| str_v(x)).collect())
+}
+
 fn box_value(label: &str, b: &BoxStats) -> serde::Value {
     map(vec![
         ("label", str_v(label)),
@@ -297,21 +163,26 @@ fn box_value(label: &str, b: &BoxStats) -> serde::Value {
     ])
 }
 
-fn box_csv_row(label: &str, b: &BoxStats) -> String {
-    format!(
-        "{},{},{},{},{},{},{},{}\n",
-        csv_cell(label),
-        b.q1,
-        b.median,
-        b.q3,
-        b.whisker_lo,
-        b.whisker_hi,
-        b.n,
-        b.fliers.len()
-    )
+/// The boxplot CSV: a header plus one row per labelled box.
+fn box_csv<'a>(groups: impl IntoIterator<Item = (&'a str, &'a BoxStats)>) -> String {
+    let mut out =
+        String::from("label,q1_ms,median_ms,q3_ms,whisker_lo_ms,whisker_hi_ms,n,fliers\n");
+    for (label, b) in groups {
+        let _ = writeln!(
+            out,
+            "{},{},{},{},{},{},{},{}",
+            csv_cell(label),
+            b.q1,
+            b.median,
+            b.q3,
+            b.whisker_lo,
+            b.whisker_hi,
+            b.n,
+            b.fliers.len()
+        );
+    }
+    out
 }
-
-const BOX_CSV_HEADER: &str = "label,q1_ms,median_ms,q3_ms,whisker_lo_ms,whisker_hi_ms,n,fliers\n";
 
 fn violin_value(v: &ViolinSummary) -> serde::Value {
     map(vec![
@@ -335,6 +206,9 @@ fn violin_csv(violins: &[&ViolinSummary]) -> String {
     out
 }
 
+/// Width of the density bars in a violin's text rendering.
+const VIOLIN_BAR_WIDTH: usize = 48;
+
 // --- Artifact implementations ----------------------------------------------
 
 impl Artifact for Heatmap {
@@ -342,37 +216,48 @@ impl Artifact for Heatmap {
         self.title()
     }
 
-    fn render(&self, sink: &mut dyn Sink) -> ReportResult<()> {
-        match sink.format() {
+    fn render(&self, format: Format) -> String {
+        match format {
             // File-oriented text: no ANSI colour codes.
-            Format::Text => sink.write_str(&self.render(self.title(), false)),
-            Format::Svg => sink.write_str(&heatmap_svg(self, self.title(), &SvgStyle::default())),
-            Format::Csv => sink.write_str(&self.to_csv()),
+            Format::Text => self.text(false),
+            Format::Svg => heatmap_svg(self),
+            // Blank cells stay empty.
+            Format::Csv => {
+                let mut out = String::from("init_mhz");
+                for c in &self.col_labels {
+                    let _ = write!(out, ",{}", csv_cell(c));
+                }
+                out.push('\n');
+                for (i, r) in self.row_labels.iter().enumerate() {
+                    out.push_str(&csv_cell(r));
+                    for j in 0..self.n_cols() {
+                        match self.get(i, j) {
+                            Some(v) => {
+                                let _ = write!(out, ",{v:.4}");
+                            }
+                            None => out.push(','),
+                        }
+                    }
+                    out.push('\n');
+                }
+                out
+            }
             Format::Json => {
                 let cells: Vec<serde::Value> = (0..self.n_rows())
                     .map(|i| {
                         serde::Value::Seq(
                             (0..self.n_cols())
-                                .map(|j| match self.get(i, j) {
-                                    Some(v) => f64_v(v),
-                                    None => serde::Value::Null,
-                                })
+                                .map(|j| self.get(i, j).map_or(serde::Value::Null, f64_v))
                                 .collect(),
                         )
                     })
                     .collect();
-                sink.write_str(&json_of(map(vec![
+                json_of(map(vec![
                     ("title", str_v(self.title())),
-                    (
-                        "row_labels",
-                        serde::Value::Seq(self.row_labels.iter().map(|l| str_v(l)).collect()),
-                    ),
-                    (
-                        "col_labels",
-                        serde::Value::Seq(self.col_labels.iter().map(|l| str_v(l)).collect()),
-                    ),
+                    ("row_labels", str_seq(&self.row_labels)),
+                    ("col_labels", str_seq(&self.col_labels)),
                     ("cells", serde::Value::Seq(cells)),
-                ])))
+                ]))
             }
         }
     }
@@ -383,12 +268,12 @@ impl Artifact for ViolinSummary {
         &self.label
     }
 
-    fn render(&self, sink: &mut dyn Sink) -> ReportResult<()> {
-        match sink.format() {
-            Format::Text => sink.write_str(&self.render(48)),
-            Format::Svg => sink.write_str(&violins_svg(&[self], &self.label, &SvgStyle::default())),
-            Format::Csv => sink.write_str(&violin_csv(&[self])),
-            Format::Json => sink.write_str(&json_of(violin_value(self))),
+    fn render(&self, format: Format) -> String {
+        match format {
+            Format::Text => self.ascii_bars(VIOLIN_BAR_WIDTH),
+            Format::Svg => violin_svg(self),
+            Format::Csv => violin_csv(&[self]),
+            Format::Json => json_of(violin_value(self)),
         }
     }
 }
@@ -398,27 +283,21 @@ impl Artifact for ViolinPair {
         &self.title
     }
 
-    fn render(&self, sink: &mut dyn Sink) -> ReportResult<()> {
-        match sink.format() {
-            Format::Text => {
-                let mut out = format!("{}\n\n", self.title);
-                out.push_str(&self.left.render(48));
-                out.push('\n');
-                out.push_str(&self.right.render(48));
-                sink.write_str(&out)
-            }
-            Format::Svg => sink.write_str(&violin_pair_svg(
-                &self.left,
-                &self.right,
-                &self.title,
-                &SvgStyle::default(),
-            )),
-            Format::Csv => sink.write_str(&violin_csv(&[&self.left, &self.right])),
-            Format::Json => sink.write_str(&json_of(map(vec![
+    fn render(&self, format: Format) -> String {
+        match format {
+            Format::Text => format!(
+                "{}\n\n{}\n{}",
+                self.title,
+                self.left.ascii_bars(VIOLIN_BAR_WIDTH),
+                self.right.ascii_bars(VIOLIN_BAR_WIDTH)
+            ),
+            Format::Svg => violin_pair_svg(self),
+            Format::Csv => violin_csv(&[&self.left, &self.right]),
+            Format::Json => json_of(map(vec![
                 ("title", str_v(&self.title)),
                 ("left", violin_value(&self.left)),
                 ("right", violin_value(&self.right)),
-            ]))),
+            ])),
         }
     }
 }
@@ -428,23 +307,12 @@ impl Artifact for BoxStats {
         "boxplot"
     }
 
-    fn render(&self, sink: &mut dyn Sink) -> ReportResult<()> {
-        match sink.format() {
-            Format::Text => {
-                let mut line = self.render_line("sample");
-                line.push('\n');
-                sink.write_str(&line)
-            }
-            Format::Svg => sink.write_str(&boxplot_svg(
-                &[("sample".to_string(), self.clone())],
-                "boxplot",
-                &SvgStyle::default(),
-            )),
-            Format::Csv => {
-                sink.write_str(BOX_CSV_HEADER)?;
-                sink.write_str(&box_csv_row("sample", self))
-            }
-            Format::Json => sink.write_str(&json_of(box_value("sample", self))),
+    fn render(&self, format: Format) -> String {
+        match format {
+            Format::Text => format!("{}\n", self.render_line("sample")),
+            Format::Svg => boxplot_svg(&[("sample".to_string(), self.clone())], "boxplot"),
+            Format::Csv => box_csv([("sample", self)]),
+            Format::Json => json_of(box_value("sample", self)),
         }
     }
 }
@@ -454,29 +322,18 @@ impl Artifact for BoxplotGroup {
         &self.title
     }
 
-    fn render(&self, sink: &mut dyn Sink) -> ReportResult<()> {
-        match sink.format() {
+    fn render(&self, format: Format) -> String {
+        match format {
             Format::Text => {
                 let mut out = format!("{}\n", self.title);
                 for (label, b) in &self.groups {
-                    out.push_str(&b.render_line(label));
-                    out.push('\n');
+                    let _ = writeln!(out, "{}", b.render_line(label));
                 }
-                sink.write_str(&out)
+                out
             }
-            Format::Svg => sink.write_str(&boxplot_svg(
-                &self.groups,
-                &self.title,
-                &SvgStyle::default(),
-            )),
-            Format::Csv => {
-                sink.write_str(BOX_CSV_HEADER)?;
-                for (label, b) in &self.groups {
-                    sink.write_str(&box_csv_row(label, b))?;
-                }
-                Ok(())
-            }
-            Format::Json => sink.write_str(&json_of(map(vec![
+            Format::Svg => boxplot_svg(&self.groups, &self.title),
+            Format::Csv => box_csv(self.groups.iter().map(|(label, b)| (label.as_str(), b))),
+            Format::Json => json_of(map(vec![
                 ("title", str_v(&self.title)),
                 (
                     "groups",
@@ -487,7 +344,7 @@ impl Artifact for BoxplotGroup {
                             .collect(),
                     ),
                 ),
-            ]))),
+            ])),
         }
     }
 }
@@ -497,69 +354,28 @@ impl Artifact for Scatter {
         &self.title
     }
 
-    fn render(&self, sink: &mut dyn Sink) -> ReportResult<()> {
+    fn render(&self, format: Format) -> String {
         let cluster = |i: usize| self.cluster_of.get(i).copied().flatten();
-        match sink.format() {
-            Format::Text => {
-                // render_scatter wants a Labeling; rebuild one from the
-                // cluster ids (None = noise).
-                let labeling = if self.cluster_of.is_empty() {
-                    None
-                } else {
-                    let labels: Vec<latest_cluster::Label> = self
-                        .cluster_of
-                        .iter()
-                        .map(|c| match c {
-                            Some(id) => latest_cluster::Label::Cluster(*id),
-                            None => latest_cluster::Label::Noise,
-                        })
-                        .collect();
-                    let n_clusters = self
-                        .cluster_of
-                        .iter()
-                        .flatten()
-                        .copied()
-                        .max()
-                        .map_or(0, |m| m + 1);
-                    Some(latest_cluster::Labeling { labels, n_clusters })
-                };
-                sink.write_str(&render_scatter(
-                    &self.title,
-                    &self.latencies_ms,
-                    labeling.as_ref(),
-                    20,
-                    64,
-                ))
-            }
-            Format::Svg => sink.write_str(&scatter_svg(
-                &self.latencies_ms,
-                &self.cluster_of,
-                &self.title,
-                &SvgStyle::default(),
-            )),
+        match format {
+            Format::Text => self.ascii_plot(20, 64),
+            Format::Svg => scatter_svg(self),
             Format::Csv => {
-                sink.write_str("measurement,latency_ms,cluster\n")?;
+                let mut out = String::from("measurement,latency_ms,cluster\n");
                 for (i, ms) in self.latencies_ms.iter().enumerate() {
-                    let cell = match cluster(i) {
-                        Some(c) => c.to_string(),
-                        None => String::new(),
-                    };
-                    sink.write_str(&format!("{i},{ms},{cell}\n"))?;
+                    let cell = cluster(i).map_or(String::new(), |c| c.to_string());
+                    let _ = writeln!(out, "{i},{ms},{cell}");
                 }
-                Ok(())
+                out
             }
             Format::Json => {
                 let clusters: Vec<serde::Value> = (0..self.latencies_ms.len())
-                    .map(|i| match cluster(i) {
-                        Some(c) => u64_v(c),
-                        None => serde::Value::Null,
-                    })
+                    .map(|i| cluster(i).map_or(serde::Value::Null, u64_v))
                     .collect();
-                sink.write_str(&json_of(map(vec![
+                json_of(map(vec![
                     ("title", str_v(&self.title)),
                     ("latencies_ms", f64_seq(&self.latencies_ms)),
                     ("cluster", serde::Value::Seq(clusters)),
-                ])))
+                ]))
             }
         }
     }
@@ -570,48 +386,29 @@ impl Artifact for TextTable {
         self.title()
     }
 
-    fn render(&self, sink: &mut dyn Sink) -> ReportResult<()> {
-        match sink.format() {
-            Format::Text => {
-                if self.title().is_empty() {
-                    sink.write_str(&self.render())
-                } else {
-                    sink.write_str(&format!("{}\n{}", self.title(), self.render()))
-                }
-            }
-            Format::Svg => sink.write_str(&text_svg(
-                self.title(),
-                &self.render(),
-                &SvgStyle::default(),
-            )),
+    fn render(&self, format: Format) -> String {
+        match format {
+            Format::Text if self.title().is_empty() => self.body(),
+            Format::Text => format!("{}\n{}", self.title(), self.body()),
+            Format::Svg => text_svg(self.title(), &self.body()),
             Format::Csv => {
                 let mut out = String::new();
-                let write_row = |out: &mut String, cells: &[String]| {
+                for cells in
+                    std::iter::once(self.header()).chain(self.rows().iter().map(Vec::as_slice))
+                {
                     let cols: Vec<String> = cells.iter().map(|c| csv_cell(c)).collect();
-                    out.push_str(&cols.join(","));
-                    out.push('\n');
-                };
-                write_row(&mut out, self.header());
-                for row in self.rows() {
-                    write_row(&mut out, row);
+                    let _ = writeln!(out, "{}", cols.join(","));
                 }
-                sink.write_str(&out)
+                out
             }
-            Format::Json => {
-                let rows: Vec<serde::Value> = self
-                    .rows()
-                    .iter()
-                    .map(|r| serde::Value::Seq(r.iter().map(|c| str_v(c)).collect()))
-                    .collect();
-                sink.write_str(&json_of(map(vec![
-                    ("title", str_v(self.title())),
-                    (
-                        "header",
-                        serde::Value::Seq(self.header().iter().map(|c| str_v(c)).collect()),
-                    ),
-                    ("rows", serde::Value::Seq(rows)),
-                ])))
-            }
+            Format::Json => json_of(map(vec![
+                ("title", str_v(self.title())),
+                ("header", str_seq(self.header())),
+                (
+                    "rows",
+                    serde::Value::Seq(self.rows().iter().map(|r| str_seq(r)).collect()),
+                ),
+            ])),
         }
     }
 }
@@ -621,14 +418,29 @@ impl Artifact for ExperimentRecord {
         &self.title
     }
 
-    fn render(&self, sink: &mut dyn Sink) -> ReportResult<()> {
-        match sink.format() {
-            Format::Text => sink.write_str(&self.render_markdown()),
-            Format::Svg => sink.write_str(&text_svg(
-                &self.title,
-                &self.render_markdown(),
-                &SvgStyle::default(),
-            )),
+    /// The Text arm is the record's EXPERIMENTS.md section.
+    fn render(&self, format: Format) -> String {
+        match format {
+            Format::Text => {
+                let mut out = format!("### {} — {}\n\n", self.id, self.title);
+                let _ = writeln!(out, "*Parameters*: {}\n", self.parameters);
+                out.push_str("| Metric | Paper | Measured | Shape holds? | Note |\n");
+                out.push_str("|---|---|---|---|---|\n");
+                for r in &self.rows {
+                    let _ = writeln!(
+                        out,
+                        "| {} | {} | {} | {} | {} |",
+                        r.metric,
+                        r.paper,
+                        r.measured,
+                        if r.shape_holds { "yes" } else { "NO" },
+                        r.note
+                    );
+                }
+                out.push('\n');
+                out
+            }
+            Format::Svg => text_svg(&self.title, &self.render(Format::Text)),
             Format::Csv => {
                 let mut out = String::from("metric,paper,measured,shape_holds,note\n");
                 for r in &self.rows {
@@ -642,14 +454,9 @@ impl Artifact for ExperimentRecord {
                         csv_cell(&r.note)
                     );
                 }
-                sink.write_str(&out)
+                out
             }
-            Format::Json => {
-                let mut text =
-                    serde_json::to_string_pretty(self).expect("experiment record serialises");
-                text.push('\n');
-                sink.write_str(&text)
-            }
+            Format::Json => json_of(self.to_value()),
         }
     }
 }
@@ -708,7 +515,7 @@ mod tests {
     fn every_artifact_renders_through_every_sink() {
         for artifact in all_artifacts() {
             for format in Format::ALL {
-                let out = render_to_string(artifact.as_ref(), format).unwrap();
+                let out = artifact.render(format);
                 assert!(
                     !out.is_empty(),
                     "{} produced empty {format} output",
@@ -736,8 +543,8 @@ mod tests {
     fn renders_are_deterministic() {
         for artifact in all_artifacts() {
             for format in Format::ALL {
-                let a = render_to_string(artifact.as_ref(), format).unwrap();
-                let b = render_to_string(artifact.as_ref(), format).unwrap();
+                let a = artifact.render(format);
+                let b = artifact.render(format);
                 assert_eq!(a, b, "{} not deterministic in {format}", artifact.title());
             }
         }
@@ -745,10 +552,8 @@ mod tests {
 
     #[test]
     fn sink_formats_and_extensions() {
-        assert_eq!(TextSink::new().format(), Format::Text);
-        assert_eq!(SvgSink::new().format(), Format::Svg);
-        assert_eq!(CsvSink::new().format(), Format::Csv);
-        assert_eq!(JsonSink::new().format(), Format::Json);
+        let names: Vec<String> = Format::ALL.iter().map(|f| f.to_string()).collect();
+        assert_eq!(names, vec!["text", "svg", "csv", "json"]);
         let exts: Vec<&str> = Format::ALL.iter().map(|f| f.extension()).collect();
         assert_eq!(exts, vec!["txt", "svg", "csv", "json"]);
     }
@@ -757,14 +562,14 @@ mod tests {
     fn csv_cells_are_quoted_when_structural() {
         let mut table = TextTable::with_header(&["name", "note"]);
         table.row_display(&["a,b", "say \"hi\""]);
-        let csv = render_to_string(&table, Format::Csv).unwrap();
+        let csv = table.render(Format::Csv);
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]
     fn heatmap_json_has_null_diagonal() {
-        let json = render_to_string(&sample_heatmap(), Format::Json).unwrap();
+        let json = sample_heatmap().render(Format::Json);
         assert!(json.contains("null"));
         assert!(json.contains("\"row_labels\""));
     }

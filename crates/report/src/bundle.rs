@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 use latest_core::view::{LatencyView, PairStat};
 use latest_core::CampaignResult;
 
-use crate::artifact::{render_to_string, Artifact, Format, ReportResult};
+use crate::artifact::{Artifact, Format};
 use crate::boxplot::BoxplotGroup;
 use crate::experiments::ExperimentRecord;
 use crate::heatmap::Heatmap;
@@ -170,35 +170,35 @@ impl Bundle {
 
     /// Render every output file as `(relative file name, content)` pairs,
     /// in deterministic order, without touching the filesystem.
-    pub fn render_all(&self) -> ReportResult<Vec<(String, String)>> {
+    pub fn render_all(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
         for (name, artifact) in &self.entries {
             for format in Format::ALL {
                 out.push((
                     format!("{name}.{}", format.extension()),
-                    render_to_string(artifact.as_ref(), format)?,
+                    artifact.render(format),
                 ));
             }
         }
         if !self.experiments.is_empty() {
             let mut md = String::from("# Experiments\n\n");
             for record in &self.experiments {
-                md.push_str(&record.render_markdown());
+                md.push_str(&record.render(Format::Text));
             }
             out.push(("EXPERIMENTS.md".to_string(), md));
         }
         for (name, content) in &self.extra_files {
             out.push((name.clone(), content.clone()));
         }
-        Ok(out)
+        out
     }
 
     /// Write the bundle into `dir` (created if needed), returning the
     /// written paths in emission order.
-    pub fn write_to(&self, dir: &Path) -> ReportResult<Vec<PathBuf>> {
+    pub fn write_to(&self, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
         fs::create_dir_all(dir)?;
         let mut written = Vec::new();
-        for (name, content) in self.render_all()? {
+        for (name, content) in self.render_all() {
             let path = dir.join(name);
             fs::write(&path, content)?;
             written.push(path);
@@ -342,7 +342,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}: {names:?}");
         }
-        let files = bundle.render_all().unwrap();
+        let files = bundle.render_all();
         // Every artifact in all four formats, plus EXPERIMENTS.md and
         // summary.json.
         assert_eq!(files.len(), names.len() * 4 + 2);
@@ -383,7 +383,7 @@ mod tests {
         ] {
             assert!(names.contains(&expected), "missing {expected}: {names:?}");
         }
-        let files = bundle.render_all().unwrap();
+        let files = bundle.render_all();
         assert_eq!(files.len(), names.len() * 4 + 2);
 
         // The top-level heatmaps generalise to state×state grids.
@@ -409,12 +409,8 @@ mod tests {
 
     #[test]
     fn two_domain_bundle_is_bitwise_deterministic() {
-        let a = Bundle::for_campaign(&mem_plane_result(17))
-            .render_all()
-            .unwrap();
-        let b = Bundle::for_campaign(&mem_plane_result(17))
-            .render_all()
-            .unwrap();
+        let a = Bundle::for_campaign(&mem_plane_result(17)).render_all();
+        let b = Bundle::for_campaign(&mem_plane_result(17)).render_all();
         assert_eq!(a, b);
     }
 
@@ -433,7 +429,7 @@ mod tests {
             "{:?}",
             bundle.names()
         );
-        let files = bundle.render_all().unwrap();
+        let files = bundle.render_all();
         let (_, summary) = files.iter().find(|(n, _)| n == "summary.json").unwrap();
         assert!(!summary.contains("mem_mhz"));
         let (_, table) = files
@@ -446,8 +442,8 @@ mod tests {
     #[test]
     fn bundle_render_is_bitwise_deterministic() {
         let result = small_result(11);
-        let a = Bundle::for_campaign(&result).render_all().unwrap();
-        let b = Bundle::for_campaign(&result).render_all().unwrap();
+        let a = Bundle::for_campaign(&result).render_all();
+        let b = Bundle::for_campaign(&result).render_all();
         assert_eq!(a.len(), b.len());
         for ((na, ca), (nb, cb)) in a.iter().zip(&b) {
             assert_eq!(na, nb);

@@ -255,6 +255,7 @@ fn holm_mark_significant(deltas: &mut [PairDelta], alpha: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{Artifact, Format};
     use latest_core::{CampaignConfig, Latest};
     use latest_gpu_sim::devices;
     use latest_gpu_sim::transition::FixedTransition;
@@ -307,7 +308,7 @@ mod tests {
         let a = run(9, 8);
         let b = run(9, 24);
         let diff = CampaignDiff::between(&a, &b, 0.05);
-        let table = diff.regression_table().render();
+        let table = diff.regression_table().render(Format::Text);
         assert!(table.contains("REGRESSION"));
         let hm = diff.delta_heatmap();
         assert_eq!(hm.n_rows(), 2);
@@ -347,7 +348,7 @@ mod tests {
         assert_eq!(diff.only_in_a.len(), 2);
         assert_eq!(diff.lost_pairs().len(), 2);
         assert_eq!(diff.only_in_b.len(), 2);
-        let rendered = diff.regression_table().render();
+        let rendered = diff.regression_table().render(Format::Text);
         assert!(rendered.contains("only in A") && rendered.contains("only in B"));
     }
 

@@ -3,8 +3,8 @@
 //!
 //! Every regeneration binary emits one [`ExperimentRecord`] naming the paper
 //! artefact (table/figure), the qualitative claims being reproduced, and the
-//! measured values, serialisable to JSON for archival and renderable as a
-//! Markdown section.
+//! measured values. As an [`Artifact`](crate::Artifact) its Text format is
+//! the record's Markdown section and its Json format the archival form.
 
 use serde::{Deserialize, Serialize};
 
@@ -74,41 +74,12 @@ impl ExperimentRecord {
     pub fn all_shapes_hold(&self) -> bool {
         self.rows.iter().all(|r| r.shape_holds)
     }
-
-    /// Render the EXPERIMENTS.md section.
-    pub fn render_markdown(&self) -> String {
-        let mut out = format!("### {} — {}\n\n", self.id, self.title);
-        out.push_str(&format!("*Parameters*: {}\n\n", self.parameters));
-        out.push_str("| Metric | Paper | Measured | Shape holds? | Note |\n");
-        out.push_str("|---|---|---|---|---|\n");
-        for r in &self.rows {
-            out.push_str(&format!(
-                "| {} | {} | {} | {} | {} |\n",
-                r.metric,
-                r.paper,
-                r.measured,
-                if r.shape_holds { "yes" } else { "NO" },
-                r.note
-            ));
-        }
-        out.push('\n');
-        out
-    }
-
-    /// JSON export.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("record serialises")
-    }
-
-    /// JSON import.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{Artifact, Format};
 
     fn record() -> ExperimentRecord {
         let mut r = ExperimentRecord::new(
@@ -135,7 +106,7 @@ mod tests {
 
     #[test]
     fn markdown_section_structure() {
-        let md = record().render_markdown();
+        let md = record().render(Format::Text);
         assert!(md.starts_with("### table2"));
         assert!(md.contains("| Metric | Paper | Measured |"));
         assert!(md.contains("22.716"));
@@ -145,7 +116,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let r = record();
-        let back = ExperimentRecord::from_json(&r.to_json()).unwrap();
+        let back: ExperimentRecord = serde_json::from_str(&r.render(Format::Json)).unwrap();
         assert_eq!(back.id, "table2");
         assert_eq!(back.rows, r.rows);
     }

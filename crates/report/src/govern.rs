@@ -132,7 +132,7 @@ pub fn energy_heatmap(rows: &[PolicyScoreRow]) -> Heatmap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::{render_to_string, Format};
+    use crate::artifact::{Artifact, Format};
 
     fn rows() -> Vec<PolicyScoreRow> {
         let mut out = Vec::new();
@@ -162,7 +162,7 @@ mod tests {
     fn table_has_one_row_per_cell() {
         let table = policy_scorecard_table(&rows());
         assert_eq!(table.n_rows(), 6);
-        let text = table.render();
+        let text = table.render(Format::Text);
         assert!(text.contains("latency-aware"));
         assert!(text.contains("miss %"));
     }
@@ -187,8 +187,32 @@ mod tests {
         let table = policy_scorecard_table(&rows);
         let map = missed_rate_heatmap(&rows);
         for format in Format::ALL {
-            render_to_string(&table, format).unwrap();
-            render_to_string(&map, format).unwrap();
+            table.render(format);
+            map.render(format);
+        }
+    }
+
+    #[test]
+    fn heatmap_csv_quotes_comma_bearing_traffic_names() {
+        // Traffic names come from user JSON; a comma in one must not split
+        // its column in `govern --out`'s missed_rate.csv / energy.csv.
+        let rows: Vec<PolicyScoreRow> = rows()
+            .into_iter()
+            .map(|r| PolicyScoreRow {
+                traffic: r.traffic.replace("bursty", "bursty, \"tight\""),
+                ..r
+            })
+            .collect();
+        for map in [missed_rate_heatmap(&rows), energy_heatmap(&rows)] {
+            let csv = map.render(Format::Csv);
+            let mut lines = csv.lines();
+            assert_eq!(
+                lines.next(),
+                Some(r#"init_mhz,"bursty, ""tight""",deadline"#)
+            );
+            for line in lines {
+                assert_eq!(line.split(',').count(), 3, "{line}");
+            }
         }
     }
 

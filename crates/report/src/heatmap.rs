@@ -27,8 +27,7 @@ impl Heatmap {
         }
     }
 
-    /// Attach a title (used by the [`Artifact`](crate::Artifact)
-    /// renderings; the explicit-title [`Heatmap::render`] ignores it).
+    /// Attach a title (the first line or caption of every rendering).
     pub fn with_title(mut self, title: impl Into<String>) -> Self {
         self.title = title.into();
         self
@@ -240,9 +239,15 @@ impl Heatmap {
         out
     }
 
-    /// Plain-text rendering with fixed-width cells; `color` adds an ANSI
-    /// green→red background scale like the paper's figures.
-    pub fn render(&self, title: &str, color: bool) -> String {
+    /// The text rendering with each cell coloured on an ANSI 256-colour
+    /// green→red scale like the paper's figures — for terminals;
+    /// [`Format::Text`](crate::Format::Text) is the same grid uncoloured.
+    pub fn ansi_text(&self) -> String {
+        self.text(true)
+    }
+
+    /// The titled fixed-width grid; `color` adds the ANSI scale.
+    pub(crate) fn text(&self, color: bool) -> String {
         // Wide enough for every label: core-only MHz labels fit the legacy
         // 8 columns (keeping that output byte-identical); 2-D state labels
         // like `1410+m1215` stretch the grid uniformly.
@@ -257,7 +262,7 @@ impl Heatmap {
             _ => (0.0, 1.0),
         };
         let mut out = String::new();
-        let _ = writeln!(out, "{title}");
+        let _ = writeln!(out, "{}", self.title);
         let _ = write!(out, "{:>width$} |", "init\\tgt");
         for c in &self.col_labels {
             let _ = write!(out, "{c:>width$}");
@@ -294,34 +299,12 @@ impl Heatmap {
         }
         out
     }
-
-    /// CSV export (blank cells empty).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str("init_mhz");
-        for c in &self.col_labels {
-            let _ = write!(out, ",{c}");
-        }
-        out.push('\n');
-        for (i, r) in self.row_labels.iter().enumerate() {
-            out.push_str(r);
-            for j in 0..self.n_cols() {
-                match self.get(i, j) {
-                    Some(v) => {
-                        let _ = write!(out, ",{v:.4}");
-                    }
-                    None => out.push(','),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{Artifact, Format};
 
     fn sample() -> Heatmap {
         Heatmap::build(&[705u32, 1095, 1410], &[705u32, 1095, 1410], |r, c| {
@@ -378,21 +361,22 @@ mod tests {
 
     #[test]
     fn render_contains_labels_and_blanks() {
-        let hm = sample();
-        let txt = hm.render("test map [ms]", false);
-        assert!(txt.contains("test map"));
+        let hm = sample().with_title("test map [ms]");
+        let txt = hm.render(Format::Text);
+        assert!(txt.starts_with("test map [ms]\n"));
         assert!(txt.contains("705"));
         assert!(txt.contains("1410"));
         assert!(txt.contains('-'));
-        // Colour mode adds escape codes.
-        let coloured = hm.render("c", true);
+        assert!(!txt.contains('\x1b'));
+        // The terminal rendering adds escape codes.
+        let coloured = hm.ansi_text();
         assert!(coloured.contains("\x1b[38;5;"));
     }
 
     #[test]
     fn csv_roundtrip_structure() {
         let hm = sample();
-        let csv = hm.to_csv();
+        let csv = hm.render(Format::Csv);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("init_mhz,705,1095,1410"));
@@ -424,9 +408,9 @@ mod tests {
             assert!(v.is_finite());
         }
         // Rendering still works (the NaN cell prints, the scale holds).
-        let txt = hm.render("with NaN", true);
+        let txt = hm.ansi_text();
         assert!(txt.contains("NaN"));
-        let csv = hm.to_csv();
+        let csv = hm.render(Format::Csv);
         assert!(csv.lines().count() == 4);
 
         // All-NaN grids degrade to None, not a panic.
@@ -434,7 +418,7 @@ mod tests {
         assert!(all_nan.min_cell().is_none());
         assert!(all_nan.max_cell().is_none());
         assert!(all_nan.mean().is_none());
-        let _ = all_nan.render("all NaN", true);
+        let _ = all_nan.ansi_text();
     }
 
     #[test]

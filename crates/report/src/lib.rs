@@ -20,16 +20,14 @@
 //!   error heatmap, per-pair comparison table);
 //! * [`telemetry`] — the per-stage service latency quantile table
 //!   (`latest queue stats`);
-//! * [`svg`] — dependency-free SVG documents of the same figure types, for
-//!   committing rendered figures;
 //! * [`experiments`] — paper-value vs measured-value records that generate
 //!   the EXPERIMENTS.md comparison sections.
 //!
-//! All of the above render through one contract:
+//! All of the above render through one verb:
 //!
-//! * [`artifact`] — the [`Artifact`] trait plus the [`Text`](TextSink),
-//!   [`Svg`](SvgSink), [`Csv`](CsvSink) and [`Json`](JsonSink) sinks; every
-//!   figure type implements it and renders in all four formats;
+//! * [`artifact`] — the [`Artifact`] trait: `render(Format) -> String` in
+//!   each of the four [`Format`]s (text, a dependency-free SVG document,
+//!   CSV, JSON); every figure type implements it;
 //! * [`bundle`] — the [`Bundle`] composer: one call emits a complete
 //!   paper-artefact directory (EXPERIMENTS.md, every figure in every
 //!   format, summary CSV/JSON) for a campaign result;
@@ -46,15 +44,12 @@ pub mod govern;
 pub mod heatmap;
 pub mod predicted;
 pub mod scatter;
-pub mod svg;
+mod svg;
 pub mod table;
 pub mod telemetry;
 pub mod violin;
 
-pub use artifact::{
-    render_to_string, Artifact, CsvSink, Format, JsonSink, ReportError, ReportResult, Sink,
-    SvgSink, TextSink,
-};
+pub use artifact::{Artifact, Format};
 pub use boxplot::{BoxStats, BoxplotGroup};
 pub use bundle::Bundle;
 pub use diff::{CampaignDiff, PairDelta};
@@ -62,10 +57,7 @@ pub use experiments::{ExperimentRecord, MetricRow};
 pub use govern::{energy_heatmap, missed_rate_heatmap, policy_scorecard_table, PolicyScoreRow};
 pub use heatmap::Heatmap;
 pub use predicted::{prediction_error_heatmap, prediction_table, PredictionRow, PredictionScatter};
-pub use scatter::{render_scatter, Scatter};
-pub use svg::{
-    boxplot_svg, heatmap_svg, scatter_svg, text_svg, violin_pair_svg, violins_svg, SvgStyle,
-};
+pub use scatter::Scatter;
 pub use table::{campaign_summary_table, cross_device_table, CrossDeviceRow, TextTable};
 pub use telemetry::stage_latency_table;
 pub use violin::{DirectionSplit, ViolinPair, ViolinSummary};

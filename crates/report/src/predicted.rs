@@ -8,10 +8,11 @@
 //! (pair, measured, predicted, interval) record renders, whatever produced
 //! it.
 
-use crate::artifact::{
-    csv_cell, f64_v, json_of, map, str_v, u64_v, Artifact, Format, ReportResult, Sink,
-};
+use std::fmt::Write as _;
+
+use crate::artifact::{csv_cell, f64_v, json_of, map, str_v, u64_v, Artifact, Format};
 use crate::heatmap::Heatmap;
+use crate::svg::escape;
 use crate::table::TextTable;
 
 /// One predicted-vs-measured comparison row.
@@ -102,7 +103,7 @@ impl PredictionScatter {
             out.extend(std::iter::repeat_n('-', SIZE));
             out.push('\n');
         }
-        out.push_str(&prediction_table(&self.rows).render());
+        out.push_str(&prediction_table(&self.rows).render(Format::Text));
         out
     }
 
@@ -122,7 +123,7 @@ impl PredictionScatter {
 <text x="{MARGIN:.1}" y="{:.1}" font-size="14" font-weight="bold">{}</text>
 "#,
             MARGIN * 0.5,
-            xml_escape(&self.title)
+            escape(&self.title)
         );
         // Axes and the identity diagonal.
         out.push_str(&format!(
@@ -151,7 +152,7 @@ impl PredictionScatter {
             out.push_str(&format!(
                 "<circle cx=\"{x:.1}\" cy=\"{y:.1}\" r=\"3\" fill=\"#c33\"><title>{} -&gt; {}: measured {:.3} predicted {:.3} [{}]</title></circle>\n",
                 r.init_mhz, r.target_mhz, r.measured_ms, r.predicted_ms,
-                xml_escape(&r.source)
+                escape(&r.source)
             ));
         }
         out.push_str("</svg>\n");
@@ -159,28 +160,23 @@ impl PredictionScatter {
     }
 }
 
-fn xml_escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-}
-
 impl Artifact for PredictionScatter {
     fn title(&self) -> &str {
         &self.title
     }
 
-    fn render(&self, sink: &mut dyn Sink) -> ReportResult<()> {
-        match sink.format() {
-            Format::Text => sink.write_str(&self.render_text()),
-            Format::Svg => sink.write_str(&self.render_svg()),
+    fn render(&self, format: Format) -> String {
+        match format {
+            Format::Text => self.render_text(),
+            Format::Svg => self.render_svg(),
             Format::Csv => {
-                sink.write_str(
+                let mut out = String::from(
                     "init_mhz,target_mhz,measured_ms,predicted_ms,lo_ms,hi_ms,source,rel_error,covered\n",
-                )?;
+                );
                 for r in &self.rows {
-                    sink.write_str(&format!(
-                        "{},{},{},{},{},{},{},{},{}\n",
+                    let _ = writeln!(
+                        out,
+                        "{},{},{},{},{},{},{},{},{}",
                         r.init_mhz,
                         r.target_mhz,
                         r.measured_ms,
@@ -190,9 +186,9 @@ impl Artifact for PredictionScatter {
                         csv_cell(&r.source),
                         r.rel_error(),
                         r.covered()
-                    ))?;
+                    );
                 }
-                Ok(())
+                out
             }
             Format::Json => {
                 let rows: Vec<serde::Value> = self
@@ -212,10 +208,10 @@ impl Artifact for PredictionScatter {
                         ])
                     })
                     .collect();
-                sink.write_str(&json_of(map(vec![
+                json_of(map(vec![
                     ("title", str_v(&self.title)),
                     ("rows", serde::Value::Seq(rows)),
-                ])))
+                ]))
             }
         }
     }
@@ -266,7 +262,6 @@ pub fn prediction_error_heatmap(rows: &[PredictionRow], title: &str) -> Heatmap 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::render_to_string;
 
     fn rows() -> Vec<PredictionRow> {
         vec![
@@ -304,18 +299,18 @@ mod tests {
     fn scatter_renders_all_formats() {
         let scatter = PredictionScatter::new("predicted vs measured", rows());
         for format in Format::ALL {
-            let out = render_to_string(&scatter, format).unwrap();
+            let out = scatter.render(format);
             assert!(!out.is_empty(), "{format}");
         }
-        let text = render_to_string(&scatter, Format::Text).unwrap();
+        let text = scatter.render(Format::Text);
         assert!(text.contains("predicted vs measured"));
         assert!(text.contains('*'));
-        let svg = render_to_string(&scatter, Format::Svg).unwrap();
+        let svg = scatter.render(Format::Svg);
         assert!(svg.starts_with("<svg"));
         assert!(svg.contains("circle"));
-        let csv = render_to_string(&scatter, Format::Csv).unwrap();
+        let csv = scatter.render(Format::Csv);
         assert!(csv.lines().count() == 3);
-        let json = render_to_string(&scatter, Format::Json).unwrap();
+        let json = scatter.render(Format::Json);
         assert!(json.contains("\"covered\""));
     }
 
@@ -323,10 +318,7 @@ mod tests {
     fn renders_are_deterministic() {
         let scatter = PredictionScatter::new("det", rows());
         for format in Format::ALL {
-            assert_eq!(
-                render_to_string(&scatter, format).unwrap(),
-                render_to_string(&scatter, format).unwrap()
-            );
+            assert_eq!(scatter.render(format), scatter.render(format));
         }
     }
 
@@ -345,7 +337,7 @@ mod tests {
     fn table_lists_every_row() {
         let table = prediction_table(&rows());
         assert_eq!(table.rows().len(), 2);
-        let rendered = table.render();
+        let rendered = table.render(Format::Text);
         assert!(rendered.contains("+5.0%"));
         assert!(rendered.contains("regression"));
     }

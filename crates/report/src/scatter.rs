@@ -51,71 +51,57 @@ impl Scatter {
             .collect();
         Scatter::new(title, latencies_ms, cluster_of)
     }
-}
 
-/// Render an ASCII scatter of `latencies` (y) against measurement index
-/// (x), with cluster ids as digits and noise as `x`.
-///
-/// `rows` controls the vertical resolution; columns downsample to `cols`.
-pub fn render_scatter(
-    title: &str,
-    latencies: &[f64],
-    labeling: Option<&Labeling>,
-    rows: usize,
-    cols: usize,
-) -> String {
-    let mut out = format!("{title}\n");
-    if latencies.is_empty() || rows < 2 || cols < 2 {
-        out.push_str("(no data)\n");
-        return out;
-    }
-    if let Some(l) = labeling {
-        assert_eq!(
-            l.labels.len(),
+    /// The text rendering on a `rows` × `cols` canvas: latency (y) against
+    /// measurement index (x), cluster ids as digits, noise as `x`, and `o`
+    /// when no clustering was run. [`Format::Text`](crate::Format::Text) is
+    /// this at 20 × 64.
+    pub fn ascii_plot(&self, rows: usize, cols: usize) -> String {
+        let latencies = &self.latencies_ms;
+        let mut out = format!("{}\n", self.title);
+        if latencies.is_empty() || rows < 2 || cols < 2 {
+            out.push_str("(no data)\n");
+            return out;
+        }
+        let lo = latencies.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = latencies.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let span = (hi - lo).max(1e-12);
+
+        // canvas[row][col]: row 0 = top (highest latency).
+        let mut canvas = vec![vec![' '; cols]; rows];
+        for (i, &v) in latencies.iter().enumerate() {
+            let col = i * (cols - 1) / (latencies.len() - 1).max(1);
+            let level = ((v - lo) / span * (rows - 1) as f64).round() as usize;
+            let row = rows - 1 - level.min(rows - 1);
+            canvas[row][col] = match self.cluster_of.get(i) {
+                Some(Some(c)) => char::from_digit((c % 10) as u32, 10).unwrap_or('*'),
+                Some(None) => 'x',
+                None => 'o',
+            };
+        }
+
+        for (r, line) in canvas.iter().enumerate() {
+            let level = hi - span * r as f64 / (rows - 1) as f64;
+            out.push_str(&format!("{level:>10.2} |"));
+            out.extend(line.iter());
+            out.push('\n');
+        }
+        out.push_str(&format!(
+            "{:>10} +{}\n{:>10}  0{:>width$}\n",
+            "",
+            "-".repeat(cols),
+            "",
             latencies.len(),
-            "labeling must be parallel to the data"
-        );
+            width = cols - 1
+        ));
+        out
     }
-    let lo = latencies.iter().cloned().fold(f64::INFINITY, f64::min);
-    let hi = latencies.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let span = (hi - lo).max(1e-12);
-
-    // canvas[row][col]: row 0 = top (highest latency).
-    let mut canvas = vec![vec![' '; cols]; rows];
-    for (i, &v) in latencies.iter().enumerate() {
-        let col = i * (cols - 1) / (latencies.len() - 1).max(1);
-        let level = ((v - lo) / span * (rows - 1) as f64).round() as usize;
-        let row = rows - 1 - level.min(rows - 1);
-        let marker = match labeling.map(|l| l.labels[i]) {
-            Some(latest_cluster::Label::Noise) => 'x',
-            Some(latest_cluster::Label::Cluster(c)) => {
-                char::from_digit((c % 10) as u32, 10).unwrap_or('*')
-            }
-            None => 'o',
-        };
-        canvas[row][col] = marker;
-    }
-
-    for (r, line) in canvas.iter().enumerate() {
-        let level = hi - span * r as f64 / (rows - 1) as f64;
-        out.push_str(&format!("{level:>10.2} |"));
-        out.extend(line.iter());
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "{:>10} +{}\n{:>10}  0{:>width$}\n",
-        "",
-        "-".repeat(cols),
-        "",
-        latencies.len(),
-        width = cols - 1
-    ));
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{Artifact, Format};
     use latest_cluster::Dbscan;
 
     #[test]
@@ -127,7 +113,8 @@ mod tests {
         data.push(460.0); // outlier
         let labeling = Dbscan::new(10.0, 4).fit_1d(&data);
         assert_eq!(labeling.n_clusters, 2);
-        let txt = render_scatter("GH200 1770->1260 MHz", &data, Some(&labeling), 20, 40);
+        let txt =
+            Scatter::from_labeling("GH200 1770->1260 MHz", data, &labeling).ascii_plot(20, 40);
         assert!(txt.contains("GH200"));
         assert!(txt.contains('0'));
         assert!(txt.contains('1'));
@@ -137,20 +124,20 @@ mod tests {
     #[test]
     fn renders_without_labels() {
         let data = vec![5.0, 6.0, 5.5, 30.0];
-        let txt = render_scatter("plain", &data, None, 10, 20);
+        let txt = Scatter::new("plain", data, vec![]).render(Format::Text);
         assert!(txt.contains('o'));
     }
 
     #[test]
     fn empty_data_is_graceful() {
-        let txt = render_scatter("none", &[], None, 10, 20);
+        let txt = Scatter::new("none", vec![], vec![]).render(Format::Text);
         assert!(txt.contains("(no data)"));
     }
 
     #[test]
     fn constant_data_does_not_divide_by_zero() {
         let data = vec![7.0; 10];
-        let txt = render_scatter("flat", &data, None, 10, 20);
+        let txt = Scatter::new("flat", data, vec![]).ascii_plot(10, 20);
         assert!(txt.contains('o'));
     }
 }

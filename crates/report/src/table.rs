@@ -19,8 +19,9 @@ impl TextTable {
         }
     }
 
-    /// Attach a title (used by the [`Artifact`](crate::Artifact)
-    /// renderings; [`TextTable::render`] itself stays title-less).
+    /// Attach a title (the first line of the
+    /// [`Artifact`](crate::Artifact) renderings; [`TextTable::body`] stays
+    /// title-less).
     pub fn titled(mut self, title: impl Into<String>) -> Self {
         self.title = title.into();
         self
@@ -65,8 +66,10 @@ impl TextTable {
         self.rows.len()
     }
 
-    /// Render with per-column alignment (first column left, rest right).
-    pub fn render(&self) -> String {
+    /// The aligned header, rule and rows without the title (first column
+    /// left, rest right) — what the CLI prints under its own headings.
+    /// [`Format::Text`](crate::Format::Text) is this under the title line.
+    pub fn body(&self) -> String {
         let n = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -94,17 +97,6 @@ impl TextTable {
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
             out.push('\n');
-        }
-        out
-    }
-
-    /// Render as a Markdown table (for EXPERIMENTS.md).
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!("|{}\n", "---|".repeat(self.header.len())));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
         }
         out
     }
@@ -256,6 +248,7 @@ pub fn campaign_summary_table(result: &latest_core::CampaignResult) -> TextTable
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{Artifact, Format};
 
     fn table1_like() -> TextTable {
         let mut t = TextTable::with_header(&["Model", "SM [#]", "Max SM [MHz]"]);
@@ -268,21 +261,13 @@ mod tests {
     #[test]
     fn render_aligns_columns() {
         let t = table1_like();
-        let txt = t.render();
+        let txt = t.render(Format::Text);
         let lines: Vec<&str> = txt.lines().collect();
         assert_eq!(lines.len(), 5); // header + rule + 3 rows
                                     // All lines same length (alignment).
         let lens: Vec<usize> = lines.iter().map(|l| l.trim_end().len()).collect();
         assert!(lens[2] >= lens[0] - 2 && lens[2] <= lens[0] + 2);
         assert!(txt.contains("A100 SXM-4"));
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let md = table1_like().render_markdown();
-        assert!(md.starts_with("| Model |"));
-        assert!(md.contains("|---|---|---|"));
-        assert_eq!(md.lines().count(), 5);
     }
 
     #[test]
@@ -312,7 +297,7 @@ mod tests {
                 worst_ms: 455.0,
             },
         ];
-        let txt = cross_device_table(&rows).render();
+        let txt = cross_device_table(&rows).render(Format::Text);
         assert!(txt.contains("A100"));
         assert!(txt.contains("GH200"));
         assert!(txt.contains("455.000"));
@@ -327,7 +312,7 @@ mod tests {
             mean_ms: f64::NAN,
             worst_ms: f64::NEG_INFINITY,
         }];
-        let txt = cross_device_table(&empty).render();
+        let txt = cross_device_table(&empty).render(Format::Text);
         assert!(!txt.contains("inf") && !txt.contains("NaN"));
     }
 }

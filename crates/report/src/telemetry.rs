@@ -55,6 +55,7 @@ pub fn stage_latency_table(snapshot: &TelemetrySnapshot) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{Artifact, Format};
     use latest_telemetry::Registry;
 
     #[test]
@@ -64,7 +65,7 @@ mod tests {
         registry.recorder(0).record(Stage::QueueWait, 500);
         let table = stage_latency_table(&registry.snapshot());
         assert_eq!(table.n_rows(), Stage::COUNT);
-        let rendered = table.render();
+        let rendered = table.render(Format::Text);
         assert!(rendered.contains("shard-exec"), "{rendered}");
         assert!(rendered.contains("2.00ms"), "{rendered}");
         assert!(rendered.contains("500ns"), "{rendered}");

@@ -110,8 +110,10 @@ impl ViolinSummary {
             .count()
     }
 
-    /// ASCII rendering: one row per grid point, bar length ∝ density.
-    pub fn render(&self, width: usize) -> String {
+    /// The text rendering with bars up to `width` columns: a summary line,
+    /// then ~24 downsampled grid points with bar length ∝ density.
+    /// [`Format::Text`](crate::Format::Text) is this at 48 columns.
+    pub fn ascii_bars(&self, width: usize) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{} (n={}, median={:.2} ms, IQR {:.2}-{:.2})\n",
@@ -238,8 +240,9 @@ mod tests {
 
     #[test]
     fn render_produces_bars() {
+        use crate::artifact::{Artifact, Format};
         let v = ViolinSummary::build("demo", &bimodal(), 100).unwrap();
-        let txt = v.render(40);
+        let txt = v.render(Format::Text);
         assert!(txt.contains("demo"));
         assert!(txt.contains('#'));
         assert!(txt.lines().count() >= 10);

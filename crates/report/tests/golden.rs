@@ -1,4 +1,4 @@
-//! Golden-file tests: a fixed seeded campaign rendered through every sink
+//! Golden-file tests: a fixed seeded campaign rendered in every format
 //! must reproduce the committed artefacts byte for byte.
 //!
 //! The whole paper-artefact bundle of that campaign is pinned under
@@ -20,7 +20,7 @@ use std::path::PathBuf;
 
 use latest_core::{CampaignConfig, CampaignResult, Latest};
 use latest_gpu_sim::devices;
-use latest_report::{campaign_summary_table, render_to_string, Bundle, Format};
+use latest_report::{campaign_summary_table, Artifact, Bundle, Format};
 
 fn fixed_campaign() -> CampaignResult {
     let config = CampaignConfig::builder(devices::a100_sxm4())
@@ -60,27 +60,21 @@ fn fixed_campaign_renders_golden_artifacts_through_every_sink() {
     let heatmap = latest_report::Heatmap::from_view(&view, &freqs, latest_core::PairStat::Max)
         .with_title("golden: worst-case switching latencies [ms]");
 
-    // One golden per sink for the heatmap figure...
+    // One golden per format for the heatmap figure...
     for format in Format::ALL {
-        let rendered = render_to_string(&heatmap, format).unwrap();
+        let rendered = heatmap.render(format);
         check(&format!("heatmap_max.{}", format.extension()), &rendered);
     }
-    // ...and the summary table through the text and CSV sinks (the CLI's
+    // ...and the summary table in the text and CSV formats (the CLI's
     // stdout shape and its machine export).
     let table = campaign_summary_table(&result);
-    check(
-        "summary_table.txt",
-        &render_to_string(&table, Format::Text).unwrap(),
-    );
-    check(
-        "summary_table.csv",
-        &render_to_string(&table, Format::Csv).unwrap(),
-    );
+    check("summary_table.txt", &table.render(Format::Text));
+    check("summary_table.csv", &table.render(Format::Csv));
 }
 
 #[test]
 fn fixed_campaign_bundle_matches_its_golden_directory() {
-    let files = Bundle::for_campaign(&fixed_campaign()).render_all().unwrap();
+    let files = Bundle::for_campaign(&fixed_campaign()).render_all();
     for (name, content) in &files {
         check(&format!("bundle/{name}"), content);
     }
@@ -104,9 +98,6 @@ fn golden_render_is_stable_within_a_process() {
     let ta = campaign_summary_table(&a);
     let tb = campaign_summary_table(&b);
     for format in Format::ALL {
-        assert_eq!(
-            render_to_string(&ta, format).unwrap(),
-            render_to_string(&tb, format).unwrap()
-        );
+        assert_eq!(ta.render(format), tb.render(format));
     }
 }

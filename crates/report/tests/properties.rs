@@ -1,7 +1,7 @@
 //! Property-based tests for the reporting layer: five-number summaries,
 //! heatmap aggregation, violin densities and table rendering.
 
-use latest_report::{BoxStats, Heatmap, TextTable, ViolinSummary};
+use latest_report::{Artifact, BoxStats, Format, Heatmap, TextTable, ViolinSummary};
 use proptest::prelude::*;
 
 fn samples(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -90,7 +90,7 @@ proptest! {
         let row_labels: Vec<u32> = (0..rows as u32).collect();
         let col_labels: Vec<u32> = (0..cols as u32).collect();
         let hm = Heatmap::build(&row_labels, &col_labels, |_, _| Some(1.0));
-        let csv = hm.to_csv();
+        let csv = hm.render(Format::Csv);
         prop_assert_eq!(csv.lines().count(), rows + 1);
         for line in csv.lines().skip(1) {
             prop_assert_eq!(line.split(',').count(), cols + 1);
@@ -134,25 +134,10 @@ proptest! {
         for c in &cells {
             t.row(std::slice::from_ref(c));
         }
-        let rendered = t.render();
+        let rendered = t.render(Format::Text);
         for c in &cells {
             prop_assert!(rendered.contains(c.as_str()), "missing {c}");
         }
         prop_assert_eq!(t.n_rows(), cells.len());
-    }
-
-    #[test]
-    fn markdown_render_has_pipe_structure(cells in prop::collection::vec("[a-z]{1,6}", 1..10)) {
-        let mut t = TextTable::with_header(&["a", "b"]);
-        for c in &cells {
-            t.row(&[c.clone(), c.clone()]);
-        }
-        let md = t.render_markdown();
-        let lines: Vec<&str> = md.lines().collect();
-        // header + separator + one line per row
-        prop_assert_eq!(lines.len(), 2 + cells.len());
-        for line in lines {
-            prop_assert!(line.starts_with('|') && line.ends_with('|'));
-        }
     }
 }

@@ -57,14 +57,9 @@ fn main() {
         ("minimum (best-case)", PairStat::Min),
         ("maximum (worst-case)", PairStat::Max),
     ] {
-        let hm = Heatmap::from_view(&view, &freqs, stat);
-        println!(
-            "\n{}",
-            hm.render(
-                &format!("{device_name}: {title} switching latencies [ms]"),
-                true
-            )
-        );
+        let hm = Heatmap::from_view(&view, &freqs, stat)
+            .with_title(format!("{device_name}: {title} switching latencies [ms]"));
+        println!("\n{}", hm.ansi_text());
 
         // Quantify the paper's "row pattern": target frequency dominates.
         let spread = |means: Vec<Option<f64>>| {

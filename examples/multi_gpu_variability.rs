@@ -18,7 +18,7 @@
 use latest::core::spec::{CampaignSpec, FleetSpec};
 use latest::gpu_sim::devices;
 use latest::gpu_sim::freq::FreqMhz;
-use latest::report::{cross_device_table, BoxStats, CrossDeviceRow, Heatmap};
+use latest::report::{cross_device_table, Artifact, BoxStats, CrossDeviceRow, Format, Heatmap};
 
 const UNITS: usize = 4;
 const N_FREQS: usize = 8;
@@ -53,7 +53,7 @@ fn main() {
         .into_iter()
         .map(Into::into)
         .collect();
-    println!("\n{}", cross_device_table(&rows).render());
+    println!("\n{}", cross_device_table(&rows).render(Format::Text));
     let freqs: Vec<u32> = devices::a100_sxm4()
         .ladder
         .subset(N_FREQS)
@@ -89,14 +89,11 @@ fn main() {
             let lo = per_unit.iter().cloned().fold(f64::MAX, f64::min);
             let hi = per_unit.iter().cloned().fold(f64::MIN, f64::max);
             Some(hi - lo)
-        });
-        println!(
-            "\n{}",
-            hm.render(
-                &format!("Range of {title} switching latencies across {UNITS} units [ms]"),
-                true
-            )
-        );
+        })
+        .with_title(format!(
+            "Range of {title} switching latencies across {UNITS} units [ms]"
+        ));
+        println!("\n{}", hm.ansi_text());
     }
 
     // Fig. 9: per-unit boxplots for the pairs with the widest spread.

@@ -47,8 +47,8 @@ use latest::queue::{
 };
 use latest::report::{
     campaign_summary_table, cross_device_table, energy_heatmap, missed_rate_heatmap,
-    policy_scorecard_table, render_to_string, stage_latency_table, Bundle, CampaignDiff,
-    CrossDeviceRow, Format, PolicyScoreRow, TextTable,
+    policy_scorecard_table, stage_latency_table, Artifact, Bundle, CampaignDiff, CrossDeviceRow,
+    Format, PolicyScoreRow, TextTable,
 };
 use latest::telemetry::{ClockSpec, Stage, TelemetrySnapshot};
 use latest::traffic::{TrafficRegistry, TrafficSpec};
@@ -496,7 +496,7 @@ fn cmd_list_devices() -> CliResult {
             entry.aliases().join(", "),
         ]);
     }
-    println!("{}", table.render());
+    println!("{}", table.render(Format::Text));
     for entry in registry.entries() {
         println!("  {}: {}", entry.name(), entry.description());
     }
@@ -509,7 +509,7 @@ fn cmd_list_workloads() -> CliResult {
     for entry in registry.entries() {
         table.row(&[entry.name().to_string(), entry.description().to_string()]);
     }
-    println!("{}", table.render());
+    println!("{}", table.render(Format::Text));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -669,9 +669,9 @@ fn finish_campaign(
         // The serialisable result is the machine interface; the table stays
         // on stderr so `latest run --json | jq` composes cleanly.
         println!("{}", result.to_json());
-        eprintln!("{}", table.render());
+        eprintln!("{}", table.body());
     } else {
-        println!("{}", table.render());
+        println!("{}", table.body());
     }
     if let Some(dir) = &args.out_dir {
         eprintln!("wrote {csv_files} CSV files to {}", dir.display());
@@ -769,7 +769,7 @@ fn run_fleet(spec: FleetSpec, args: &RunArgs) -> CliResult {
 /// cross-device table, `--json` output and the `--out` summary CSV.
 fn finish_fleet(result: &FleetResult, args: &RunArgs) -> CliResult {
     let rows: Vec<CrossDeviceRow> = result.summary_rows().into_iter().map(Into::into).collect();
-    let table = cross_device_table(&rows).render();
+    let table = cross_device_table(&rows).render(Format::Text);
     if args.json {
         println!("{}", result.to_json());
         eprintln!("{table}");
@@ -923,8 +923,8 @@ fn cmd_diff(raw: &[String]) -> CliResult {
     eprintln!("B: {} (seed {})", run_b.run_id, run_b.provenance.seed);
     let table = diff.regression_table();
     let heatmap = diff.delta_heatmap();
-    println!("{}", table.render());
-    println!("{}", heatmap.render(heatmap.title(), false));
+    println!("{}", table.body());
+    println!("{}", heatmap.render(Format::Text));
     if let Some(dir) = &args.out {
         let mut bundle = Bundle::new();
         bundle.add("delta_heatmap", heatmap);
@@ -1005,7 +1005,7 @@ fn cmd_list_runs(raw: &[String]) -> CliResult {
             run.provenance.description.clone(),
         ]);
     }
-    println!("{}", table.render());
+    println!("{}", table.render(Format::Text));
     match &args.family {
         Some(prefix) => eprintln!(
             "{} archived run(s) in {dir} in experiment family {prefix}*",
@@ -1260,7 +1260,7 @@ fn queue_status(raw: &[String]) -> CliResult {
             detail,
         ]);
     }
-    println!("{}", table.render());
+    println!("{}", table.render(Format::Text));
     let pending = jobs.iter().filter(|j| j.state.is_pending()).count();
     let unhappy = jobs
         .iter()
@@ -1330,9 +1330,7 @@ fn queue_stats(raw: &[String]) -> CliResult {
     } else {
         Format::Text
     };
-    let rendered = render_to_string(&stage_latency_table(&snapshot), format)
-        .map_err(|e| Input(format!("rendering telemetry: {e}")))?;
-    print!("{rendered}");
+    print!("{}", stage_latency_table(&snapshot).render(format));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1628,7 +1626,7 @@ fn govern_run(raw: &[String]) -> CliResult {
     if args.json {
         println!("{}", scorecards_to_json(&cards));
     } else {
-        println!("{}", policy_scorecard_table(&rows).render());
+        println!("{}", policy_scorecard_table(&rows).body());
         eprintln!(
             "scored {} policies x {} traffic scenarios against table {} ({} pairs, device {})",
             policies.len(),
@@ -1665,7 +1663,7 @@ fn govern_list_policies() -> CliResult {
         "latency-aware".to_string(),
         "switch only when the measured cost amortises; detour pathological pairs".to_string(),
     ]);
-    println!("{}", table.render());
+    println!("{}", table.render(Format::Text));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1680,7 +1678,7 @@ fn govern_list_traffic() -> CliResult {
             spec.description.clone(),
         ]);
     }
-    println!("{}", table.render());
+    println!("{}", table.render(Format::Text));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1911,7 +1909,10 @@ fn predict_query(raw: &[String]) -> CliResult {
         if args.json {
             print!("{}", table.to_json());
         } else {
-            println!("{}", predicted_pairs_table(&table.entries).render());
+            println!(
+                "{}",
+                predicted_pairs_table(&table.entries).render(Format::Text)
+            );
             eprintln!(
                 "{} of {} pair(s) accepted at gate {} (device {})",
                 table.accepted().count(),
@@ -1974,7 +1975,10 @@ fn predict_query(raw: &[String]) -> CliResult {
     if args.json {
         print!("{}", outcome.to_json());
     } else {
-        println!("{}", predicted_pairs_table(&outcome.answers).render());
+        println!(
+            "{}",
+            predicted_pairs_table(&outcome.answers).render(Format::Text)
+        );
         if !outcome.low_confidence.is_empty() {
             eprintln!(
                 "{} low-confidence pair(s) at gate {}",
@@ -2032,7 +2036,7 @@ fn predict_validate(raw: &[String]) -> CliResult {
                 format!("{:.2}", r.coverage),
             ]);
         }
-        println!("{}", table.render());
+        println!("{}", table.render(Format::Text));
     }
     if let Some(out_dir) = &args.out {
         let mut bundle = Bundle::new();
@@ -2092,7 +2096,7 @@ fn predict_validate_closed_loop(
                 format!("{:.4}", r.mape),
             ]);
         }
-        println!("{}", table.render());
+        println!("{}", table.render(Format::Text));
     }
     if let Some(out_dir) = &args.out {
         let mut bundle = Bundle::new();

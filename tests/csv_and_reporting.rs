@@ -10,7 +10,7 @@ use latest::core::{CampaignConfig, Latest};
 use latest::gpu_sim::devices;
 use latest::gpu_sim::freq::FreqMhz;
 use latest::gpu_sim::transition::FixedTransition;
-use latest::report::Heatmap;
+use latest::report::{Artifact, Format, Heatmap};
 use latest::sim_clock::SimDuration;
 use proptest::prelude::*;
 
@@ -154,7 +154,7 @@ fn heatmap_csv_export_is_parseable() {
             Some((a + b) as f64 / 100.0)
         }
     });
-    let csv = hm.to_csv();
+    let csv = hm.render(Format::Csv);
     let mut lines = csv.lines();
     let header = lines.next().unwrap();
     assert!(header.contains("705") && header.contains("1095"));

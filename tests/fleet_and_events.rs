@@ -13,7 +13,7 @@ use latest::core::{
 };
 use latest::gpu_sim::devices::{self, DeviceSpec};
 use latest::gpu_sim::transition::FixedTransition;
-use latest::report::{cross_device_table, CrossDeviceRow};
+use latest::report::{cross_device_table, Artifact, CrossDeviceRow, Format};
 use latest::sim_clock::SimDuration;
 
 fn quick_config(spec: DeviceSpec, freqs: &[u32], seed: u64) -> CampaignConfig {
@@ -124,7 +124,7 @@ fn fleet_over_two_models_aggregates_per_device() {
 
     // Aggregate rows feed latest-report's cross-device table.
     let rows: Vec<CrossDeviceRow> = result.summary_rows().into_iter().map(Into::into).collect();
-    let rendered = cross_device_table(&rows).render();
+    let rendered = cross_device_table(&rows).render(Format::Text);
     assert!(rendered.contains("A100"));
     assert!(rendered.contains("GH200"));
     assert_eq!(rendered.lines().count(), 4); // header + rule + 2 devices

@@ -8,7 +8,7 @@ use latest::core::spec::CampaignSpec;
 use latest::core::ResultStore;
 use latest::predict::{build_corpora, cross_validate, serve_batch, PredictModel};
 use latest::queue::JobQueue;
-use latest::report::{render_to_string, Format};
+use latest::report::{Artifact, Format};
 
 /// Paper-ladder points of the A100-SXM4 (Table I frequencies).
 const A100_LADDER: [u32; 4] = [540, 705, 1095, 1410];
@@ -69,9 +69,9 @@ fn held_out_error_is_bounded_on_the_paper_ladder() {
 
     // The report renders as artifacts in every format.
     for format in Format::ALL {
-        let scatter = render_to_string(&report.scatter(), format).unwrap();
+        let scatter = report.scatter().render(format);
         assert!(!scatter.is_empty(), "{format:?} scatter is empty");
-        let heatmap = render_to_string(&report.error_heatmap(), format).unwrap();
+        let heatmap = report.error_heatmap().render(format);
         assert!(!heatmap.is_empty(), "{format:?} heatmap is empty");
     }
     let _ = std::fs::remove_dir_all(&dir);

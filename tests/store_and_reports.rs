@@ -10,7 +10,7 @@ use latest::core::spec::CampaignSpec;
 use latest::core::store::{ResultStore, RunId};
 use latest::core::view::{LatencyView, PairStat};
 use latest::core::{CampaignResult, Latest};
-use latest::report::{render_to_string, Bundle, CampaignDiff, Format};
+use latest::report::{Artifact, Bundle, CampaignDiff, Format};
 use proptest::prelude::*;
 
 fn tiny_spec(seed: u64, max_measurements: usize) -> CampaignSpec {
@@ -56,8 +56,8 @@ fn archive_query_report_diff_round_trip() {
     // The bundle rendered from the stored run is bitwise identical to the
     // bundle rendered from the live result: determinism survives the
     // archive round trip.
-    let live_bundle = Bundle::for_campaign(&result).render_all().unwrap();
-    let stored_bundle = Bundle::for_campaign(&stored.result).render_all().unwrap();
+    let live_bundle = Bundle::for_campaign(&result).render_all();
+    let stored_bundle = Bundle::for_campaign(&stored.result).render_all();
     assert_eq!(live_bundle, stored_bundle);
 
     // `latest diff` semantics: a run against itself reports zero
@@ -88,7 +88,7 @@ fn diff_of_different_seeds_is_significance_annotated() {
         assert!((0.0..=1.0).contains(&p));
     }
     // The rendered table annotates significance per pair.
-    let table = render_to_string(&diff.regression_table(), Format::Text).unwrap();
+    let table = diff.regression_table().render(Format::Text);
     assert!(table.contains("p-value"));
     assert!(table.contains("verdict"));
     fs::remove_dir_all(store.root()).ok();

@@ -11,7 +11,7 @@ use latest::core::spec::{CampaignSpec, ScenarioSpec};
 use latest::core::store::RunId;
 use latest::core::CampaignSession;
 use latest::queue::{PoolConfig, SubmitOptions, WorkerPool};
-use latest::report::{render_to_string, stage_latency_table, Format};
+use latest::report::{stage_latency_table, Artifact, Format};
 use latest::telemetry::{ClockSpec, Stage, TelemetrySnapshot};
 
 fn tiny(seed: u64) -> CampaignSpec {
@@ -151,12 +151,12 @@ fn queue_stats_table_renders_in_every_artifact_format() {
         .unwrap();
     let stats = pool.drain().unwrap();
     let table = stage_latency_table(&stats.telemetry);
-    let text = render_to_string(&table, Format::Text).unwrap();
+    let text = table.render(Format::Text);
     assert!(text.contains("queue-wait"), "{text}");
     assert!(text.contains("shard-exec"), "{text}");
-    let csv = render_to_string(&table, Format::Csv).unwrap();
+    let csv = table.render(Format::Csv);
     assert!(csv.lines().count() > Stage::COUNT, "{csv}");
-    let json = render_to_string(&table, Format::Json).unwrap();
+    let json = table.render(Format::Json);
     assert!(json.contains("settle-latency"), "{json}");
     fs::remove_dir_all(&dir).ok();
 }
