@@ -1,5 +1,4 @@
-//! Shared support for the paper-artefact regeneration binaries and the
-//! Criterion benchmarks.
+//! Shared support for the paper-artefact regeneration binaries.
 //!
 //! Every `repro_*` binary re-creates one table or figure of the paper. They
 //! share the sweep driver here: a campaign configuration scaled so a full

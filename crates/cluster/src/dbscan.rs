@@ -2,9 +2,12 @@
 //!
 //! Switching-latency datasets are one-dimensional, so ε-neighbourhoods are
 //! contiguous ranges of the sorted data and can be found with two binary
-//! searches — O(n log n) overall instead of the naive O(n²). A generic
-//! multi-dimensional implementation is provided for completeness and as a
-//! cross-check in tests.
+//! searches instead of a scan over every point. Cluster expansion still
+//! pushes each core point's whole neighbour range onto its frontier, so on
+//! dense data (neighbourhoods holding a large share of the points) the 1-D
+//! path is O(n²) like the naive algorithm; it is O(n log n) only when
+//! neighbourhoods stay small. A generic multi-dimensional implementation is
+//! provided for completeness and as a cross-check in tests.
 
 /// Cluster assignment of one point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,7 +109,8 @@ impl Dbscan {
         Dbscan { eps, min_pts }
     }
 
-    /// Cluster one-dimensional data. Exact DBSCAN semantics; O(n log n).
+    /// Cluster one-dimensional data. Exact DBSCAN semantics; O(n log n)
+    /// for small neighbourhoods, O(n²) on dense data (see the module docs).
     pub fn fit_1d(&self, data: &[f64]) -> Labeling {
         let n = data.len();
         if n == 0 {

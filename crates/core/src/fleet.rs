@@ -1,5 +1,5 @@
-//! The multi-device fleet driver: one campaign per [`DeviceSpec`], run in
-//! parallel, aggregated per device.
+//! The multi-device fleet driver: one campaign per [`DeviceSpec`], run one
+//! after another, aggregated per device.
 //!
 //! The paper benchmarks three GPU models and four units of the same SKU;
 //! related frequency-scaling studies sweep whole clusters. [`Fleet`] is the
@@ -118,16 +118,17 @@ impl Fleet {
     /// Each member is an independent campaign — its own device, seed and
     /// pair set — so each decomposes into its own shard set
     /// ([`CampaignSession::plan`]) with no state shared between members:
-    /// fleet members are first-class parallel units, and a scheduler (the
-    /// queue's worker pool) may interleave shards of different members
-    /// freely without affecting any result.
+    /// fleet members are independent units, and a scheduler (the queue's
+    /// worker pool, which runs shards on threads) may interleave shards of
+    /// different members freely without affecting any result.
     pub fn members(&self) -> &[CampaignConfig] {
         &self.members
     }
 
     /// Run every member campaign and aggregate per-device results.
     ///
-    /// Members run in parallel (each internally parallel over pairs); the
+    /// Members go through `par_iter` (as does each member's pair set),
+    /// which the vendored `rayon` stand-in runs one after another; the
     /// per-device seeding makes the outcome independent of scheduling. A
     /// shared-token cancellation that lands before a member even starts its
     /// phase 1 leaves that member in [`FleetResult::unstarted`] rather than

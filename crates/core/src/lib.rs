@@ -29,8 +29,8 @@
 //!   over the serialisable [`CampaignResult`]. [`Latest`] is a thin
 //!   blocking wrapper over it.
 //! * **Fleet** ([`fleet`]) — multi-device orchestration: one campaign per
-//!   device spec, run in parallel, aggregated into per-device results and
-//!   cross-device summary rows.
+//!   device spec, run one after another, aggregated into per-device
+//!   results and cross-device summary rows.
 //! * **Store** ([`store`]) — the results archive: campaign runs persisted
 //!   under content-addressed [`RunId`]s with the effective spec and
 //!   provenance, so experiments accumulate into a queryable corpus instead

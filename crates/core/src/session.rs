@@ -6,8 +6,9 @@
 //!
 //! * schedules work at **pair granularity** — phase 1 and the probe run
 //!   once, then every ordered pair is an independent work item on its own
-//!   freshly seeded platform (parallel by default, sequential on request,
-//!   bitwise identical either way);
+//!   freshly seeded platform (bitwise identical in any order; `run` itself
+//!   executes them one after another, and the queue's worker pool runs
+//!   shards of them on threads);
 //! * emits **typed progress events** ([`CampaignEvent`]) through any number
 //!   of observer hooks or a plain [`std::sync::mpsc`] channel, so UIs and
 //!   loggers watch the campaign in real time;
@@ -81,9 +82,9 @@ impl std::fmt::Display for SkipReason {
 
 /// Typed progress events emitted by a [`CampaignSession`].
 ///
-/// Pair-level events may interleave arbitrarily between pairs when the
-/// session runs in parallel; per pair, `PairStarted` always precedes
-/// `PairFinished`/`PairSkipped`.
+/// Pair-level events may interleave arbitrarily between pairs when work
+/// units run concurrently (shards on the queue's worker pool); per pair,
+/// `PairStarted` always precedes `PairFinished`/`PairSkipped`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CampaignEvent {
     /// The session started.
@@ -254,7 +255,7 @@ impl std::fmt::Display for CampaignEvent {
 /// Observer hook for [`CampaignEvent`]s.
 ///
 /// Implemented for any `Fn(&CampaignEvent) + Send + Sync` closure; events
-/// may arrive from worker threads when the session runs in parallel.
+/// may arrive from worker threads when work units run concurrently.
 pub trait CampaignObserver: Send + Sync {
     /// Called for every event, in emission order per pair.
     fn event(&self, event: &CampaignEvent);
@@ -494,8 +495,9 @@ impl<F: PlatformFactory> CampaignSession<F> {
         self.cancel.clone()
     }
 
-    /// Force sequential pair scheduling (parallel is the default; both give
-    /// bitwise-identical results).
+    /// Force sequential pair scheduling. The default goes through
+    /// `par_iter`, which the vendored `rayon` stand-in also runs one unit
+    /// after another; both give bitwise-identical results.
     pub fn sequential(mut self, on: bool) -> Self {
         self.sequential = on;
         self
@@ -865,7 +867,7 @@ impl<F: PlatformFactory> CampaignSession<F> {
 
     /// Run the campaign through the [`WorkUnit`] layer with an explicit
     /// shard count: pending pairs are partitioned into at most `n_shards`
-    /// units executed (in parallel unless [`CampaignSession::sequential`])
+    /// units, executed one after another (see [`CampaignSession::sequential`])
     /// and merged — bitwise identical to [`CampaignSession::run`] for any
     /// shard count, with `ShardStarted`/`ShardFinished` progress events.
     pub fn run_sharded(&self, n_shards: usize) -> CoreResult<CampaignResult> {

@@ -150,8 +150,7 @@ impl DrainStats {
         self.settled() as f64 / (self.elapsed_ms as f64 / 1000.0)
     }
 
-    /// Serialise to pretty JSON (the `queue serve --stats-out` format,
-    /// merged into `BENCH_latest.json` by CI).
+    /// Serialise to pretty JSON (the `queue serve --stats-out` format).
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("drain stats serialise")
     }

@@ -1,12 +1,15 @@
 //! The prediction service end to end over the facade: paper-ladder
 //! campaigns are measured and archived, a model is fitted over the pooled
-//! archive, held-out validation stays inside an explicit error bound, and
-//! the batch path routes low-confidence pairs back into the measurement
-//! queue.
+//! archive, held-out and closed-loop validation stay inside explicit error
+//! bounds, and the batch path routes low-confidence pairs back into the
+//! measurement queue.
 
 use latest::core::spec::CampaignSpec;
 use latest::core::ResultStore;
-use latest::predict::{build_corpora, cross_validate, serve_batch, PredictModel};
+use latest::gpu_sim::devices::DeviceRegistry;
+use latest::predict::{
+    build_corpora, closed_loop_validate, cross_validate, serve_batch, PredictModel,
+};
 use latest::queue::JobQueue;
 use latest::report::{Artifact, Format};
 
@@ -74,6 +77,21 @@ fn held_out_error_is_bounded_on_the_paper_ladder() {
         let heatmap = report.error_heatmap().render(format);
         assert!(!heatmap.is_empty(), "{format:?} heatmap is empty");
     }
+
+    // Closed loop: the model fitted on the whole corpus predicts the
+    // simulator's ground-truth transitions (2 replays per pair, seed 0)
+    // within 35 % mean absolute percentage error, deterministically.
+    let model = PredictModel::fit(corpus).unwrap();
+    let a100 = DeviceRegistry::builtin().get("a100").unwrap();
+    let closed = closed_loop_validate(&model, &a100, 2, 0).unwrap();
+    assert_eq!(closed.rows.len(), 12);
+    assert!(
+        closed.mape < 0.35,
+        "closed-loop MAPE {:.4} exceeds the 35 % bound",
+        closed.mape
+    );
+    let again = closed_loop_validate(&model, &a100, 2, 0).unwrap();
+    assert_eq!(closed.to_json(), again.to_json());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
