@@ -5,7 +5,7 @@
 //! (always > 0.4 for multi-cluster pairs, average 0.84 over all GPUs).
 
 use bench_support::repro_config;
-use latest_core::{CampaignConfig, Latest};
+use latest_core::{CampaignConfig, CampaignSession};
 use latest_gpu_sim::devices;
 use latest_report::{Artifact, Format, TextTable};
 
@@ -28,7 +28,7 @@ fn census(spec: latest_gpu_sim::devices::DeviceSpec, n_freqs: usize, seed: u64) 
         max_measurements: 160,
         ..repro_config(spec, n_freqs, seed)
     };
-    let result = Latest::new(config).run().expect("sweep");
+    let result = CampaignSession::new(config).run().expect("sweep");
     let mut c = Census {
         device,
         single: 0,

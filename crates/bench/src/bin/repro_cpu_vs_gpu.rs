@@ -4,7 +4,7 @@
 //! milliseconds at most, while GPUs require significantly more time,
 //! ranging from tens to hundreds of milliseconds."
 
-use latest_core::{CampaignConfig, Latest};
+use latest_core::{CampaignConfig, CampaignSession};
 use latest_ftalat::cpu::{intel_skylake_sp, slow_governor_cpu, SimCpuCore};
 use latest_ftalat::{ftalat_phase1, measure_transition};
 use latest_gpu_sim::devices;
@@ -40,7 +40,7 @@ fn gpu_latency_ms(spec: latest_gpu_sim::devices::DeviceSpec, seed: u64) -> (Stri
         .simulated_sms(Some(4))
         .seed(seed)
         .build();
-    let result = Latest::new(config).run().expect("gpu campaign");
+    let result = CampaignSession::new(config).run().expect("gpu campaign");
     let mut best = f64::INFINITY;
     let mut worst: f64 = 0.0;
     for p in result.completed() {

@@ -11,7 +11,7 @@
 use bench_support::{
     campaign_heatmap, direction_split, freqs_mhz, heatmap_text, repro_config, CellStat,
 };
-use latest_core::Latest;
+use latest_core::CampaignSession;
 use latest_gpu_sim::devices;
 
 fn column_dominance(hm: &latest_report::Heatmap) -> (f64, f64) {
@@ -31,7 +31,7 @@ fn main() {
     // --- GH200: min and max (Fig. 3a, 3b) ---
     let config = repro_config(devices::gh200(), 18, 0xF163A);
     let freqs = freqs_mhz(&config);
-    let gh = Latest::new(config).run().expect("GH200 sweep");
+    let gh = CampaignSession::new(config).run().expect("GH200 sweep");
     let gh_min = campaign_heatmap(&gh, &freqs, CellStat::Min)
         .with_title("FIG. 3a: GH200 minimum switching latencies [ms]");
     let gh_max = campaign_heatmap(&gh, &freqs, CellStat::Max)
@@ -42,7 +42,7 @@ fn main() {
     // --- A100 max (Fig. 3c) ---
     let config = repro_config(devices::a100_sxm4(), 18, 0xF163C);
     let freqs = freqs_mhz(&config);
-    let a100 = Latest::new(config).run().expect("A100 sweep");
+    let a100 = CampaignSession::new(config).run().expect("A100 sweep");
     let a100_max = campaign_heatmap(&a100, &freqs, CellStat::Max)
         .with_title("FIG. 3c: A100 maximum switching latencies [ms]");
     println!("{}", heatmap_text(&a100_max));
@@ -50,7 +50,7 @@ fn main() {
     // --- RTX Quadro 6000 max (Fig. 3d) ---
     let config = repro_config(devices::rtx_quadro_6000(), 14, 0xF163D);
     let freqs = freqs_mhz(&config);
-    let quadro = Latest::new(config).run().expect("Quadro sweep");
+    let quadro = CampaignSession::new(config).run().expect("Quadro sweep");
     let quadro_max = campaign_heatmap(&quadro, &freqs, CellStat::Max)
         .with_title("FIG. 3d: RTX Quadro 6000 maximum switching latencies [ms]");
     println!("{}", heatmap_text(&quadro_max));

@@ -8,7 +8,7 @@
 //! mass below 100 ms.
 
 use bench_support::{direction_split, repro_config};
-use latest_core::Latest;
+use latest_core::CampaignSession;
 use latest_gpu_sim::devices;
 use latest_report::ViolinSummary;
 
@@ -22,7 +22,7 @@ fn main() {
     println!("FIG. 4: switching-latency distributions, increasing vs decreasing\n");
     for (spec, n, seed) in sweeps {
         let name = spec.name.clone();
-        let result = Latest::new(repro_config(spec, n, seed))
+        let result = CampaignSession::new(repro_config(spec, n, seed))
             .run()
             .expect("sweep");
         let split = direction_split(&result);

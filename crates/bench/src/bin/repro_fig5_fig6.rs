@@ -8,7 +8,7 @@
 //! 2+ clusters, average 0.84 over all GPUs).
 
 use latest_cluster::{adaptive_outlier_filter, silhouette_score_1d, AdaptiveConfig};
-use latest_core::{CampaignConfig, Latest};
+use latest_core::{CampaignConfig, CampaignSession};
 use latest_gpu_sim::devices;
 use latest_report::Scatter;
 
@@ -20,7 +20,7 @@ fn measure_pair(init: u32, target: u32, seed: u64) -> Vec<f64> {
         .simulated_sms(Some(4))
         .seed(seed)
         .build();
-    let result = Latest::new(config).run().expect("pair campaign");
+    let result = CampaignSession::new(config).run().expect("pair campaign");
     result
         .pairs()
         .iter()

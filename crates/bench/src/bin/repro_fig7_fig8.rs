@@ -7,7 +7,7 @@
 //!   paper shows up to ~12 ms on isolated pairs.
 
 use bench_support::{campaign_heatmap, freqs_mhz, heatmap_text, repro_config, CellStat};
-use latest_core::Latest;
+use latest_core::CampaignSession;
 use latest_gpu_sim::devices;
 use latest_report::Heatmap;
 
@@ -24,7 +24,7 @@ fn main() {
             n_freqs,
             0xF1678 + unit as u64,
         );
-        let result = Latest::new(config).run().expect("unit sweep");
+        let result = CampaignSession::new(config).run().expect("unit sweep");
         mins.push(campaign_heatmap(&result, &freqs, CellStat::Min));
         maxs.push(campaign_heatmap(&result, &freqs, CellStat::Max));
     }

@@ -4,7 +4,7 @@
 //! question: *is any single unit consistently slower than the others?*
 //! (Paper's answer: no.)
 
-use latest_core::{CampaignConfig, Latest};
+use latest_core::{CampaignConfig, CampaignSession};
 use latest_gpu_sim::devices;
 use latest_report::BoxStats;
 
@@ -33,7 +33,7 @@ fn main() {
             .device_index(unit)
             .seed(0xF169 + unit as u64)
             .build();
-        let result = Latest::new(config).run().expect("unit campaign");
+        let result = CampaignSession::new(config).run().expect("unit campaign");
         for (pi, &(init, target)) in PAIRS.iter().enumerate() {
             let data = result
                 .pairs()

@@ -8,7 +8,7 @@
 //! serving at the old clock until the target clock takes over.
 
 use bench_support::repro_config;
-use latest_core::Latest;
+use latest_core::CampaignSession;
 use latest_governor::{
     make_policy, replay_seed, DaemonConfig, GovernorDaemon, LatencyTable, PowerModel,
     TransitionReplay, ZoneLadder, POLICY_NAMES,
@@ -31,7 +31,7 @@ fn main() {
 
     for (spec, seed) in sweeps {
         let name = spec.name.clone();
-        let result = Latest::new(repro_config(spec, 8, seed))
+        let result = CampaignSession::new(repro_config(spec, 8, seed))
             .run()
             .expect("campaign");
         let table = LatencyTable::from_campaign(&result);

@@ -8,7 +8,7 @@
 //! DESIGN.md §4).
 
 use latest_core::view::{LatencyView, PairStat, PairView};
-use latest_core::{CampaignConfig, CampaignResult, Latest, PairMeasurement};
+use latest_core::{CampaignConfig, CampaignResult, PairMeasurement};
 use latest_gpu_sim::devices::DeviceSpec;
 use latest_report::{Artifact, DirectionSplit, Format, Heatmap};
 
@@ -22,13 +22,6 @@ pub fn repro_config(spec: DeviceSpec, n_freqs: usize, seed: u64) -> CampaignConf
         .measurements(25, 60)
         .simulated_sms(Some(6))
         .build()
-}
-
-/// Run a full campaign (phase 1, probe, all ordered pairs).
-pub fn run_sweep(spec: DeviceSpec, n_freqs: usize, seed: u64) -> CampaignResult {
-    Latest::new(repro_config(spec, n_freqs, seed))
-        .run()
-        .expect("repro campaign")
 }
 
 /// Declarative equivalent of [`repro_config`]: the same campaign described
@@ -110,6 +103,7 @@ pub fn table2_row(result: &CampaignResult, stat: CellStat) -> Option<Table2Row> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use latest_core::CampaignSession;
     use latest_gpu_sim::devices;
     use latest_gpu_sim::transition::FixedTransition;
     use latest_sim_clock::SimDuration;
@@ -127,7 +121,7 @@ mod tests {
             .simulated_sms(Some(2))
             .build();
         let freqs = freqs_mhz(&config);
-        (Latest::new(config).run().unwrap(), freqs)
+        (CampaignSession::new(config).run().unwrap(), freqs)
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Campaign results and the classic blocking entry point.
+//! Campaign results.
 //!
 //! [`CampaignResult`] is the serialisable record of one device's campaign:
 //! phase-1 characterisation, the probe bound, and every pair's measurements
@@ -8,22 +8,13 @@
 //! [`CampaignSession::resume_from`](crate::session::CampaignSession::resume_from),
 //! which re-runs exactly the missing pairs and reproduces the uninterrupted
 //! campaign bit for bit.
-//!
-//! [`Latest`] is the original one-call API, kept as a thin wrapper over
-//! [`CampaignSession`] so downstream code
-//! migrates incrementally.
 
 use std::collections::HashMap;
 
-use latest_cluster::AdaptiveConfig;
-
 use crate::analysis::PairAnalysis;
-use crate::config::CampaignConfig;
 use crate::controller::PairOutcome;
-use crate::error::CoreResult;
 use crate::phase1::Phase1Result;
 use crate::probe::ProbeResult;
-use crate::session::{CampaignSession, ShardResult};
 use crate::state::{FreqState, PairKind};
 
 /// One pair's full result: measurements plus analysis.
@@ -151,55 +142,6 @@ impl CampaignResult {
         }
     }
 
-    /// Deterministically assemble shard results into one campaign result.
-    ///
-    /// # Determinism contract
-    ///
-    /// `ordered` — the campaign's canonical `ordered_pairs()` order — fully
-    /// determines the output layout, so the shards' *completion* order is
-    /// invisible: results are first sorted by shard id (making even a
-    /// duplicated pair index resolve identically on every merge), each
-    /// measurement is placed at its canonical index, and pairs no shard
-    /// measured are recorded as [`PairOutcome::Cancelled`] placeholders.
-    /// The merge of an incomplete shard set is therefore exactly the
-    /// resumable-checkpoint shape
-    /// [`CampaignSession::resume_from`](crate::session::CampaignSession::resume_from)
-    /// accepts, and — because every pair runs on its own
-    /// `pair_seed`-seeded platform — merging the shards of *any* partition
-    /// of a campaign reproduces the unpartitioned result bit for bit.
-    pub fn merge(
-        device_name: String,
-        device_index: usize,
-        seed: u64,
-        phase1: Phase1Result,
-        probe: ProbeResult,
-        ordered: &[(FreqState, FreqState)],
-        mut shards: Vec<ShardResult>,
-    ) -> Self {
-        shards.sort_by_key(|s| s.shard);
-        let mut slots: Vec<Option<PairMeasurement>> = vec![None; ordered.len()];
-        for shard in shards {
-            for (index, meas) in shard.pairs {
-                if let Some(slot) = slots.get_mut(index) {
-                    *slot = Some(meas);
-                }
-            }
-        }
-        let pairs = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or_else(|| PairMeasurement {
-                    init: ordered[i].0,
-                    target: ordered[i].1,
-                    outcome: PairOutcome::Cancelled,
-                    analysis: None,
-                })
-            })
-            .collect();
-        CampaignResult::new(device_name, device_index, seed, phase1, probe, pairs)
-    }
-
     /// All pair measurements.
     pub fn pairs(&self) -> &[PairMeasurement] {
         &self.pairs
@@ -273,49 +215,11 @@ impl serde::Deserialize for CampaignResult {
     }
 }
 
-/// The LATEST tool's classic blocking API.
-///
-/// `Latest::new(config).run()` is now a thin compatibility wrapper over
-/// [`CampaignSession`]: same results, same
-/// determinism, none of the streaming machinery. New code that wants
-/// progress events, cancellation or checkpointing should use the session
-/// directly.
-pub struct Latest {
-    config: CampaignConfig,
-    adaptive: AdaptiveConfig,
-}
-
-impl Latest {
-    /// Build a tool instance from a campaign configuration.
-    pub fn new(config: CampaignConfig) -> Self {
-        Latest {
-            config,
-            adaptive: AdaptiveConfig::default(),
-        }
-    }
-
-    /// Override the Algorithm-3 parameters.
-    pub fn with_adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
-    }
-
-    /// Run the whole campaign to completion (blocking).
-    pub fn run(&self) -> CoreResult<CampaignResult> {
-        CampaignSession::new(self.config.clone())
-            .with_adaptive(self.adaptive)
-            .run()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CampaignConfig;
+    use crate::session::CampaignSession;
     use latest_gpu_sim::devices;
     use latest_gpu_sim::freq::FreqMhz;
     use latest_gpu_sim::transition::FixedTransition;
@@ -336,7 +240,7 @@ mod tests {
 
     #[test]
     fn campaign_covers_all_ordered_pairs() {
-        let result = Latest::new(small_campaign(3)).run().unwrap();
+        let result = CampaignSession::new(small_campaign(3)).run().unwrap();
         assert_eq!(result.pairs().len(), 6);
         for p in result.completed() {
             let a = p.analysis.as_ref().unwrap();
@@ -356,7 +260,7 @@ mod tests {
 
     #[test]
     fn pair_lookup_agrees_with_linear_scan() {
-        let result = Latest::new(small_campaign(5)).run().unwrap();
+        let result = CampaignSession::new(small_campaign(5)).run().unwrap();
         for p in result.pairs() {
             let (init, target) = (p.init, p.target);
             let via_index = result.pair(init, target).unwrap();
@@ -372,13 +276,13 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_across_runs() {
-        let a = Latest::new(small_campaign(11)).run().unwrap();
-        let b = Latest::new(small_campaign(11)).run().unwrap();
+        let a = CampaignSession::new(small_campaign(11)).run().unwrap();
+        let b = CampaignSession::new(small_campaign(11)).run().unwrap();
         for (pa, pb) in a.pairs().iter().zip(b.pairs()) {
             assert_eq!(pa.latencies_ms(), pb.latencies_ms());
         }
         // And a different seed gives different noise.
-        let c = Latest::new(small_campaign(12)).run().unwrap();
+        let c = CampaignSession::new(small_campaign(12)).run().unwrap();
         let same = a
             .pairs()
             .iter()
@@ -389,7 +293,7 @@ mod tests {
 
     #[test]
     fn closed_loop_measured_matches_ground_truth() {
-        let result = Latest::new(small_campaign(7)).run().unwrap();
+        let result = CampaignSession::new(small_campaign(7)).run().unwrap();
         for p in result.completed() {
             let run = p.outcome.run().unwrap();
             for (&m, &g) in run.latencies_ms.iter().zip(&run.ground_truth_ms) {
@@ -405,7 +309,7 @@ mod tests {
 
     #[test]
     fn json_roundtrip_is_bitwise_faithful() {
-        let result = Latest::new(small_campaign(13)).run().unwrap();
+        let result = CampaignSession::new(small_campaign(13)).run().unwrap();
         let back = CampaignResult::from_json(&result.to_json()).unwrap();
         assert_eq!(back.device_name, result.device_name);
         assert_eq!(back.seed, result.seed);

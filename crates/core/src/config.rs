@@ -182,8 +182,8 @@ impl CampaignConfig {
 
     /// Derived per-pair seed, stable across runs and independent of pair
     /// execution order (this is what makes a campaign whose shards run
-    /// concurrently on the queue's worker pool bitwise equal to a
-    /// sequential one).
+    /// concurrently on the queue's worker pool bitwise equal to
+    /// `CampaignSession::run`).
     pub fn pair_seed(&self, init: FreqMhz, target: FreqMhz) -> u64 {
         self.seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)

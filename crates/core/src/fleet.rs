@@ -43,8 +43,6 @@ pub struct Fleet {
     adaptive: AdaptiveConfig,
     observers: Vec<std::sync::Arc<dyn FleetObserver>>,
     cancel: CancelToken,
-    sequential: bool,
-    shard_pairs: Option<usize>,
 }
 
 impl Fleet {
@@ -88,21 +86,6 @@ impl Fleet {
         self.cancel.clone()
     }
 
-    /// Force sequential scheduling (members and their pairs).
-    pub fn sequential(mut self, on: bool) -> Self {
-        self.sequential = on;
-        self
-    }
-
-    /// Run every member through the session's
-    /// [`WorkUnit`](crate::session::WorkUnit) layer, its pairs partitioned
-    /// into work units of at most `n` pairs each — bitwise identical to
-    /// the default pair-granular scheduling, with shard progress events.
-    pub fn shard_pairs(mut self, n: usize) -> Self {
-        self.shard_pairs = Some(n.max(1));
-        self
-    }
-
     /// Number of member devices.
     pub fn len(&self) -> usize {
         self.members.len()
@@ -134,31 +117,25 @@ impl Fleet {
     /// phase 1 leaves that member in [`FleetResult::unstarted`] rather than
     /// failing the whole fleet.
     pub fn run(&self) -> CoreResult<FleetResult> {
-        let run_one =
-            |(slot, config): (usize, &CampaignConfig)| -> CoreResult<Option<CampaignResult>> {
+        let outcomes: CoreResult<Vec<Option<CampaignResult>>> = self
+            .members
+            .par_iter()
+            .enumerate()
+            .map(|(slot, config)| {
                 let mut session = CampaignSession::new(config.clone())
                     .with_adaptive(self.adaptive)
-                    .with_cancel_token(self.cancel.clone())
-                    .sequential(self.sequential);
+                    .with_cancel_token(self.cancel.clone());
                 for obs in &self.observers {
                     let obs = obs.clone();
                     session = session.observe(move |e: &CampaignEvent| obs.event(slot, e));
                 }
-                let outcome = match self.shard_pairs {
-                    Some(n) => session.run_sharded(config.ordered_state_pairs().len().div_ceil(n)),
-                    None => session.run(),
-                };
-                match outcome {
+                match session.run() {
                     Ok(r) => Ok(Some(r)),
                     Err(CoreError::Cancelled) => Ok(None),
                     Err(e) => Err(e),
                 }
-            };
-        let outcomes: CoreResult<Vec<Option<CampaignResult>>> = if self.sequential {
-            self.members.iter().enumerate().map(run_one).collect()
-        } else {
-            self.members.par_iter().enumerate().map(run_one).collect()
-        };
+            })
+            .collect();
         let mut devices = Vec::new();
         let mut unstarted = Vec::new();
         for (slot, outcome) in outcomes?.into_iter().enumerate() {
@@ -362,7 +339,7 @@ mod tests {
                 .add_campaign(quick(devices::a100_sxm4_unit(1), &[705, 1410], 8))
         };
         let a = build().run().unwrap();
-        let b = build().sequential(true).run().unwrap();
+        let b = build().run().unwrap();
         for (da, db) in a.devices().iter().zip(b.devices()) {
             for (pa, pb) in da.pairs().iter().zip(db.pairs()) {
                 assert_eq!(pa.latencies_ms(), pb.latencies_ms());
@@ -374,8 +351,7 @@ mod tests {
     fn shared_cancel_token_reaches_every_member() {
         let fleet = Fleet::new()
             .add_campaign(quick(devices::a100_sxm4(), &[705, 1410], 3))
-            .add_campaign(quick(devices::gh200(), &[705, 1980], 4))
-            .sequential(true);
+            .add_campaign(quick(devices::gh200(), &[705, 1980], 4));
         let token = fleet.cancel_token();
         let fleet = fleet.observe(move |_slot: usize, e: &CampaignEvent| {
             if matches!(e, CampaignEvent::PairFinished { .. }) {

@@ -23,11 +23,11 @@
 //! * **Analysis** ([`analysis`]) — the adaptive DBSCAN outlier filter
 //!   (Algorithm 3) applied per pair, with cluster census and silhouette
 //!   validation.
-//! * **Session** ([`session`]) — the streaming campaign engine: work
-//!   scheduled at pair granularity, typed progress events through observer
-//!   hooks or channels, cooperative cancellation, and checkpoint/resume
-//!   over the serialisable [`CampaignResult`]. [`Latest`] is a thin
-//!   blocking wrapper over it.
+//! * **Session** ([`session`]) — the campaign runner,
+//!   [`CampaignSession::run`]: work scheduled at pair granularity, typed
+//!   progress events through observer hooks or channels, cooperative
+//!   cancellation, and checkpoint/resume over the serialisable
+//!   [`CampaignResult`].
 //! * **Fleet** ([`fleet`]) — multi-device orchestration: one campaign per
 //!   device spec, run one after another, aggregated into per-device
 //!   results and cross-device summary rows.
@@ -75,7 +75,7 @@ pub mod view;
 pub mod wakeup;
 
 pub use analysis::{analyze_pair, PairAnalysis};
-pub use campaign::{CampaignResult, Latest, PairMeasurement};
+pub use campaign::{CampaignResult, PairMeasurement};
 pub use config::{CampaignConfig, CampaignConfigBuilder};
 pub use controller::{PairOutcome, PairRun};
 pub use error::{CoreError, CoreResult};
@@ -86,7 +86,7 @@ pub use platform::{
 };
 pub use session::{
     CampaignEvent, CampaignObserver, CampaignPrelude, CampaignSession, CancelToken,
-    ChannelObserver, PairTask, ShardPlan, ShardResult, SkipReason, WorkUnit,
+    ChannelObserver, PairTask, SkipReason, WorkUnit,
 };
 pub use spec::{
     CampaignSpec, CampaignSpecBuilder, FleetSpec, FreqSelection, ScenarioSpec, SpecCheckpoint,

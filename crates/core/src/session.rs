@@ -1,14 +1,16 @@
 //! The streaming campaign engine: pair-granular scheduling, typed progress
 //! events, cooperative cancellation and checkpoint/resume.
 //!
-//! [`CampaignSession`] replaces the monolithic blocking `Latest::run()` with
-//! an engine that
+//! [`CampaignSession`] is the one campaign runner. It
 //!
 //! * schedules work at **pair granularity** — phase 1 and the probe run
 //!   once, then every ordered pair is an independent work item on its own
-//!   freshly seeded platform (bitwise identical in any order; `run` itself
-//!   executes them one after another, and the queue's worker pool runs
-//!   shards of them on threads);
+//!   freshly seeded platform (bitwise identical in any order; `run` goes
+//!   through `par_iter`, which the vendored `rayon` stand-in runs one pair
+//!   after another, and the queue's worker pool runs [`WorkUnit`] shards
+//!   of them on threads). Both settle pairs into canonical-order slots
+//!   with [`settle`] and build the result with
+//!   [`CampaignSession::assemble`];
 //! * emits **typed progress events** ([`CampaignEvent`]) through any number
 //!   of observer hooks or a plain [`std::sync::mpsc`] channel, so UIs and
 //!   loggers watch the campaign in real time;
@@ -312,12 +314,12 @@ impl CancelToken {
     }
 }
 
-/// Phase 1 + probe: the once-per-campaign preamble every shard shares.
+/// Phase 1 + probe: the once-per-campaign preamble every pair shares.
 ///
 /// Produced by [`CampaignSession::prelude`] on a platform seeded from the
 /// campaign seed alone (or restored from a resume checkpoint, which is
 /// equivalent bit for bit), then handed unchanged to every
-/// [`CampaignSession::run_unit`] call.
+/// [`CampaignSession::run_unit_with`] call.
 #[derive(Clone, Debug)]
 pub struct CampaignPrelude {
     /// Phase-1 characterisation and pair validation.
@@ -351,13 +353,13 @@ pub struct PairTask {
 /// [`CampaignPrelude`]. No state flows between pairs or between shards, so
 /// *any* partition of the pairs into units, executed in *any* order on
 /// *any* number of threads (or processes), yields measurements bitwise
-/// identical to a sequential run; [`CampaignResult::merge`] only has to
-/// put them back in canonical order.
+/// identical to [`CampaignSession::run`]; [`settle`] and
+/// [`CampaignSession::assemble`] only have to put them back in canonical
+/// order.
 #[derive(Clone, Debug)]
 pub struct WorkUnit {
     shard: usize,
     n_shards: usize,
-    announce: bool,
     pairs: Vec<PairTask>,
 }
 
@@ -388,40 +390,22 @@ impl WorkUnit {
     }
 }
 
-/// Measurements produced by one [`WorkUnit`], tagged with canonical pair
-/// indices so [`CampaignResult::merge`] can reassemble them in order.
-#[derive(Clone, Debug)]
-pub struct ShardResult {
-    /// The shard that produced these measurements.
-    pub shard: usize,
-    /// `(canonical pair index, measurement)` for every pair of the unit.
-    pub pairs: Vec<(usize, PairMeasurement)>,
-}
-
-/// An enumerable partition of a campaign's pending pairs into
-/// [`WorkUnit`]s, produced by [`CampaignSession::plan`].
-#[derive(Clone, Debug)]
-pub struct ShardPlan {
-    total_pairs: usize,
-    units: Vec<WorkUnit>,
-}
-
-impl ShardPlan {
-    /// The work units, in shard order.
-    pub fn units(&self) -> &[WorkUnit] {
-        &self.units
-    }
-
-    /// Ordered pairs in the whole campaign (including any already restored
-    /// from a checkpoint and therefore absent from this plan).
-    pub fn total_pairs(&self) -> usize {
-        self.total_pairs
-    }
-
-    /// Pairs covered by this plan's units.
-    pub fn planned_pairs(&self) -> usize {
-        self.units.iter().map(WorkUnit::len).sum()
-    }
+/// Record one settled pair in its canonical slot and say whether a
+/// checkpoint is due: after every `every` settled pairs, and once more
+/// when the last slot fills.
+///
+/// `slots` holds one entry per ordered pair, `Some` once the pair settled
+/// (measured, skipped, or restored from a checkpoint);
+/// [`CampaignSession::assemble`] turns it into a result.
+pub fn settle(
+    slots: &mut [Option<PairMeasurement>],
+    index: usize,
+    meas: PairMeasurement,
+    every: usize,
+) -> bool {
+    slots[index] = Some(meas);
+    let settled = slots.iter().filter(|s| s.is_some()).count();
+    settled % every.max(1) == 0 || settled == slots.len()
 }
 
 /// Receives periodic partial-result snapshots; see
@@ -435,7 +419,6 @@ pub struct CampaignSession<F: PlatformFactory = SimPlatformFactory> {
     factory: F,
     observers: Vec<Arc<dyn CampaignObserver>>,
     cancel: CancelToken,
-    sequential: bool,
     checkpoint: Option<CampaignResult>,
     checkpoint_every: usize,
     checkpoint_sink: Option<CheckpointSink>,
@@ -458,9 +441,8 @@ impl<F: PlatformFactory> CampaignSession<F> {
             factory,
             observers: Vec::new(),
             cancel: CancelToken::new(),
-            sequential: false,
             checkpoint: None,
-            checkpoint_every: 0,
+            checkpoint_every: 1,
             checkpoint_sink: None,
         }
     }
@@ -493,14 +475,6 @@ impl<F: PlatformFactory> CampaignSession<F> {
     /// The session's cancellation token (clone it before `run`).
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
-    }
-
-    /// Force sequential pair scheduling. The default goes through
-    /// `par_iter`, which the vendored `rayon` stand-in also runs one unit
-    /// after another; both give bitwise-identical results.
-    pub fn sequential(mut self, on: bool) -> Self {
-        self.sequential = on;
-        self
     }
 
     /// Stream resumable checkpoints while the campaign runs: after every
@@ -650,8 +624,8 @@ impl<F: PlatformFactory> CampaignSession<F> {
     /// Pairs restorable verbatim from the resume checkpoint, as
     /// `(canonical index, measurement)` in canonical order (empty without a
     /// checkpoint). These are exactly the pairs [`CampaignSession::plan`]
-    /// excludes; feed them to [`CampaignResult::merge`] as one extra
-    /// [`ShardResult`] alongside the executed units.
+    /// excludes; [`settle`] them into the slots alongside the executed
+    /// units.
     pub fn restored_pairs(&self) -> Vec<(usize, PairMeasurement)> {
         let Some(cp) = &self.checkpoint else {
             return Vec::new();
@@ -668,21 +642,11 @@ impl<F: PlatformFactory> CampaignSession<F> {
             .collect()
     }
 
-    /// Partition the campaign's *pending* pairs (everything not restorable
-    /// from the resume checkpoint) into at most `n_shards` [`WorkUnit`]s of
-    /// near-equal size, in canonical pair order.
-    ///
-    /// Each unit is self-contained — canonical indices, frequencies and
-    /// per-pair platform seeds — so units can be executed in any order, on
-    /// any thread or process, and merged back deterministically; see the
-    /// [`WorkUnit`] contract.
-    pub fn plan(&self, n_shards: usize) -> ShardPlan {
-        self.plan_with(n_shards, true)
-    }
-
-    fn plan_with(&self, n_shards: usize, announce: bool) -> ShardPlan {
-        let ordered = self.config.ordered_state_pairs();
-        let pending: Vec<PairTask> = ordered
+    /// Every pair not restorable from the resume checkpoint, in canonical
+    /// order.
+    fn pending(&self) -> Vec<PairTask> {
+        self.config
+            .ordered_state_pairs()
             .iter()
             .enumerate()
             .filter(|&(_, &(init, target))| !self.is_restored(init, target))
@@ -692,74 +656,70 @@ impl<F: PlatformFactory> CampaignSession<F> {
                 target,
                 seed: self.config.state_pair_seed(init, target),
             })
-            .collect();
-        let mut units = Vec::new();
-        if !pending.is_empty() {
-            let n = n_shards.clamp(1, pending.len());
-            let chunk = pending.len().div_ceil(n);
-            units = pending
-                .chunks(chunk)
-                .enumerate()
-                .map(|(shard, pairs)| WorkUnit {
-                    shard,
-                    n_shards: 0, // patched below once the count is known
-                    announce,
-                    pairs: pairs.to_vec(),
-                })
-                .collect();
+            .collect()
+    }
+
+    /// Partition the campaign's *pending* pairs (everything not restorable
+    /// from the resume checkpoint) into at most `n_shards` [`WorkUnit`]s of
+    /// near-equal size, in canonical pair order.
+    ///
+    /// Each unit is self-contained — canonical indices, frequencies and
+    /// per-pair platform seeds — so units can be executed in any order, on
+    /// any thread or process, and settled back deterministically; see the
+    /// [`WorkUnit`] contract.
+    pub fn plan(&self, n_shards: usize) -> Vec<WorkUnit> {
+        let pending = self.pending();
+        if pending.is_empty() {
+            return Vec::new();
         }
-        let n_units = units.len();
-        for unit in &mut units {
-            unit.n_shards = n_units;
-        }
-        ShardPlan {
-            total_pairs: ordered.len(),
-            units,
-        }
+        let chunk = pending.len().div_ceil(n_shards.clamp(1, pending.len()));
+        let n_shards = pending.len().div_ceil(chunk);
+        pending
+            .chunks(chunk)
+            .enumerate()
+            .map(|(shard, pairs)| WorkUnit {
+                shard,
+                n_shards,
+                pairs: pairs.to_vec(),
+            })
+            .collect()
     }
 
     /// Execute one [`WorkUnit`]: every pair on its own `pair_seed`-seeded
-    /// platform, in the unit's canonical order, with the usual pair events
-    /// (plus `ShardStarted`/`ShardFinished` for plans built through
-    /// [`CampaignSession::plan`]).
-    pub fn run_unit(&self, prelude: &CampaignPrelude, unit: &WorkUnit) -> CoreResult<ShardResult> {
-        self.run_unit_with(prelude, unit, |_, _| {})
-    }
-
-    /// [`CampaignSession::run_unit`] with a per-pair settle hook: called
-    /// after each pair of the unit is measured (not for pairs skipped by
-    /// cancellation), before the next pair starts. The queue's shard
-    /// scheduler uses it to fold settled pairs into cross-shard
+    /// platform, in the unit's canonical order, between `ShardStarted` and
+    /// `ShardFinished` events. Returns the unit's `(canonical index,
+    /// measurement)` pairs, pairs skipped by cancellation as
+    /// [`PairOutcome::Cancelled`] placeholders.
+    ///
+    /// `on_settle` runs after each pair of the unit is measured (not for
+    /// pairs skipped by cancellation), before the next pair starts. The
+    /// queue's shard scheduler uses it to [`settle`] pairs into cross-shard
     /// checkpoints and to poll cancellation at pair granularity.
     pub fn run_unit_with(
         &self,
         prelude: &CampaignPrelude,
         unit: &WorkUnit,
         on_settle: impl Fn(usize, &PairMeasurement),
-    ) -> CoreResult<ShardResult> {
-        if unit.announce {
-            self.emit(CampaignEvent::ShardStarted {
-                shard: unit.shard,
-                n_shards: unit.n_shards,
-                pairs: unit.len(),
-            });
-        }
+    ) -> CoreResult<Vec<(usize, PairMeasurement)>> {
+        self.emit(CampaignEvent::ShardStarted {
+            shard: unit.shard,
+            n_shards: unit.n_shards,
+            pairs: unit.len(),
+        });
         let mut pairs = Vec::with_capacity(unit.len());
         for task in &unit.pairs {
-            let meas = self.measure_pair(prelude, task, &on_settle)?;
+            let meas = self.measure_pair(prelude, task)?;
+            if !meas.outcome.is_cancelled() {
+                on_settle(task.index, &meas);
+            }
             pairs.push((task.index, meas));
         }
-        if unit.announce {
-            self.emit(CampaignEvent::ShardFinished {
-                shard: unit.shard,
-                n_shards: unit.n_shards,
-                pairs: unit.len(),
-            });
-        }
-        Ok(ShardResult {
+        self.emit(CampaignEvent::ShardFinished {
             shard: unit.shard,
-            pairs,
-        })
+            n_shards: unit.n_shards,
+            pairs: unit.len(),
+        });
+        Ok(pairs)
     }
 
     /// Measure one pair on a freshly seeded platform (or record it as
@@ -768,7 +728,6 @@ impl<F: PlatformFactory> CampaignSession<F> {
         &self,
         prelude: &CampaignPrelude,
         task: &PairTask,
-        on_settle: &dyn Fn(usize, &PairMeasurement),
     ) -> CoreResult<PairMeasurement> {
         let PairTask {
             index,
@@ -828,32 +787,70 @@ impl<F: PlatformFactory> CampaignSession<F> {
                 }
             }
         }
-        let measurement = PairMeasurement {
+        Ok(PairMeasurement {
             init,
             target,
             outcome,
             analysis,
-        };
-        on_settle(index, &measurement);
-        Ok(measurement)
+        })
     }
 
-    /// Assemble shard results (in any completion order) into this
-    /// campaign's [`CampaignResult`] via [`CampaignResult::merge`].
-    pub fn merge_shards(
+    /// Assemble canonical-order slots (see [`settle`]) into this
+    /// campaign's [`CampaignResult`]. Unsettled slots become
+    /// [`PairOutcome::Cancelled`] placeholders, so a partly filled slot
+    /// vector is exactly the resumable-checkpoint shape
+    /// [`CampaignSession::resume_from`] accepts.
+    pub fn assemble(
         &self,
         prelude: &CampaignPrelude,
-        shards: Vec<ShardResult>,
+        slots: &[Option<PairMeasurement>],
     ) -> CampaignResult {
-        CampaignResult::merge(
+        let ordered = self.config.ordered_state_pairs();
+        let pairs = slots
+            .iter()
+            .zip(&ordered)
+            .map(|(slot, &(init, target))| {
+                slot.clone().unwrap_or(PairMeasurement {
+                    init,
+                    target,
+                    outcome: PairOutcome::Cancelled,
+                    analysis: None,
+                })
+            })
+            .collect();
+        CampaignResult::new(
             self.factory.device_name(),
             self.config.device_index,
             self.config.seed,
             prelude.phase1.clone(),
             prelude.probe.clone(),
-            &self.config.ordered_state_pairs(),
-            shards,
+            pairs,
         )
+    }
+
+    /// [`CampaignSession::assemble`] the final slots and emit
+    /// `CampaignFinished` with the result's pair counts.
+    pub fn finish(
+        &self,
+        prelude: &CampaignPrelude,
+        slots: &[Option<PairMeasurement>],
+    ) -> CampaignResult {
+        let result = self.assemble(prelude, slots);
+        let (completed, skipped, cancelled) =
+            result
+                .pairs()
+                .iter()
+                .fold((0, 0, 0), |(c, s, x), p| match &p.outcome {
+                    PairOutcome::Completed(_) => (c + 1, s, x),
+                    PairOutcome::Cancelled => (c, s, x + 1),
+                    _ => (c, s + 1, x),
+                });
+        self.emit(CampaignEvent::CampaignFinished {
+            completed,
+            skipped,
+            cancelled,
+        });
+        result
     }
 
     /// Run the campaign to completion (or cancellation).
@@ -862,86 +859,40 @@ impl<F: PlatformFactory> CampaignSession<F> {
     /// is partial ([`CampaignResult::is_partial`]) and can be fed back
     /// through [`CampaignSession::resume_from`].
     pub fn run(&self) -> CoreResult<CampaignResult> {
-        self.run_plan(None)
-    }
-
-    /// Run the campaign through the [`WorkUnit`] layer with an explicit
-    /// shard count: pending pairs are partitioned into at most `n_shards`
-    /// units, executed one after another (see [`CampaignSession::sequential`])
-    /// and merged — bitwise identical to [`CampaignSession::run`] for any
-    /// shard count, with `ShardStarted`/`ShardFinished` progress events.
-    pub fn run_sharded(&self, n_shards: usize) -> CoreResult<CampaignResult> {
-        self.run_plan(Some(n_shards.max(1)))
-    }
-
-    fn run_plan(&self, shards: Option<usize>) -> CoreResult<CampaignResult> {
-        let ordered = self.config.ordered_state_pairs();
         let prelude = self.prelude()?;
 
-        // Periodic checkpointing: settled pairs are recorded slot-wise so a
+        // Settled pairs land in canonical-order slots, so a checkpoint
         // snapshot can stand Cancelled placeholders in for pairs still
-        // running — giving the sink exactly the resumable partial-result
-        // shape `resume_from` validates.
-        let snapshot_slots: Mutex<Vec<Option<PairMeasurement>>> =
-            Mutex::new(vec![None; ordered.len()]);
-        let settle = |index: usize, meas: &PairMeasurement| {
-            let Some(sink) = &self.checkpoint_sink else {
-                return;
-            };
-            let mut slots = snapshot_slots.lock();
-            slots[index] = Some(meas.clone());
-            let settled = slots.iter().filter(|s| s.is_some()).count();
-            if settled % self.checkpoint_every == 0 || settled == slots.len() {
-                let pairs = slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.clone().map(|m| (i, m)))
-                    .collect();
-                let snapshot = self.merge_shards(&prelude, vec![ShardResult { shard: 0, pairs }]);
-                sink(&snapshot);
+        // running — exactly the resumable partial-result shape
+        // `resume_from` validates.
+        let slots = Mutex::new(vec![None; self.config.ordered_state_pairs().len()]);
+        let settle_pair = |index: usize, meas: PairMeasurement| {
+            let mut slots = slots.lock();
+            if settle(&mut slots, index, meas, self.checkpoint_every) {
+                if let Some(sink) = &self.checkpoint_sink {
+                    sink(&self.assemble(&prelude, &slots));
+                }
             }
         };
 
-        // Checkpoint hits restore without touching the device; only the
-        // pending pairs are planned into work units.
-        let restored = self.restored_pairs();
-        for &(index, ref meas) in &restored {
+        // Checkpoint hits restore without touching the device.
+        for (index, meas) in self.restored_pairs() {
             self.emit(CampaignEvent::PairRestored {
                 index,
                 init: meas.init,
                 target: meas.target,
             });
-            settle(index, meas);
+            settle_pair(index, meas);
         }
 
-        // Without an explicit shard count, every pair is its own unit —
-        // the scheduling granularity (and results) of the classic engine.
-        let plan = self.plan_with(shards.unwrap_or(usize::MAX), shards.is_some());
-        let run_one = |unit: &WorkUnit| self.run_unit_with(&prelude, unit, settle);
-        let results: CoreResult<Vec<ShardResult>> = if self.sequential {
-            plan.units().iter().map(run_one).collect()
-        } else {
-            plan.units().par_iter().map(run_one).collect()
-        };
-        let mut shard_results = results?;
-        shard_results.push(ShardResult {
-            shard: shard_results.len(),
-            pairs: restored,
-        });
-
-        let result = self.merge_shards(&prelude, shard_results);
-        let completed = result.completed().count();
-        let cancelled = result
-            .pairs()
-            .iter()
-            .filter(|p| p.outcome.is_cancelled())
-            .count();
-        self.emit(CampaignEvent::CampaignFinished {
-            completed,
-            skipped: result.pairs().len() - completed - cancelled,
-            cancelled,
-        });
-        Ok(result)
+        self.pending().par_iter().try_for_each(|task| {
+            let meas = self.measure_pair(&prelude, task)?;
+            if !meas.outcome.is_cancelled() {
+                settle_pair(task.index, meas);
+            }
+            Ok::<_, CoreError>(())
+        })?;
+        Ok(self.finish(&prelude, &slots.into_inner()))
     }
 }
 
@@ -967,19 +918,8 @@ mod tests {
     }
 
     #[test]
-    fn session_reproduces_latest_results() {
-        let via_latest = crate::campaign::Latest::new(small_campaign(21))
-            .run()
-            .unwrap();
-        let via_session = CampaignSession::new(small_campaign(21)).run().unwrap();
-        for (a, b) in via_latest.pairs().iter().zip(via_session.pairs()) {
-            assert_eq!(a.latencies_ms(), b.latencies_ms());
-        }
-    }
-
-    #[test]
     fn events_cover_every_pair_in_order() {
-        let mut session = CampaignSession::new(small_campaign(22)).sequential(true);
+        let mut session = CampaignSession::new(small_campaign(22));
         let rx = session.events();
         let result = session.run().unwrap();
         drop(session);
@@ -1010,7 +950,7 @@ mod tests {
 
     #[test]
     fn cancellation_yields_partial_checkpoint() {
-        let session = CampaignSession::new(small_campaign(23)).sequential(true);
+        let session = CampaignSession::new(small_campaign(23));
         let token = session.cancel_token();
         // Cancel as soon as the first pair finishes: the second must be
         // recorded as cancelled, not measured.
@@ -1041,12 +981,9 @@ mod tests {
 
     #[test]
     fn resume_completes_a_cancelled_run_bitwise() {
-        let full = CampaignSession::new(small_campaign(25))
-            .sequential(true)
-            .run()
-            .unwrap();
+        let full = CampaignSession::new(small_campaign(25)).run().unwrap();
 
-        let session = CampaignSession::new(small_campaign(25)).sequential(true);
+        let session = CampaignSession::new(small_campaign(25));
         let token = session.cancel_token();
         let session = session.observe(move |e: &CampaignEvent| {
             if matches!(e, CampaignEvent::PairFinished { .. }) {
@@ -1060,7 +997,6 @@ mod tests {
         // process restart would.
         let checkpoint = CampaignResult::from_json(&partial.to_json()).unwrap();
         let resumed = CampaignSession::new(small_campaign(25))
-            .sequential(true)
             .resume_from(checkpoint)
             .run()
             .unwrap();
@@ -1077,7 +1013,6 @@ mod tests {
         let snapshots: Arc<Mutex<Vec<CampaignResult>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = snapshots.clone();
         let full = CampaignSession::new(small_campaign(30))
-            .sequential(true)
             .checkpoint_to(1, move |cp: &CampaignResult| sink.lock().push(cp.clone()))
             .run()
             .unwrap();
@@ -1092,7 +1027,6 @@ mod tests {
         // would) and resumes to the uninterrupted result, bit for bit.
         let cp = CampaignResult::from_json(&snaps[0].to_json()).unwrap();
         let resumed = CampaignSession::new(small_campaign(30))
-            .sequential(true)
             .resume_from(cp)
             .run()
             .unwrap();

@@ -12,12 +12,12 @@
 //! ```no_run
 //! use latest_core::store::ResultStore;
 //! use latest_core::spec::CampaignSpec;
-//! # use latest_core::Latest;
+//! # use latest_core::CampaignSession;
 //! let spec = CampaignSpec::builder("a100")
 //!     .frequencies_mhz(&[705, 1410])
 //!     .build()
 //!     .unwrap();
-//! let result = Latest::new(spec.resolve().unwrap()).run().unwrap();
+//! let result = CampaignSession::new(spec.resolve().unwrap()).run().unwrap();
 //!
 //! let store = ResultStore::open("latest-store").unwrap();
 //! let id = store.put(&spec, &result).unwrap();
@@ -584,7 +584,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Latest;
+    use crate::CampaignSession;
 
     fn spec(seed: u64) -> CampaignSpec {
         CampaignSpec::builder("a100")
@@ -597,7 +597,7 @@ mod tests {
     }
 
     fn run(spec: &CampaignSpec) -> CampaignResult {
-        Latest::new(spec.resolve().unwrap()).run().unwrap()
+        CampaignSession::new(spec.resolve().unwrap()).run().unwrap()
     }
 
     fn temp_store(tag: &str) -> ResultStore {

@@ -12,11 +12,11 @@
 //!
 //! ```
 //! use latest_core::view::{Direction, LatencyView, PairStat};
-//! # use latest_core::{CampaignConfig, Latest};
+//! # use latest_core::{CampaignConfig, CampaignSession};
 //! # use latest_gpu_sim::devices;
 //! # let config = CampaignConfig::builder(devices::a100_sxm4())
 //! #     .frequencies_mhz(&[705, 1410]).measurements(5, 10).build();
-//! # let result = Latest::new(config).run().unwrap();
+//! # let result = CampaignSession::new(config).run().unwrap();
 //! // Pool the outlier-filtered latencies of every completed down-switch.
 //! let down = LatencyView::of(&result)
 //!     .direction(Direction::Decreasing)
@@ -481,7 +481,7 @@ impl<'a> LatencyView<'a> {
 mod tests {
     use super::*;
     use crate::config::CampaignConfig;
-    use crate::Latest;
+    use crate::CampaignSession;
     use latest_gpu_sim::devices;
     use latest_gpu_sim::transition::FixedTransition;
     use latest_sim_clock::SimDuration;
@@ -498,7 +498,7 @@ mod tests {
             .simulated_sms(Some(2))
             .seed(seed)
             .build();
-        Latest::new(config).run().unwrap()
+        CampaignSession::new(config).run().unwrap()
     }
 
     #[test]

@@ -10,13 +10,19 @@
 //! stragglers that are inliers within that run but outliers across the
 //! corpus.
 //!
+//! Pairs are keyed by core clock alone, so only core-only pairs train: a
+//! pair whose initial or target state pins a memory clock is skipped, and
+//! a run with no core-only pair (a memory-plane sweep) contributes nothing
+//! — merging its samples would fold e.g. 705/810 → 705/1215 MHz into a
+//! 705 → 705 self-pair.
+//!
 //! Assembly is deterministic: runs are visited in run-id order, pairs are
 //! kept in `(init, target)` order, and samples are sorted ascending.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use latest_cluster::{adaptive_outlier_filter, AdaptiveConfig};
-use latest_core::{LatencyView, ResultStore, RunId};
+use latest_core::{LatencyView, PairMeasurement, ResultStore, RunId};
 
 use crate::{PredictError, PredictResult};
 
@@ -94,7 +100,8 @@ pub fn family_matches(family: &RunId, prefix: &str) -> bool {
 
 /// Assemble one corpus per device from every archived run, optionally
 /// restricted to families matching `family_prefix`. Devices come back in
-/// name order; devices with no usable pairs are omitted.
+/// name order; devices with no usable pairs are omitted. Pairs with a
+/// memory clock are skipped (see the [module docs](self)).
 pub fn build_corpora(
     store: &ResultStore,
     family_prefix: Option<&str>,
@@ -106,6 +113,7 @@ pub fn build_corpora(
     type PairAcc = BTreeMap<(u32, u32), (Vec<f64>, u64)>;
     let mut by_device: BTreeMap<String, (BTreeSet<String>, u64, PairAcc)> = BTreeMap::new();
 
+    let core_only = |p: &PairMeasurement| !p.init.has_mem() && !p.target.has_mem();
     for run in &runs {
         let family = RunId::family_of(&run.spec);
         if let Some(prefix) = family_prefix {
@@ -113,11 +121,14 @@ pub fn build_corpora(
                 continue;
             }
         }
+        if !run.result.pairs().iter().any(core_only) {
+            continue;
+        }
         let entry = by_device.entry(run.spec.device.clone()).or_default();
         entry.0.insert(family.as_str().to_string());
         entry.1 += 1;
         let view = LatencyView::of(&run.result).completed();
-        for pair in view.pairs() {
+        for pair in view.pairs().filter(|p| core_only(p.measurement())) {
             if let Some(filtered) = pair.filtered_ms() {
                 if filtered.is_empty() {
                     continue;

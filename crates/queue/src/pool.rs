@@ -19,13 +19,15 @@
 //!    through the member's [`CampaignSession`]. Per-pair platforms are
 //!    seeded from the campaign seed and the pair alone, so the
 //!    interleaving of shards across workers is invisible in the results:
-//!    the merged output is bitwise identical to a sequential run. Settled
-//!    pairs fold into a per-member [`SpecCheckpoint`] (atomic
-//!    write-to-temp + rename), and the shard ledger on the job's journal
-//!    entry tracks pair/shard progress for `queue status`.
+//!    the assembled output is bitwise identical to
+//!    [`CampaignSession::run`]. Settled pairs fold into a per-member
+//!    [`SpecCheckpoint`] (atomic write-to-temp + rename), and the shard
+//!    ledger on the job's journal entry tracks pair/shard progress for
+//!    `queue status`.
 //! 4. **Archive** — when a job's last shard settles, the finishing worker
-//!    merges the slots back into canonical pair order, archives each
-//!    member result into the [`ResultStore`], and settles the job.
+//!    assembles each member's slots ([`CampaignSession::finish`]),
+//!    archives each member result into the [`ResultStore`], and settles
+//!    the job.
 //! 5. **Settle** — still-queued duplicates of the job's key are marked
 //!    `Done` (coalesced): two submissions of the same spec observe one
 //!    execution.
@@ -57,11 +59,11 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::Duration;
 
 use latest_core::session::{
-    CampaignEvent, CampaignPrelude, CampaignSession, CancelToken, ShardResult, WorkUnit,
+    settle, CampaignEvent, CampaignPrelude, CampaignSession, CancelToken, WorkUnit,
 };
 use latest_core::spec::{CampaignSpec, SpecCheckpoint};
 use latest_core::store::{ResultStore, RunId, StoreError};
-use latest_core::{CoreError, PairMeasurement, PairOutcome};
+use latest_core::{CoreError, PairMeasurement};
 use latest_telemetry::{ClockSpec, Registry, Stage, StageClock, TelemetrySnapshot};
 use parking_lot::Mutex;
 
@@ -784,10 +786,10 @@ impl WorkerPool {
                         },
                     });
                 }
-                let units: Vec<WorkUnit> = if pending == 0 {
+                let units = if pending == 0 {
                     Vec::new()
                 } else {
-                    mr.session.plan(self.shards_for(pending)).units().to_vec()
+                    mr.session.plan(self.shards_for(pending))
                 };
                 mr.shards_total = units.len();
                 let _ = run.members[member].set(Some(mr));
@@ -918,9 +920,12 @@ impl WorkerPool {
             // them now, so watchers still see pair-granular progress.
             self.flush_events();
             let mut slots = mr.slots.lock().expect("member slots poisoned");
-            slots[index] = Some(meas.clone());
-            let settled = slots.iter().filter(|s| s.is_some()).count();
-            if settled % self.config.checkpoint_every == 0 || settled == slots.len() {
+            if settle(
+                &mut slots,
+                index,
+                meas.clone(),
+                self.config.checkpoint_every,
+            ) {
                 self.write_checkpoint(mr, &slots);
                 // The settle hook doubles as the busy pool's cancellation
                 // poll: markers and shutdown are honoured at the next
@@ -935,9 +940,8 @@ impl WorkerPool {
         let outcome = mr.session.run_unit_with(&mr.prelude, unit, on_settle);
         self.record(Stage::ShardExec, self.now_ns().saturating_sub(exec_start));
         match outcome {
-            Ok(shard) => {
-                let measured = shard
-                    .pairs
+            Ok(pairs) => {
+                let measured = pairs
                     .iter()
                     .filter(|(_, m)| !m.outcome.is_cancelled())
                     .count();
@@ -966,17 +970,9 @@ impl WorkerPool {
     /// partial-result shape `resume_from` validates.
     fn write_checkpoint(&self, mr: &MemberRun, slots: &[Option<PairMeasurement>]) {
         let start = self.now_ns();
-        let pairs: Vec<(usize, PairMeasurement)> = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|m| (i, m.clone())))
-            .collect();
-        let result = mr
-            .session
-            .merge_shards(&mr.prelude, vec![ShardResult { shard: 0, pairs }]);
         let doc = SpecCheckpoint {
             spec: mr.spec.clone(),
-            result,
+            result: mr.session.assemble(&mr.prelude, slots),
         };
         let _ = doc.save(&mr.ckpt_path);
         self.record(Stage::CheckpointStall, self.now_ns().saturating_sub(start));
@@ -1064,8 +1060,8 @@ impl WorkerPool {
             return Ok(());
         }
 
-        // Success: merge every member's slots back into canonical pair
-        // order and auto-archive — the store becomes a memoization layer
+        // Success: assemble every member's slots into its result and
+        // auto-archive — the store becomes a memoization layer
         // for the whole service.
         let mut results = Vec::with_capacity(run.members.len());
         for (member, slot) in run.members.iter().enumerate() {
@@ -1073,35 +1069,13 @@ impl WorkerPool {
                 run.fail(format!("member {member}: internal: never built"));
                 return self.finalize(run);
             };
-            let pairs: Vec<(usize, PairMeasurement)> = {
-                let slots = mr.slots.lock().expect("member slots poisoned");
-                slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.as_ref().map(|m| (i, m.clone())))
-                    .collect()
-            };
-            let result = mr
-                .session
-                .merge_shards(&mr.prelude, vec![ShardResult { shard: 0, pairs }]);
-            let (completed, skipped, cancelled) =
-                result
-                    .pairs()
-                    .iter()
-                    .fold((0, 0, 0), |(c, s, x), p| match &p.outcome {
-                        PairOutcome::Completed(_) => (c + 1, s, x),
-                        PairOutcome::Cancelled => (c, s, x + 1),
-                        _ => (c, s + 1, x),
-                    });
-            self.emit(QueueEvent::Progress {
-                job: job.id,
-                member,
-                event: CampaignEvent::CampaignFinished {
-                    completed,
-                    skipped,
-                    cancelled,
-                },
-            });
+            // `finish` spools the member's `CampaignFinished` through the
+            // session's observer; deliver it before the next member's.
+            let result = mr.session.finish(
+                &mr.prelude,
+                &mr.slots.lock().expect("member slots poisoned"),
+            );
+            self.flush_events();
             results.push((mr.spec.clone(), result));
         }
         for (spec, result) in &results {

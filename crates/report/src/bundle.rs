@@ -307,7 +307,7 @@ fn summary_json(result: &CampaignResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latest_core::{CampaignConfig, Latest};
+    use latest_core::{CampaignConfig, CampaignSession};
     use latest_gpu_sim::devices;
     use latest_gpu_sim::transition::FixedTransition;
     use latest_sim_clock::SimDuration;
@@ -324,7 +324,7 @@ mod tests {
             .simulated_sms(Some(2))
             .seed(seed)
             .build();
-        Latest::new(config).run().unwrap()
+        CampaignSession::new(config).run().unwrap()
     }
 
     #[test]
@@ -365,7 +365,7 @@ mod tests {
             .simulated_sms(Some(2))
             .seed(seed)
             .build();
-        Latest::new(config).run().unwrap()
+        CampaignSession::new(config).run().unwrap()
     }
 
     #[test]

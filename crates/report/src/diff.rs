@@ -256,7 +256,7 @@ fn holm_mark_significant(deltas: &mut [PairDelta], alpha: f64) {
 mod tests {
     use super::*;
     use crate::artifact::{Artifact, Format};
-    use latest_core::{CampaignConfig, Latest};
+    use latest_core::{CampaignConfig, CampaignSession};
     use latest_gpu_sim::devices;
     use latest_gpu_sim::transition::FixedTransition;
     use latest_sim_clock::SimDuration;
@@ -273,7 +273,7 @@ mod tests {
             .simulated_sms(Some(2))
             .seed(seed)
             .build();
-        Latest::new(config).run().unwrap()
+        CampaignSession::new(config).run().unwrap()
     }
 
     #[test]
@@ -323,7 +323,7 @@ mod tests {
         spec_a.transition = Arc::new(FixedTransition {
             latency: SimDuration::from_millis(8),
         });
-        let a = Latest::new(
+        let a = CampaignSession::new(
             CampaignConfig::builder(spec_a.clone())
                 .frequencies_mhz(&[705, 1410])
                 .measurements(6, 10)
@@ -333,7 +333,7 @@ mod tests {
         )
         .run()
         .unwrap();
-        let b = Latest::new(
+        let b = CampaignSession::new(
             CampaignConfig::builder(spec_a)
                 .frequencies_mhz(&[705, 1095])
                 .measurements(6, 10)

@@ -18,7 +18,7 @@
 
 use std::path::PathBuf;
 
-use latest_core::{CampaignConfig, CampaignResult, Latest};
+use latest_core::{CampaignConfig, CampaignResult, CampaignSession};
 use latest_gpu_sim::devices;
 use latest_report::{campaign_summary_table, Artifact, Bundle, Format};
 
@@ -29,7 +29,7 @@ fn fixed_campaign() -> CampaignResult {
         .simulated_sms(Some(2))
         .seed(0xC0FFEE)
         .build();
-    Latest::new(config).run().unwrap()
+    CampaignSession::new(config).run().unwrap()
 }
 
 fn golden_dir() -> PathBuf {

@@ -8,7 +8,7 @@
 //! cargo run --release --example cpu_vs_gpu
 //! ```
 
-use latest::core::{CampaignConfig, Latest};
+use latest::core::{CampaignConfig, CampaignSession};
 use latest::ftalat::{
     ftalat_phase1, intel_skylake_sp, measure_transition, slow_governor_cpu, SimCpuCore,
 };
@@ -42,7 +42,7 @@ fn gpu_worst_mean_ms(spec: latest::gpu_sim::devices::DeviceSpec, seed: u64) -> (
         .simulated_sms(Some(4))
         .seed(seed)
         .build();
-    let result = Latest::new(config).run().expect("gpu campaign");
+    let result = CampaignSession::new(config).run().expect("gpu campaign");
     let maxima: Vec<f64> = result
         .completed()
         .filter_map(|p| p.analysis.as_ref())

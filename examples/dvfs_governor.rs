@@ -20,7 +20,7 @@
 //! A switch costs what the paper measures: the device keeps serving at the
 //! old clock until the target clock takes over.
 
-use latest::core::{CampaignConfig, Latest};
+use latest::core::{CampaignConfig, CampaignSession};
 use latest::governor::{
     make_policy, replay_seed, DaemonConfig, GovernorDaemon, LatencyTable, PowerModel,
     TransitionReplay, ZoneLadder, POLICY_NAMES,
@@ -42,7 +42,7 @@ fn main() {
         .simulated_sms(Some(4))
         .seed(0x60F)
         .build();
-    let result = Latest::new(config).run().expect("campaign");
+    let result = CampaignSession::new(config).run().expect("campaign");
     let table = LatencyTable::from_campaign(&result);
     println!(
         "table: {} pairs, typical latency {:.1} ms, {} pathological pairs (>5x typical)\n",

@@ -13,7 +13,7 @@
 //! column means against the variance of row means.
 
 use latest::core::view::{LatencyView, PairStat};
-use latest::core::{CampaignConfig, Latest};
+use latest::core::{CampaignConfig, CampaignSession};
 use latest::gpu_sim::devices::{self, DeviceSpec};
 use latest::report::Heatmap;
 
@@ -50,7 +50,7 @@ fn main() {
     let freqs: Vec<u32> = config.frequencies.iter().map(|f| f.0).collect();
     let device_name = config.spec.name.clone();
 
-    let result = Latest::new(config).run().expect("sweep failed");
+    let result = CampaignSession::new(config).run().expect("sweep failed");
 
     let view = LatencyView::of(&result).completed();
     for (title, stat) in [

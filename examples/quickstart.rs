@@ -22,8 +22,8 @@
 //!
 //! The campaign runs through the streaming `CampaignSession` API: pairs are
 //! scheduled individually and every start/finish is observable as a typed
-//! event while the campaign is still running. (The old one-liner
-//! `Latest::new(config).run()` still works and gives identical results.)
+//! event while the campaign is still running. Without observers,
+//! `CampaignSession::new(config).run()` is the whole blocking call.
 
 use latest::core::{CampaignConfig, CampaignEvent, CampaignSession};
 use latest::gpu_sim::devices;

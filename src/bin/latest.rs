@@ -115,9 +115,6 @@ run-only options:
                        running, and resume from it when it already exists
                        (single-campaign specs only)
   --checkpoint-every <n>  pairs between checkpoint writes    [5]
-  --shard-pairs <n>    schedule pairs in work units of at most n pairs
-                       (shard progress events; results stay bitwise
-                       identical to the default pair-granular scheduling)
 
 report/diff/list-runs options:
   --store <dir>        the result store to read               [latest-store]
@@ -297,7 +294,6 @@ struct RunArgs {
     progress: bool,
     checkpoint: Option<PathBuf>,
     checkpoint_every: usize,
-    shard_pairs: Option<usize>,
 }
 
 fn parse_run_args(raw: &[String]) -> Result<RunArgs, CliError> {
@@ -324,7 +320,6 @@ fn parse_run_args(raw: &[String]) -> Result<RunArgs, CliError> {
             Flag("--progress") => out.progress = true,
             Flag("--checkpoint") => out.checkpoint = Some(args.parse()?),
             Flag("--checkpoint-every") => out.checkpoint_every = args.parse()?,
-            Flag("--shard-pairs") => out.shard_pairs = Some(args.parse::<usize>()?.max(1)),
             Flag(_) => return Err(args.unknown()),
             // A positional is either the scenario file or the legacy
             // frequency list.
@@ -565,9 +560,6 @@ fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> CliResult {
         config.ordered_state_pairs().len()
     );
 
-    let n_shards = args
-        .shard_pairs
-        .map(|n| config.ordered_state_pairs().len().div_ceil(n));
     let mut session = CampaignSession::new(config);
     if args.progress {
         let fmt = std::sync::Mutex::new(ProgressFormatter::new());
@@ -620,11 +612,7 @@ fn run_campaign(spec: CampaignSpec, args: &RunArgs) -> CliResult {
         });
     }
 
-    let result = match n_shards {
-        Some(n) => session.run_sharded(n),
-        None => session.run(),
-    }
-    .map_err(|e| Failed(e.to_string()))?;
+    let result = session.run().map_err(|e| Failed(e.to_string()))?;
 
     eprintln!(
         "phase 1: {} valid pairs, {} skipped as indistinguishable",
@@ -734,10 +722,6 @@ fn run_fleet(spec: FleetSpec, args: &RunArgs) -> CliResult {
         })
     } else {
         fleet
-    };
-    let fleet = match args.shard_pairs {
-        Some(n) => fleet.shard_pairs(n),
-        None => fleet,
     };
     let result = fleet.run().map_err(|e| Failed(e.to_string()))?;
     if let Some(dir) = &args.store {

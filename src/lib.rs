@@ -51,10 +51,9 @@
 //! }
 //! ```
 //!
-//! The blocking one-liner `Latest::new(config).run()` remains as a thin
-//! wrapper over the session; multi-device sweeps use
-//! [`core::Fleet`](latest_core::fleet::Fleet). See the README's "Migrating
-//! from `Latest::run()`" section.
+//! Without observers, `CampaignSession::new(config).run()` is the whole
+//! blocking call; multi-device sweeps use
+//! [`core::Fleet`](latest_core::fleet::Fleet).
 
 pub use latest_clock_sync as clock_sync;
 pub use latest_cluster as cluster;

@@ -68,7 +68,6 @@ fn pre_memory_archive_bytes_reproduce_exactly() {
     };
     let config = spec.resolve().expect("golden spec resolves");
     let result = CampaignSession::new(config)
-        .sequential(true)
         .run()
         .expect("golden campaign runs");
 

@@ -141,6 +141,12 @@ fn usage_errors_print_the_group_usage_and_exit_two() {
         &top,
     );
     assert_usage_error(&["run", "--bogus"], "unknown option --bogus", &top);
+    // Work-unit size is a queue-service knob; a direct run has one schedule.
+    assert_usage_error(
+        &["run", "scenarios/table2.json", "--shard-pairs", "2"],
+        "unknown option --shard-pairs",
+        &top,
+    );
     assert_usage_error(&["run", "--seed"], "missing value for --seed", &top);
     assert_usage_error(
         &["run", "--seed", "x", "705,1410"],

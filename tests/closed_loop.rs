@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use latest::core::{CampaignConfig, Latest};
+use latest::core::{CampaignConfig, CampaignSession};
 use latest::gpu_sim::devices::{self, DeviceSpec};
 use latest::gpu_sim::transition::FixedTransition;
 use latest::sim_clock::SimDuration;
@@ -29,7 +29,7 @@ fn campaign(spec: DeviceSpec, freqs: &[u32], seed: u64) -> latest::core::Campaig
         .simulated_sms(Some(4))
         .seed(seed)
         .build();
-    Latest::new(config).run().expect("campaign")
+    CampaignSession::new(config).run().expect("campaign")
 }
 
 #[test]

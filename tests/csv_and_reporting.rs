@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use latest::core::controller::PairRun;
 use latest::core::output::{csv_filename, parse_csv_filename, read_pair_csv, write_pair_csv};
-use latest::core::{CampaignConfig, Latest};
+use latest::core::{CampaignConfig, CampaignSession};
 use latest::gpu_sim::devices;
 use latest::gpu_sim::freq::FreqMhz;
 use latest::gpu_sim::transition::FixedTransition;
@@ -28,7 +28,7 @@ fn campaign_to_csv_to_heatmap_round_trip() {
         .seed(20)
         .build();
     let freqs: Vec<u32> = config.frequencies.iter().map(|f| f.0).collect();
-    let result = Latest::new(config).run().unwrap();
+    let result = CampaignSession::new(config).run().unwrap();
 
     // Write every completed pair to the standardised files.
     let dir = std::env::temp_dir().join(format!("latest_rs_it_{}", std::process::id()));

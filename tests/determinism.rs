@@ -1,11 +1,12 @@
 //! Reproducibility: identical seeds must give bitwise-identical campaigns,
-//! regardless of rayon scheduling, session scheduling mode (sequential vs
-//! parallel), or a checkpoint/resume round-trip — and different seeds must
-//! differ.
+//! regardless of rayon scheduling, of how the pairs are split into work
+//! units and run on threads, or of a checkpoint/resume round-trip — and
+//! different seeds must differ.
 
-use latest::core::{
-    CampaignConfig, CampaignEvent, CampaignResult, CampaignSession, Latest, ShardResult,
-};
+use std::sync::{Mutex, OnceLock};
+
+use latest::core::session::settle;
+use latest::core::{CampaignConfig, CampaignEvent, CampaignResult, CampaignSession};
 use latest::gpu_sim::devices;
 use latest::gpu_sim::freq::FreqMhz;
 use proptest::prelude::*;
@@ -24,7 +25,7 @@ fn run(seed: u64, threads: usize) -> CampaignResult {
         .num_threads(threads)
         .build()
         .unwrap();
-    pool.install(|| Latest::new(config(seed)).run().expect("campaign"))
+    pool.install(|| CampaignSession::new(config(seed)).run().expect("campaign"))
 }
 
 fn all_latencies(result: &CampaignResult) -> Vec<(u32, u32, Vec<u64>)> {
@@ -109,30 +110,12 @@ fn phase1_characterisation_is_reproducible() {
 // --- the session engine -----------------------------------------------------
 
 #[test]
-fn session_sequential_and_parallel_schedules_are_bitwise_identical() {
-    // The session schedules pairs either inline or through rayon; per-pair
-    // platform seeding makes the schedule invisible in the results.
-    let sequential = CampaignSession::new(config(83))
-        .sequential(true)
-        .run()
-        .unwrap();
-    let parallel = CampaignSession::new(config(83)).run().unwrap();
-    assert_eq!(all_latencies(&sequential), all_latencies(&parallel));
-    // And the session agrees with the legacy wrapper it replaced.
-    let legacy = Latest::new(config(83)).run().unwrap();
-    assert_eq!(all_latencies(&sequential), all_latencies(&legacy));
-}
-
-#[test]
 fn checkpoint_resume_roundtrip_is_bitwise_identical() {
-    let uninterrupted = CampaignSession::new(config(84))
-        .sequential(true)
-        .run()
-        .unwrap();
+    let uninterrupted = CampaignSession::new(config(84)).run().unwrap();
 
     // Cancel after the third pair completes, checkpoint through JSON (as a
     // process restart would), then resume the remaining pairs.
-    let session = CampaignSession::new(config(84)).sequential(true);
+    let session = CampaignSession::new(config(84));
     let token = session.cancel_token();
     let seen = std::sync::atomic::AtomicUsize::new(0);
     let session = session.observe(move |e: &CampaignEvent| {
@@ -152,7 +135,6 @@ fn checkpoint_resume_roundtrip_is_bitwise_identical() {
 
     let checkpoint = CampaignResult::from_json(&partial.to_json()).expect("checkpoint parses");
     let resumed = CampaignSession::new(config(84))
-        .sequential(true)
         .resume_from(checkpoint)
         .run()
         .unwrap();
@@ -162,19 +144,40 @@ fn checkpoint_resume_roundtrip_is_bitwise_identical() {
 
 // --- the work-unit layer ----------------------------------------------------
 
+/// Run `session`'s pending pairs the way the queue's worker pool does:
+/// split into `plan(n_shards)` work units, one scoped thread per unit,
+/// spawned in reverse key order, every measurement settled into shared
+/// canonical-order slots as its unit returns, then assembled.
+fn run_on_threads(session: &CampaignSession, n_shards: usize) -> CampaignResult {
+    let prelude = session.prelude().expect("prelude");
+    let units = session.plan(n_shards);
+    let slots = Mutex::new(vec![None; session.config().ordered_state_pairs().len()]);
+    std::thread::scope(|scope| {
+        for unit in units.iter().rev() {
+            let (prelude, slots) = (&prelude, &slots);
+            scope.spawn(move || {
+                let pairs = session
+                    .run_unit_with(prelude, unit, |_, _| {})
+                    .expect("work unit");
+                let mut slots = slots.lock().unwrap();
+                for (index, meas) in pairs {
+                    settle(&mut slots, index, meas, 1);
+                }
+            });
+        }
+    });
+    session.assemble(&prelude, &slots.into_inner().unwrap())
+}
+
 #[test]
 fn sharded_schedules_are_bitwise_identical_to_sequential() {
     // The WorkUnit determinism contract: partitioning the pairs into any
-    // number of shards must be invisible in the results — each pair's
-    // platform is seeded from (campaign seed, pair) alone.
-    let reference = CampaignSession::new(config(85))
-        .sequential(true)
-        .run()
-        .unwrap();
+    // number of units, run concurrently on threads, must be invisible in
+    // the results — each pair's platform is seeded from (campaign seed,
+    // pair) alone.
+    let reference = CampaignSession::new(config(85)).run().unwrap();
     for n_shards in [1, 2, 5, usize::MAX] {
-        let sharded = CampaignSession::new(config(85))
-            .run_sharded(n_shards)
-            .unwrap();
+        let sharded = run_on_threads(&CampaignSession::new(config(85)), n_shards);
         assert_eq!(
             all_latencies(&reference),
             all_latencies(&sharded),
@@ -189,41 +192,32 @@ fn sharded_schedules_are_bitwise_identical_to_sequential() {
 }
 
 proptest! {
-    /// `CampaignResult::merge` must reassemble the canonical result from
-    /// ANY partition of the pairs into shards, presented in any order.
+    /// Settling measurements into the canonical slots and assembling must
+    /// reassemble the canonical result from ANY partition of the pairs into
+    /// shards, settled in any order.
     #[test]
     fn merge_reassembles_any_partition(
         assignment in proptest::collection::vec(0usize..4, 6),
     ) {
-        static REFERENCE: std::sync::OnceLock<CampaignResult> = std::sync::OnceLock::new();
-        let reference = REFERENCE.get_or_init(|| {
-            CampaignSession::new(config(86))
-                .sequential(true)
-                .run()
-                .unwrap()
-        });
-        let ordered = config(86).ordered_state_pairs();
+        static REFERENCE: OnceLock<CampaignResult> = OnceLock::new();
+        let reference = REFERENCE.get_or_init(|| CampaignSession::new(config(86)).run().unwrap());
+        let session = CampaignSession::new(config(86));
+        let ordered = session.config().ordered_state_pairs();
         prop_assert_eq!(assignment.len(), ordered.len());
 
         // Partition the measured pairs by the random shard assignment,
-        // then present the shards in reverse order: merge sorts them.
-        let mut shards: Vec<ShardResult> = (0..4)
-            .map(|shard| ShardResult { shard, pairs: Vec::new() })
-            .collect();
+        // then settle the shards in reverse order.
+        let mut shards = vec![Vec::new(); 4];
         for (index, pair) in reference.pairs().iter().enumerate() {
-            shards[assignment[index]].pairs.push((index, pair.clone()));
+            shards[assignment[index]].push((index, pair.clone()));
         }
-        shards.reverse();
-
-        let merged = CampaignResult::merge(
-            reference.device_name.clone(),
-            reference.device_index,
-            reference.seed,
-            reference.phase1.clone(),
-            reference.probe.clone(),
-            &ordered,
-            shards,
-        );
+        let mut slots = vec![None; ordered.len()];
+        for shard in shards.into_iter().rev() {
+            for (index, meas) in shard {
+                settle(&mut slots, index, meas, 1);
+            }
+        }
+        let merged = session.assemble(&session.prelude().unwrap(), &slots);
         prop_assert_eq!(reference.to_json(), merged.to_json());
     }
 }
@@ -244,27 +238,20 @@ fn mem_plane_config(seed: u64) -> CampaignConfig {
 fn mem_plane_sharded_schedules_are_bitwise_identical_to_sequential() {
     // The 2-D (core × memory) sweep inherits the WorkUnit determinism
     // contract unchanged: 4 states → 12 ordered state pairs, and any
-    // sharding of them reproduces the sequential run bit for bit.
-    let reference = CampaignSession::new(mem_plane_config(90))
-        .sequential(true)
-        .run()
-        .unwrap();
+    // split of them into units run on threads reproduces `run()` bit for
+    // bit.
+    let reference = CampaignSession::new(mem_plane_config(90)).run().unwrap();
     assert_eq!(reference.pairs().len(), 12);
     for n_shards in [1, 3, 5, usize::MAX] {
-        let sharded = CampaignSession::new(mem_plane_config(90))
-            .run_sharded(n_shards)
-            .unwrap();
+        let sharded = run_on_threads(&CampaignSession::new(mem_plane_config(90)), n_shards);
         assert_eq!(
             reference.to_json(),
             sharded.to_json(),
             "n_shards={n_shards}"
         );
     }
-    // And two independent sequential runs agree bitwise too.
-    let again = CampaignSession::new(mem_plane_config(90))
-        .sequential(true)
-        .run()
-        .unwrap();
+    // And two independent runs agree bitwise too.
+    let again = CampaignSession::new(mem_plane_config(90)).run().unwrap();
     assert_eq!(reference.to_json(), again.to_json());
 }
 

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use latest::core::{CampaignConfig, Latest, PairOutcome};
+use latest::core::{CampaignConfig, CampaignSession, PairOutcome};
 use latest::gpu_sim::devices::{self, DeviceSpec};
 use latest::gpu_sim::transition::FixedTransition;
 use latest::sim_clock::SimDuration;
@@ -29,7 +29,7 @@ fn power_capped_frequency_pairs_are_skipped_not_fatal() {
         latency: SimDuration::from_millis(6),
     });
     spec.thermal.tdp_w = spec.power.busy_power(1200.0);
-    let result = Latest::new(base_config(spec, &[705, 1095, 1410], 10))
+    let result = CampaignSession::new(base_config(spec, &[705, 1095, 1410], 10))
         .run()
         .unwrap();
 
@@ -70,7 +70,7 @@ fn thermal_events_discard_and_continue() {
     spec.thermal.throttle_temp_c = 66.0;
     spec.thermal.release_temp_c = 60.0;
     spec.thermal.throttle_cap_mhz = 1410.0;
-    let result = Latest::new(base_config(spec, &[705, 1410], 11))
+    let result = CampaignSession::new(base_config(spec, &[705, 1410], 11))
         .run()
         .unwrap();
 
@@ -96,7 +96,7 @@ fn indistinguishable_pairs_are_excluded_in_phase1() {
     let mut config = base_config(devices::a100_sxm4(), &[1395, 1410], 12);
     config.workload.noise_rel_sigma = 0.5;
     config.phase1_iters = 40;
-    let result = Latest::new(config).run().unwrap();
+    let result = CampaignSession::new(config).run().unwrap();
     assert!(
         result
             .pairs()
@@ -121,7 +121,9 @@ fn campaign_survives_unmeasurable_pairs() {
     config.max_retries = 1;
     config.initial_latency_guess_ms = 0.5;
     config.probe_safety_factor = 1.0;
-    let result = Latest::new(config).run().expect("campaign must not abort");
+    let result = CampaignSession::new(config)
+        .run()
+        .expect("campaign must not abort");
     assert_eq!(result.pairs().len(), 6);
     for p in result.pairs() {
         match &p.outcome {
@@ -136,12 +138,12 @@ fn campaign_survives_unmeasurable_pairs() {
 #[test]
 fn single_frequency_config_is_rejected() {
     let config = base_config(devices::a100_sxm4(), &[705], 14);
-    assert!(Latest::new(config).run().is_err());
+    assert!(CampaignSession::new(config).run().is_err());
 }
 
 #[test]
 fn off_ladder_frequency_is_rejected() {
     // 1000 MHz is not a 15 MHz A100 ladder step.
     let config = base_config(devices::a100_sxm4(), &[705, 1000], 15);
-    assert!(Latest::new(config).run().is_err());
+    assert!(CampaignSession::new(config).run().is_err());
 }

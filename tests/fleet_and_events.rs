@@ -148,8 +148,7 @@ fn fleet_over_two_models_aggregates_per_device() {
 fn fleet_events_and_cancellation_compose() {
     let fleet = Fleet::new()
         .add_campaign(quick_config(devices::a100_sxm4(), &[705, 1410], 44))
-        .add_campaign(quick_config(devices::a100_sxm4_unit(1), &[705, 1410], 45))
-        .sequential(true);
+        .add_campaign(quick_config(devices::a100_sxm4_unit(1), &[705, 1410], 45));
 
     let (tx, rx) = std::sync::mpsc::channel::<(usize, bool)>();
     let tx = std::sync::Mutex::new(tx);
@@ -180,8 +179,7 @@ fn fleet_events_and_cancellation_compose() {
 /// and the partial result knows it is partial.
 #[test]
 fn cancellation_marks_pairs_and_result_partial() {
-    let session = CampaignSession::new(quick_config(devices::a100_sxm4(), &[705, 1095, 1410], 46))
-        .sequential(true);
+    let session = CampaignSession::new(quick_config(devices::a100_sxm4(), &[705, 1095, 1410], 46));
     let token = session.cancel_token();
     let mut session = session.observe(move |e: &CampaignEvent| {
         if matches!(e, CampaignEvent::PairFinished { .. }) {

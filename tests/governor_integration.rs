@@ -3,7 +3,7 @@
 //! decisions under builtin traffic — the full loop the paper's Sec. VIII
 //! motivates.
 
-use latest::core::{CampaignConfig, CampaignEvent, CampaignSession, Latest};
+use latest::core::{CampaignConfig, CampaignEvent, CampaignSession};
 use latest::governor::{
     make_policy, DaemonConfig, GovernorDaemon, LatencyTable, PowerModel, Scorecard,
     TransitionReplay, ZoneLadder, POLICY_NAMES,
@@ -18,7 +18,7 @@ fn measured_table(seed: u64) -> LatencyTable {
         .simulated_sms(Some(3))
         .seed(seed)
         .build();
-    let result = Latest::new(config).run().expect("campaign");
+    let result = CampaignSession::new(config).run().expect("campaign");
     LatencyTable::from_campaign(&result)
 }
 
@@ -135,7 +135,7 @@ fn cancelled_pairs_are_counted_not_silently_dropped() {
         .simulated_sms(Some(3))
         .seed(206)
         .build();
-    let session = CampaignSession::new(config).sequential(true);
+    let session = CampaignSession::new(config);
     let token = session.cancel_token();
     let seen = std::sync::atomic::AtomicUsize::new(0);
     let session = session.observe(move |e: &CampaignEvent| {
@@ -165,7 +165,7 @@ fn cancelled_pairs_are_counted_not_silently_dropped() {
         .simulated_sms(Some(3))
         .seed(206)
         .build();
-    let full = Latest::new(config).run().expect("campaign");
+    let full = CampaignSession::new(config).run().expect("campaign");
     let (_, full_skipped) = LatencyTable::from_campaign_counting(&full);
     assert_eq!(full_skipped.cancelled, 0);
     assert!(full_skipped.total() < skipped.total());
@@ -182,7 +182,7 @@ fn avoid_list_matches_pathological_columns() {
         .simulated_sms(Some(3))
         .seed(205)
         .build();
-    let result = Latest::new(config).run().expect("campaign");
+    let result = CampaignSession::new(config).run().expect("campaign");
     let table = LatencyTable::from_campaign(&result);
     let avoid = table.avoid_list(5.0);
     if !avoid.is_empty() {

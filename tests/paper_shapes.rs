@@ -6,7 +6,7 @@
 //! binaries) to stay fast under `cargo test`; the full-scale regenerations
 //! live in `crates/bench/src/bin/repro_*`.
 
-use latest::core::{CampaignConfig, CampaignResult, Latest};
+use latest::core::{CampaignConfig, CampaignResult, CampaignSession};
 use latest::gpu_sim::devices::{self, DeviceSpec};
 
 fn sweep(spec: DeviceSpec, n: usize, seed: u64) -> CampaignResult {
@@ -16,7 +16,7 @@ fn sweep(spec: DeviceSpec, n: usize, seed: u64) -> CampaignResult {
         .simulated_sms(Some(4))
         .seed(seed)
         .build();
-    Latest::new(config).run().expect("sweep")
+    CampaignSession::new(config).run().expect("sweep")
 }
 
 fn worst_cases(result: &CampaignResult) -> Vec<(u32, u32, f64)> {

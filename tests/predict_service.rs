@@ -8,7 +8,8 @@ use latest::core::spec::CampaignSpec;
 use latest::core::ResultStore;
 use latest::gpu_sim::devices::DeviceRegistry;
 use latest::predict::{
-    build_corpora, closed_loop_validate, cross_validate, serve_batch, PredictModel,
+    build_corpora, closed_loop_validate, corpus_for_device, cross_validate, serve_batch,
+    PredictError, PredictModel,
 };
 use latest::queue::JobQueue;
 use latest::report::{Artifact, Format};
@@ -126,5 +127,65 @@ fn low_confidence_batch_queries_become_measurement_jobs() {
     let jobs = queue.jobs().unwrap();
     assert_eq!(jobs.len(), 1);
     assert_eq!(format!("job-{}", jobs[0].id.0), job_id);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A memory-plane sweep pins a memory clock on every pair. The corpus keys
+/// pairs by core clock alone, so those samples must stay out: merged, they
+/// would fold 705/810 -> 705/1215 MHz into a 705 -> 705 self-pair, which
+/// held-out validation cannot predict.
+#[test]
+fn memory_plane_runs_stay_out_of_the_corpus() {
+    let dir = std::env::temp_dir().join(format!("latest_predict_itm_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mem_spec = CampaignSpec::builder("a100")
+        .frequencies_mhz(&[705, 1410])
+        .mem_frequencies_mhz(&[810, 1215])
+        .seed(21)
+        .measurements(6, 10)
+        .rse_threshold(0.5)
+        .build()
+        .unwrap();
+    let core_spec = ladder_spec(21);
+    let mem_run = mem_spec.clone().into_session().unwrap().run().unwrap();
+    let core_run = core_spec.clone().into_session().unwrap().run().unwrap();
+
+    let store = |name: &str, runs: &[(&CampaignSpec, &latest::core::CampaignResult)]| {
+        let store = ResultStore::open(dir.join(name)).unwrap();
+        for (spec, result) in runs {
+            store.put(spec, result).unwrap();
+        }
+        store
+    };
+    let core = store("core", &[(&core_spec, &core_run)]);
+    let mixed = store("mixed", &[(&core_spec, &core_run), (&mem_spec, &mem_run)]);
+    let mem_only = store("mem", &[(&mem_spec, &mem_run)]);
+
+    // Core-only plus memory-plane trains exactly what core-only alone does.
+    assert_eq!(
+        build_corpora(&mixed, None).unwrap(),
+        build_corpora(&core, None).unwrap()
+    );
+    let model = |store: &ResultStore| {
+        let corpus = corpus_for_device(store, "a100", None).unwrap();
+        PredictModel::fit(&corpus).unwrap().to_json()
+    };
+    assert_eq!(model(&mixed), model(&core));
+
+    // Memory-plane runs alone leave nothing to train on: an empty corpus,
+    // which `predict validate` reports as an input error (exit 2).
+    assert!(build_corpora(&mem_only, None).unwrap().is_empty());
+    assert!(matches!(
+        corpus_for_device(&mem_only, "a100", None),
+        Err(PredictError::EmptyCorpus { .. })
+    ));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_latest"))
+        .args(["predict", "validate", "--store"])
+        .arg(dir.join("mem"))
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: "), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use latest::core::spec::CampaignSpec;
 use latest::core::store::{ResultStore, RunId};
 use latest::core::view::{LatencyView, PairStat};
-use latest::core::{CampaignResult, Latest};
+use latest::core::{CampaignResult, CampaignSession};
 use latest::report::{Artifact, Bundle, CampaignDiff, Format};
 use proptest::prelude::*;
 
@@ -24,7 +24,7 @@ fn tiny_spec(seed: u64, max_measurements: usize) -> CampaignSpec {
 }
 
 fn run_spec(spec: &CampaignSpec) -> CampaignResult {
-    Latest::new(spec.resolve().unwrap()).run().unwrap()
+    CampaignSession::new(spec.resolve().unwrap()).run().unwrap()
 }
 
 fn temp_store(tag: &str) -> ResultStore {
