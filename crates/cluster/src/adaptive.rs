@@ -108,11 +108,12 @@ impl AdaptiveOutcome {
 /// Run Algorithm 3 on a switching-latency dataset.
 ///
 /// Returns `None` for datasets too small to cluster meaningfully (fewer than
-/// `2 * min_pts_floor` points) or with a degenerate (zero or non-finite)
-/// quantile range, in which case callers keep all measurements.
+/// `2 * min_pts_floor` points), holding a non-finite sample (NaN or ±∞), or
+/// with a degenerate (zero or non-finite) quantile range, in which case
+/// callers keep all measurements.
 pub fn adaptive_outlier_filter(data: &[f64], config: &AdaptiveConfig) -> Option<AdaptiveOutcome> {
     let n = data.len();
-    if n < config.min_pts_floor * 2 {
+    if n < config.min_pts_floor * 2 || !data.iter().all(|x| x.is_finite()) {
         return None;
     }
     let range = quantile_range(data, 0.05, 0.95);
@@ -248,6 +249,18 @@ mod tests {
     fn degenerate_constant_dataset_returns_none() {
         let data = vec![5.0; 100];
         assert!(adaptive_outlier_filter(&data, &AdaptiveConfig::default()).is_none());
+    }
+
+    #[test]
+    fn non_finite_sample_returns_none() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut data = latency_like(270, 25, 5);
+            data[100] = bad;
+            assert!(
+                adaptive_outlier_filter(&data, &AdaptiveConfig::default()).is_none(),
+                "{bad} sample"
+            );
+        }
     }
 
     #[test]

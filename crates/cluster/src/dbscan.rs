@@ -1,13 +1,14 @@
 //! DBSCAN (Ester et al. 1996) with a fast exact path for 1-D data.
 //!
 //! Switching-latency datasets are one-dimensional, so ε-neighbourhoods are
-//! contiguous ranges of the sorted data and can be found with two binary
-//! searches instead of a scan over every point. Cluster expansion still
-//! pushes each core point's whole neighbour range onto its frontier, so on
-//! dense data (neighbourhoods holding a large share of the points) the 1-D
-//! path is O(n²) like the naive algorithm; it is O(n log n) only when
-//! neighbourhoods stay small. A generic multi-dimensional implementation is
-//! provided for completeness and as a cross-check in tests.
+//! contiguous ranges of the sorted data. The 1-D path sorts once
+//! (O(n log n)) and then sweeps the sorted data in O(n): a two-pointer
+//! window finds the core points, runs of core points each within ε of the
+//! one before form the clusters, and border points attach to the nearest
+//! core point that reaches them. The labels, cluster ids included, are the
+//! ones the textbook expansion produces when it visits points in sorted
+//! order. A generic multi-dimensional O(n²) implementation is provided for
+//! completeness and as a cross-check in tests.
 
 /// Cluster assignment of one point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -15,7 +16,8 @@ pub enum Label {
     /// Low-density point: an outlier measurement.
     Noise,
     /// Member of the cluster with the given id (0-based, densest-first order
-    /// is *not* guaranteed; ids follow discovery order).
+    /// is *not* guaranteed; ids follow discovery order, which for
+    /// [`Dbscan::fit_1d`] is ascending value).
     Cluster(usize),
 }
 
@@ -109,8 +111,12 @@ impl Dbscan {
         Dbscan { eps, min_pts }
     }
 
-    /// Cluster one-dimensional data. Exact DBSCAN semantics; O(n log n)
-    /// for small neighbourhoods, O(n²) on dense data (see the module docs).
+    /// Cluster one-dimensional data with exact DBSCAN semantics. Cluster ids
+    /// follow ascending value, and a border point within ε of two clusters
+    /// joins the lower one. Costs an O(n log n) sort followed by O(n)
+    /// sweeps (see the module docs).
+    ///
+    /// Panics on NaN input.
     pub fn fit_1d(&self, data: &[f64]) -> Labeling {
         let n = data.len();
         if n == 0 {
@@ -125,49 +131,54 @@ impl Dbscan {
         order.sort_by(|&a, &b| data[a].partial_cmp(&data[b]).expect("NaN in DBSCAN input"));
         let sorted: Vec<f64> = order.iter().map(|&i| data[i]).collect();
 
-        // neighbour range [lo, hi) of sorted position p.
-        let range_of = |p: usize| -> (usize, usize) {
-            let x = sorted[p];
-            let lo = sorted.partition_point(|&v| v < x - self.eps);
-            let hi = sorted.partition_point(|&v| v <= x + self.eps);
-            (lo, hi)
-        };
+        // Core points: the neighbour range [lo, hi) of sorted position p
+        // holds the v with !(v < x − ε) and v ≤ x + ε. Both bounds only
+        // move right as p does, so one two-pointer window finds them all.
+        let mut core = vec![false; n];
+        let (mut lo, mut hi) = (0, 0);
+        for (p, &x) in sorted.iter().enumerate() {
+            while sorted[lo] < x - self.eps {
+                lo += 1;
+            }
+            while hi < n && sorted[hi] <= x + self.eps {
+                hi += 1;
+            }
+            core[p] = hi - lo >= self.min_pts;
+        }
 
-        let mut labels_sorted: Vec<Option<Label>> = vec![None; n];
+        // Forward sweep. A run of core points each within ε of the one
+        // before is one cluster, numbered in sorted order. A border point
+        // joins the cluster of the nearest earlier core point if that one
+        // reaches it; ranges only move right, so no other earlier one does.
+        let mut labels_sorted = vec![Label::Noise; n];
         let mut n_clusters = 0usize;
+        let mut last_core: Option<(f64, usize)> = None;
+        for (p, &x) in sorted.iter().enumerate() {
+            let reached = last_core
+                .filter(|&(c, _)| x <= c + self.eps)
+                .map(|(_, cid)| cid);
+            if core[p] {
+                let cid = reached.unwrap_or_else(|| {
+                    n_clusters += 1;
+                    n_clusters - 1
+                });
+                labels_sorted[p] = Label::Cluster(cid);
+                last_core = Some((x, cid));
+            } else if let Some(cid) = reached {
+                labels_sorted[p] = Label::Cluster(cid);
+            }
+        }
 
-        for p in 0..n {
-            if labels_sorted[p].is_some() {
-                continue;
-            }
-            let (lo, hi) = range_of(p);
-            if hi - lo < self.min_pts {
-                labels_sorted[p] = Some(Label::Noise);
-                continue;
-            }
-            // p is a core point: start a new cluster and expand (BFS over
-            // the contiguous neighbourhood ranges).
-            let cid = n_clusters;
-            n_clusters += 1;
-            labels_sorted[p] = Some(Label::Cluster(cid));
-            let mut frontier: Vec<usize> = (lo..hi).filter(|&q| q != p).collect();
-            while let Some(q) = frontier.pop() {
-                match labels_sorted[q] {
-                    Some(Label::Noise) => {
-                        // Border point previously judged noise: claim it.
-                        labels_sorted[q] = Some(Label::Cluster(cid));
-                    }
-                    Some(Label::Cluster(_)) => {}
-                    None => {
-                        labels_sorted[q] = Some(Label::Cluster(cid));
-                        let (qlo, qhi) = range_of(q);
-                        if qhi - qlo >= self.min_pts {
-                            // q is itself core: its neighbourhood joins.
-                            frontier.extend((qlo..qhi).filter(|&r| {
-                                labels_sorted[r].is_none() || labels_sorted[r] == Some(Label::Noise)
-                            }));
-                        }
-                    }
+        // Backward sweep: a border point that no earlier core point reaches
+        // joins the cluster of the nearest later core point, if that one
+        // reaches it.
+        let mut next_core: Option<(f64, Label)> = None;
+        for (p, &x) in sorted.iter().enumerate().rev() {
+            if core[p] {
+                next_core = Some((x, labels_sorted[p]));
+            } else if let (Label::Noise, Some((c, label))) = (labels_sorted[p], next_core) {
+                if x >= c - self.eps {
+                    labels_sorted[p] = label;
                 }
             }
         }
@@ -175,7 +186,7 @@ impl Dbscan {
         // Scatter back to input order.
         let mut labels = vec![Label::Noise; n];
         for (p, &orig) in order.iter().enumerate() {
-            labels[orig] = labels_sorted[p].expect("all points labelled");
+            labels[orig] = labels_sorted[p];
         }
         Labeling { labels, n_clusters }
     }

@@ -11,10 +11,9 @@
 //!
 //! This crate provides, from scratch:
 //!
-//! * [`dbscan::Dbscan`] — DBSCAN with an exact 1-D path whose
-//!   neighbourhoods are binary-searched ranges of the sorted data (the
-//!   latency datasets are one-dimensional; expansion is still O(n²) on
-//!   dense data) and a generic multi-dimensional fallback,
+//! * [`dbscan::Dbscan`] — DBSCAN with an exact 1-D path (the latency
+//!   datasets are one-dimensional): an O(n log n) sort followed by an O(n)
+//!   sweep over the sorted data, and a generic multi-dimensional fallback,
 //! * [`knn`] — k-nearest-neighbour distance profiles and the knee-point
 //!   heuristic conventionally used to choose `eps`,
 //! * [`silhouette`] — the silhouette score the paper uses to validate that

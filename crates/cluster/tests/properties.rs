@@ -6,6 +6,7 @@ use latest_cluster::{
     AdaptiveConfig, Dbscan, Label,
 };
 use proptest::prelude::*;
+use std::time::Instant;
 
 /// Latency-like positive data: a dense cluster with optional spread.
 fn clustered(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -14,6 +15,63 @@ fn clustered(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
 
 fn arbitrary(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0..1.0e4f64, min_len..150)
+}
+
+/// Longest dataset [`grid`] builds: 29 steps of at most 4 copies.
+const GRID_MAX: usize = 116;
+
+/// Sorted integer-grid data built as steps `(gap kind, copies)`. The gap to
+/// the previous value is 0 (duplicates), 1, exactly ε, ε + 1, 2ε (a lone
+/// point there sits within ε of two clusters) or 3ε. Integer values and ε
+/// keep `fit_euclidean`'s squared distances exact.
+fn grid(eps: u32, steps: &[(u32, usize)]) -> Vec<f64> {
+    let mut x = 0u32;
+    let mut data = Vec::new();
+    for &(kind, copies) in steps {
+        x += [0, 1, eps, eps + 1, 2 * eps, 3 * eps][kind as usize];
+        data.extend(std::iter::repeat_n(x as f64, copies));
+    }
+    data
+}
+
+/// Wall time of one call of `f`, in seconds.
+fn secs(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Quadrupling a dense dataset must not cost 16× as it would in a quadratic
+/// clusterer: the sort is O(n log n) and the sweeps O(n), so about 4×.
+#[test]
+fn fit_1d_scales_linearly_on_dense_data() {
+    // A shuffled 0..n with ε = n/2: every neighbourhood holds at least
+    // half of the points.
+    let dense = |n: usize| -> Vec<f64> { (0..n).map(|i| (i * 2_654_435_761 % n) as f64).collect() };
+    let fit = |data: &[f64]| {
+        // Ten fits per sample keep each sample well above timer noise.
+        for _ in 0..10 {
+            let labeling = Dbscan::new(data.len() as f64 / 2.0, 4).fit_1d(data);
+            assert_eq!(labeling.n_clusters, 1);
+        }
+    };
+    let (small, large) = (dense(2_000), dense(8_000));
+    let (mut t_small, mut t_large) = (Vec::new(), Vec::new());
+    // Interleave the sizes so that a burst of load on the host hits both.
+    for _ in 0..7 {
+        t_small.push(secs(|| fit(&small)));
+        t_large.push(secs(|| fit(&large)));
+    }
+    let ratio = median(t_large) / median(t_small);
+    assert!(
+        ratio < 8.0,
+        "8k/2k fit_1d time ratio {ratio:.1}, want about 4"
+    );
 }
 
 proptest! {
@@ -56,6 +114,31 @@ proptest! {
         prop_assert_eq!(labeling.n_clusters, 0);
         prop_assert_eq!(labeling.noise_count(), xs.len());
         prop_assert!((labeling.noise_ratio() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fit_1d_labels_equal_the_generic_path_ids_included(
+        eps in 1u32..5,
+        min_pts in 1usize..7,
+        steps in prop::collection::vec((0u32..6, 1usize..5), 1..30),
+        keys in prop::collection::vec(0u64..u64::MAX, GRID_MAX..GRID_MAX + 1),
+    ) {
+        let sorted = grid(eps, &steps);
+        let cfg = Dbscan::new(eps as f64, min_pts);
+        let fast = cfg.fit_1d(&sorted);
+        let points: Vec<Vec<f64>> = sorted.iter().map(|&x| vec![x]).collect();
+        let generic = cfg.fit_euclidean(&points);
+        prop_assert_eq!(&fast.labels, &generic.labels, "data {:?}", sorted);
+        prop_assert_eq!(fast.n_clusters, generic.n_clusters);
+
+        // Shuffled input: each point keeps the label of its sorted twin.
+        let mut perm: Vec<usize> = (0..sorted.len()).collect();
+        perm.sort_by_key(|&i| keys[i]);
+        let shuffled: Vec<f64> = perm.iter().map(|&i| sorted[i]).collect();
+        let relabelled = cfg.fit_1d(&shuffled);
+        let expected: Vec<Label> = perm.iter().map(|&i| fast.labels[i]).collect();
+        prop_assert_eq!(relabelled.labels, expected, "data {:?}", shuffled);
+        prop_assert_eq!(relabelled.n_clusters, fast.n_clusters);
     }
 
     #[test]

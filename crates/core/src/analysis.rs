@@ -99,6 +99,20 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_sample_passes_through_unfiltered() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut data: Vec<f64> = (0..200).map(|i| 15.0 + (i % 10) as f64 * 0.05).collect();
+            data.extend([300.0, bad, 520.0]);
+            let a = analyze_pair(&data, &AdaptiveConfig::default());
+            assert_eq!(a.inliers_ms.len(), data.len(), "{bad} sample");
+            assert!(a.outliers_ms.is_empty());
+            assert_eq!(a.n_clusters, 1);
+            assert!(a.silhouette.is_none());
+            assert!(a.converged);
+        }
+    }
+
+    #[test]
     fn tiny_dataset_passes_through() {
         let data = [5.0, 5.1, 5.2];
         let a = analyze_pair(&data, &AdaptiveConfig::default());

@@ -4,6 +4,9 @@
 //! nested maps and sequences — in both the compact and the pretty form.
 
 use std::collections::BTreeMap;
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
@@ -96,6 +99,98 @@ fn escapes_are_written_as_json_requires() {
     // Escapes the writer never emits still parse.
     let parsed: String = serde_json::from_str(r#""\/\b\fé""#).unwrap();
     assert_eq!(parsed, "/\u{8}\u{c}é");
+}
+
+#[test]
+fn plain_runs_next_to_escapes_decode_exactly() {
+    // Multi-byte characters directly before and after every escape kind.
+    let cases = [
+        (r#""é\"€""#, "é\"€"),
+        (r#""😀\\é""#, "😀\\é"),
+        (r#""€\u00e9😀""#, "€é😀"),
+        (r#""\u20acé\u0041""#, "€éA"),
+        (r#""ab\"\\\n\u0000\/""#, "ab\"\\\n\u{0}/"),
+        (r#""\"\\\/\b\f\n\r\t\u00e9""#, "\"\\/\u{8}\u{c}\n\r\té"),
+        (r#""""#, ""),
+    ];
+    for (text, want) in cases {
+        let parsed: String = serde_json::from_str(text).unwrap_or_else(|e| panic!("{e}: {text}"));
+        assert_eq!(parsed, want, "{text}");
+    }
+}
+
+#[test]
+fn malformed_strings_fail_with_their_byte_offset() {
+    let cases = [
+        (r#""abc"#, "unterminated string at byte 4"),
+        (r#""é€"#, "unterminated string at byte 6"),
+        (r#""é\"#, "unterminated escape at byte 4"),
+        (r#""é\x""#, "bad escape `\\x` at byte 5"),
+        (r#""é\u12"#, "truncated \\u escape at byte 5"),
+        (r#""é\u12G4""#, "invalid \\u escape at byte 9"),
+        (r#""é\ud800""#, "invalid \\u code point at byte 9"),
+    ];
+    for (text, want) in cases {
+        let err = serde_json::from_str::<String>(text).unwrap_err();
+        assert_eq!(err.to_string(), want, "{text}");
+    }
+}
+
+/// Decode a one-string document on a helper thread and return the wall
+/// time in seconds. A quadratic decoder needs minutes for one megabyte and
+/// about an hour for four, so a decode still running after 30 s fails the
+/// test at once instead of stalling the suite; a linear one takes
+/// milliseconds.
+fn timed_decode(text: &Arc<String>) -> f64 {
+    let (done, finished) = mpsc::channel();
+    let text = Arc::clone(text);
+    let bytes = text.len();
+    thread::spawn(move || {
+        let t = Instant::now();
+        let parsed: Vec<String> = serde_json::from_str(&text).unwrap();
+        let secs = t.elapsed().as_secs_f64();
+        // `["` and `"]` aside, each two-byte `\"` decodes to one byte.
+        assert_eq!(
+            parsed[0].len(),
+            text.len() - 4 - text.matches(r#"\""#).count()
+        );
+        done.send(secs).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|e| panic!("decoding {bytes} bytes: {e}"))
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Quadrupling a string's length must not cost 16× as it would in a
+/// quadratic decoder: decoding is linear, so about 4×.
+#[test]
+fn string_decoding_scales_linearly() {
+    // One string of about `mb` megabytes: mostly plain runs, with
+    // multi-byte UTF-8 and two escapes per unit.
+    let unit = r#"switching latency é€😀 \"pair\" "#;
+    let doc = |mb: usize| {
+        Arc::new(format!(
+            "[\"{}\"]",
+            unit.repeat(mb * 1_000_000 / unit.len())
+        ))
+    };
+    let (small, large) = (doc(1), doc(4));
+    let (mut t_small, mut t_large) = (Vec::new(), Vec::new());
+    // Interleave the sizes so that a burst of load on the host hits both.
+    for _ in 0..5 {
+        t_small.push(timed_decode(&small));
+        t_large.push(timed_decode(&large));
+    }
+    let ratio = median(t_large) / median(t_small);
+    assert!(
+        ratio < 8.0,
+        "4 MB/1 MB decode time ratio {ratio:.1}, want about 4"
+    );
 }
 
 #[test]
