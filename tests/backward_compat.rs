@@ -1,8 +1,9 @@
 //! Backward compatibility with the single-domain era: adding the memory
 //! frequency domain must not move any existing run id (the content address
 //! of a spec) nor change a single archived byte of a core-only campaign.
-//! The fixtures under `tests/fixtures/` were captured before the memory
-//! domain landed and pin that behaviour forever.
+//! The `pre_mem_*` fixtures under `tests/fixtures/` were captured before
+//! the memory domain landed and pin that behaviour forever; the
+//! `mem_plane_*` fixtures pin a 2-D (core x memory) campaign the same way.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -87,4 +88,35 @@ fn pre_memory_archive_bytes_reproduce_exactly() {
         fresh, golden,
         "archived bytes drifted from the single-domain era"
     );
+}
+
+/// Re-running the memory-plane golden spec (2 core x 2 memory clocks,
+/// memory-bound, the shape of the benchmark's memory jobs) reproduces its
+/// archived store file byte for byte. It pins every 2-D random stream:
+/// core and memory switch plans, their arrival draws and the NVML call
+/// timing of both clock-lock requests.
+#[test]
+fn memory_plane_archive_bytes_reproduce_exactly() {
+    let text = fs::read_to_string(repo_path("tests/fixtures/mem_plane_spec.json")).unwrap();
+    let ScenarioSpec::Campaign(spec) = ScenarioSpec::from_json(&text).unwrap() else {
+        panic!("mem_plane_spec.json must be a campaign spec");
+    };
+    let config = spec.resolve().expect("golden spec resolves");
+    let result = CampaignSession::new(config)
+        .run()
+        .expect("golden campaign runs");
+
+    let dir = std::env::temp_dir().join(format!("latest_memplane_{}", std::process::id()));
+    fs::remove_dir_all(&dir).ok();
+    let store = ResultStore::open(&dir).unwrap();
+    let id = store.put(&spec, &result).unwrap();
+    assert_eq!(id.to_string(), "run-40fa3fcbf6a657f4ac93e35d7785bcc7");
+
+    let fresh = fs::read(dir.join(format!("{id}.json"))).unwrap();
+    let golden = fs::read(repo_path(
+        "tests/fixtures/mem_plane_store/run-40fa3fcbf6a657f4ac93e35d7785bcc7.json",
+    ))
+    .unwrap();
+    fs::remove_dir_all(&dir).ok();
+    assert_eq!(fresh, golden, "memory-plane archived bytes drifted");
 }
