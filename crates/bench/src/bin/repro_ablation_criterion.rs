@@ -12,9 +12,9 @@
 use latest_core::phase1::run_phase1;
 use latest_core::phase2::run_phase2;
 use latest_core::phase3::evaluate_pass;
-use latest_core::{CampaignConfig, SimPlatform};
+use latest_core::{CampaignConfig, GroundTruth, SimPlatform};
 use latest_gpu_sim::devices;
-use latest_gpu_sim::freq::FreqMhz;
+use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
 use latest_report::{Artifact, Format, TextTable};
 use latest_stats::Summary;
 
@@ -51,7 +51,7 @@ fn main() {
             let cap = run_phase2(&mut platform, &config, init, target, &init_stats, 25.0)
                 .expect("phase 2");
             let truth = platform
-                .last_ground_truth()
+                .last_transition(ClockDomain::Core)
                 .unwrap()
                 .switching_latency()
                 .as_millis_f64();

@@ -5,9 +5,9 @@
 //! returned" and "device settled" is exactly why switching latency must be
 //! measured from device-side timestamps.
 
-use latest_core::SimPlatform;
+use latest_core::{GroundTruth, SimPlatform};
 use latest_gpu_sim::devices;
-use latest_gpu_sim::freq::FreqMhz;
+use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
 
 fn main() {
     let mut platform = SimPlatform::new(devices::a100_sxm4(), 42).expect("platform");
@@ -21,7 +21,9 @@ fn main() {
     // The traced request.
     platform.nvml.set_gpu_locked_clocks(FreqMhz(705)).unwrap();
     let trace = platform.nvml.take_trace().pop().expect("traced call");
-    let gt = platform.last_ground_truth().expect("ground truth");
+    let gt = platform
+        .last_transition(ClockDomain::Core)
+        .expect("ground truth");
 
     let t0 = trace.call;
     let rel_us = |t: latest_sim_clock::SimTime| t.signed_delta_ns(t0) as f64 / 1e3;

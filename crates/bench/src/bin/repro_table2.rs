@@ -4,9 +4,10 @@
 //! extremes, after outlier removal.
 
 use bench_support::{repro_spec, table2_row, CellStat, Table2Row};
+use latest_core::FreqState;
 use latest_report::{Artifact, ExperimentRecord, Format, TextTable};
 
-fn fmt_pair(v: (f64, u32, u32)) -> String {
+fn fmt_pair(v: (f64, FreqState, FreqState)) -> String {
     format!("{:.3} ({}->{})", v.0, v.1, v.2)
 }
 

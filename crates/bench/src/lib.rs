@@ -8,7 +8,7 @@
 //! DESIGN.md §4).
 
 use latest_core::view::{LatencyView, PairStat, PairView};
-use latest_core::{CampaignConfig, CampaignResult, PairMeasurement};
+use latest_core::{CampaignConfig, CampaignResult, FreqState, PairMeasurement};
 use latest_gpu_sim::devices::DeviceSpec;
 use latest_report::{Artifact, DirectionSplit, Format, Heatmap};
 
@@ -79,11 +79,11 @@ pub struct Table2Row {
     /// Device name.
     pub device: String,
     /// min / mean / max of the per-pair statistic, plus argmin/argmax pairs.
-    pub min: (f64, u32, u32),
+    pub min: (f64, FreqState, FreqState),
     /// Mean over pairs.
     pub mean: f64,
     /// Max over pairs with its pair.
-    pub max: (f64, u32, u32),
+    pub max: (f64, FreqState, FreqState),
 }
 
 /// Summarise one campaign into a Table II row for the given statistic.

@@ -56,12 +56,6 @@ impl PairMeasurement {
     pub fn latencies_ms(&self) -> Option<&[f64]> {
         self.outcome.run().map(|r| r.latencies_ms.as_slice())
     }
-
-    /// Whether the transition increases frequency (core first, then
-    /// memory for core-equal pairs).
-    pub fn is_increase(&self) -> bool {
-        self.target > self.init
-    }
 }
 
 // Hand-written (de)serialisation: the legacy field names `init_mhz` /
@@ -108,7 +102,7 @@ pub struct CampaignResult {
     pub phase1: Phase1Result,
     /// Probe-phase result.
     pub probe: ProbeResult,
-    /// All pair measurements, in `ordered_pairs` order.
+    /// All pair measurements, in `ordered_state_pairs` order.
     pairs: Vec<PairMeasurement>,
     /// `(init, target) → pairs index`, built once at construction so
     /// [`CampaignResult::pair`] is O(1) instead of a linear scan (heatmap

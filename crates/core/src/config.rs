@@ -109,19 +109,6 @@ impl CampaignConfig {
         CampaignConfigBuilder::new(spec)
     }
 
-    /// All ordered pairs (init != target) of the configured frequencies.
-    pub fn ordered_pairs(&self) -> Vec<(FreqMhz, FreqMhz)> {
-        let mut pairs = Vec::new();
-        for &a in &self.frequencies {
-            for &b in &self.frequencies {
-                if a != b {
-                    pairs.push((a, b));
-                }
-            }
-        }
-        pairs
-    }
-
     /// The campaign's clock states: the configured core frequencies when
     /// `mem_frequencies` is empty (core-only, memory at the device
     /// default), otherwise the full core × memory cross product in
@@ -144,10 +131,10 @@ impl CampaignConfig {
         }
     }
 
-    /// All ordered pairs (init != target) of the campaign's clock states.
-    /// For a core-only campaign this is [`Self::ordered_pairs`] lifted into
-    /// states; for a 2-D campaign it includes core-only, memory-only and
-    /// simultaneous transitions as distinct pairs.
+    /// All ordered pairs (init != target) of the campaign's clock states,
+    /// init-major in [`Self::states`] order. A 2-D campaign includes
+    /// core-only, memory-only and simultaneous transitions as distinct
+    /// pairs.
     pub fn ordered_state_pairs(&self) -> Vec<(FreqState, FreqState)> {
         let states = self.states();
         let mut pairs = Vec::new();
@@ -161,40 +148,34 @@ impl CampaignConfig {
         pairs
     }
 
-    /// Expected duration of one iteration at `freq` (ns, noise-free).
-    pub fn expected_iter_ns(&self, freq: FreqMhz) -> f64 {
-        self.workload.expected_iter_ns(freq.as_f64())
-    }
-
     /// Expected duration of one iteration in `state` (ns, noise-free):
     /// the memory-stall portion of the workload is rescaled by the state's
-    /// memory clock when one is set.
-    pub fn expected_iter_ns_state(&self, state: FreqState) -> f64 {
-        match state.mem {
-            None => self.workload.expected_iter_ns(state.core.as_f64()),
-            Some(mem) => self.workload.expected_iter_ns_mem(
-                state.core.as_f64(),
-                mem.as_f64(),
-                self.spec.mem_freq_mhz as f64,
-            ),
-        }
+    /// memory clock; a core-only state keeps memory at the device default.
+    pub fn expected_iter_ns_state(&self, state: impl Into<FreqState>) -> f64 {
+        let state = state.into();
+        let reference = self.spec.mem_freq_mhz as f64;
+        self.workload.expected_iter_ns(
+            state.core.as_f64(),
+            state.mem.map_or(reference, FreqMhz::as_f64),
+            reference,
+        )
     }
 
-    /// Derived per-pair seed, stable across runs and independent of pair
-    /// execution order (this is what makes a campaign whose shards run
-    /// concurrently on the queue's worker pool bitwise equal to
-    /// `CampaignSession::run`).
-    pub fn pair_seed(&self, init: FreqMhz, target: FreqMhz) -> u64 {
+    /// The core-pair part of [`Self::state_pair_seed`], the single-domain
+    /// era's formula.
+    fn pair_seed(&self, init: FreqMhz, target: FreqMhz) -> u64 {
         self.seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(((init.0 as u64) << 32) | target.0 as u64)
     }
 
-    /// Per-pair seed over clock states. Core-only pairs reduce to the exact
-    /// legacy [`Self::pair_seed`] formula (bitwise-identical campaigns);
-    /// states with a memory clock fold an independently mixed hash of the
-    /// memory pair into the same stream, keeping distinct state pairs
-    /// collision-free.
+    /// Derived per-pair seed, stable across runs and independent of pair
+    /// execution order (this is what makes a campaign whose shards run
+    /// concurrently on the queue's worker pool bitwise equal to
+    /// `CampaignSession::run`). Core-only pairs reduce to the exact legacy
+    /// core-pair formula (bitwise-identical campaigns); states with a
+    /// memory clock fold an independently mixed hash of the memory pair
+    /// into the same stream, keeping distinct state pairs collision-free.
     pub fn state_pair_seed(&self, init: FreqState, target: FreqState) -> u64 {
         let base = self.pair_seed(init.core, target.core);
         if init.mem.is_none() && target.mem.is_none() {
@@ -428,11 +409,11 @@ mod tests {
     }
 
     #[test]
-    fn ordered_pairs_excludes_diagonal() {
+    fn ordered_state_pairs_exclude_the_diagonal() {
         let c = CampaignConfig::builder(devices::a100_sxm4())
             .frequencies_mhz(&[705, 1095, 1410])
             .build();
-        let pairs = c.ordered_pairs();
+        let pairs = c.ordered_state_pairs();
         assert_eq!(pairs.len(), 6);
         assert!(!pairs.iter().any(|(a, b)| a == b));
     }
@@ -530,10 +511,10 @@ mod tests {
         let full = c.expected_iter_ns_state(FreqState::with_mem(core, FreqMhz(1215)));
         let half = c.expected_iter_ns_state(FreqState::with_mem(core, FreqMhz(607)));
         assert!(half > full * 1.4, "half-mem-clock {half} vs full {full}");
-        // Core-only states fall back to the legacy single-domain estimate.
+        // Core-only states run memory at the device default (1215 MHz).
         assert_eq!(
             c.expected_iter_ns_state(FreqState::core_only(core)),
-            c.expected_iter_ns(core)
+            c.expected_iter_ns_state(FreqState::with_mem(core, FreqMhz(1215)))
         );
     }
 

@@ -14,6 +14,7 @@
 //!   core ever saw the target regime) the capture window is grown tenfold,
 //!   per Sec. V's "repeated with a ten-times longer workload".
 
+use latest_gpu_sim::ClockDomain;
 use latest_stats::{RunningStats, Summary};
 
 use crate::config::CampaignConfig;
@@ -190,14 +191,14 @@ impl serde::Deserialize for PairOutcome {
 fn ground_truth_ms_for(gt: &dyn GroundTruth, init: FreqState, target: FreqState) -> Option<f64> {
     match init.kind_to(&target) {
         Some(PairKind::Core) | None => gt
-            .last_transition()
+            .last_transition(ClockDomain::Core)
             .map(|g| g.switching_latency().as_millis_f64()),
         Some(PairKind::Memory) => gt
-            .last_mem_transition()
+            .last_transition(ClockDomain::Memory)
             .map(|g| g.switching_latency().as_millis_f64()),
         Some(PairKind::Simultaneous) => {
-            let core = gt.last_transition()?;
-            let mem = gt.last_mem_transition()?;
+            let core = gt.last_transition(ClockDomain::Core)?;
+            let mem = gt.last_transition(ClockDomain::Memory)?;
             let settled = core.settled.max(mem.settled);
             Some(settled.saturating_since(core.host_call).as_millis_f64())
         }

@@ -43,9 +43,14 @@
 //!   [`CampaignSpec`]/[`FleetSpec`] with fail-fast validation that
 //!   enumerates every violated constraint, resolved through device and
 //!   workload registries into sessions and fleets.
+//! * **State** ([`state`]) — [`FreqState`], a point in the (core, memory)
+//!   clock plane and the one pair coordinate of configs, phase 1, results
+//!   and views: every pair lookup takes `impl Into<FreqState>`, so a bare
+//!   core frequency names the core-only state.
 //! * **Platform** ([`platform`]) — the backend abstraction the methodology
 //!   is generic over: NVML-style control plus CUDA-style execution, with
-//!   ground truth as an optional capability only the simulator implements.
+//!   memory clocks and ground truth (one ledger per clock domain) as
+//!   optional capabilities only the simulator implements.
 //! * **Output** ([`output`]) — the `.csv` convention of Sec. VI:
 //!   `latest_{init}MHz_{target}MHz_{hostname}_gpu{index}.csv`.
 //!
@@ -72,7 +77,6 @@ pub mod spec;
 pub mod state;
 pub mod store;
 pub mod view;
-pub mod wakeup;
 
 pub use analysis::{analyze_pair, PairAnalysis};
 pub use campaign::{CampaignResult, PairMeasurement};

@@ -15,7 +15,6 @@
 
 use std::collections::BTreeMap;
 
-use latest_gpu_sim::freq::FreqMhz;
 use latest_gpu_sim::KernelConfig;
 use latest_stats::{diff_confidence_interval, Summary};
 
@@ -80,7 +79,8 @@ impl From<Phase1ResultRepr> for Phase1Result {
 }
 
 impl Phase1Result {
-    /// The characterisation of one clock state (a bare [`FreqMhz`]
+    /// The characterisation of one clock state (a bare
+    /// [`FreqMhz`](latest_gpu_sim::freq::FreqMhz)
     /// converts to the core-only state).
     pub fn of(&self, state: impl Into<FreqState>) -> Option<&FreqCharacterization> {
         self.freqs.get(&state.into())
@@ -142,24 +142,15 @@ pub fn run_phase1<P: Platform>(
     })
 }
 
-/// Characterise one core-only frequency (legacy single-domain entry
-/// point; see [`characterize_state`]).
-pub fn characterize_frequency<P: Platform>(
-    platform: &mut P,
-    config: &CampaignConfig,
-    freq: FreqMhz,
-) -> CoreResult<FreqCharacterization> {
-    characterize_state(platform, config, FreqState::core_only(freq))
-}
-
 /// Characterise one clock state: lock the memory clock (when the state has
 /// one), lock the core clock, run `phase1_kernels` kernels, keep only the
 /// last kernel's pooled statistics.
 pub fn characterize_state<P: Platform>(
     platform: &mut P,
     config: &CampaignConfig,
-    state: FreqState,
+    state: impl Into<FreqState>,
 ) -> CoreResult<FreqCharacterization> {
+    let state = state.into();
     if let Some(mem) = state.mem {
         crate::platform::require_memory_clocks(platform)?.set_locked_mem_clocks(mem)?;
     }
@@ -215,6 +206,7 @@ mod tests {
     use crate::config::CampaignConfig;
     use crate::platform::SimPlatform;
     use latest_gpu_sim::devices;
+    use latest_gpu_sim::freq::FreqMhz;
 
     fn quick_config(freqs: &[u32]) -> CampaignConfig {
         CampaignConfig::builder(devices::a100_sxm4())

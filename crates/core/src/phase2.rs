@@ -52,8 +52,8 @@ pub fn kernel_iterations(
     latency_bound_ms: f64,
 ) -> u32 {
     let iter_ns = config
-        .expected_iter_ns_state(init.into())
-        .max(config.expected_iter_ns_state(target.into()));
+        .expected_iter_ns_state(init)
+        .max(config.expected_iter_ns_state(target));
     let latency_iters =
         (latency_bound_ms * 1e6 * config.probe_safety_factor / iter_ns).ceil() as u32;
     config.delay_iterations + latency_iters + config.confirm_iterations
@@ -157,9 +157,9 @@ pub fn run_phase2<P: Platform>(
 mod tests {
     use super::*;
     use crate::config::CampaignConfig;
-    use crate::platform::SimPlatform;
+    use crate::platform::{GroundTruth, SimPlatform};
     use latest_gpu_sim::devices;
-    use latest_gpu_sim::freq::FreqMhz;
+    use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
     use latest_gpu_sim::transition::FixedTransition;
     use std::sync::Arc;
 
@@ -190,7 +190,7 @@ mod tests {
         config: &CampaignConfig,
         freq: FreqMhz,
     ) -> latest_stats::Summary {
-        crate::phase1::characterize_frequency(platform, config, freq)
+        crate::phase1::characterize_state(platform, config, freq)
             .unwrap()
             .iter_ns
     }
@@ -211,8 +211,8 @@ mod tests {
         .unwrap();
         assert_eq!(cap.records.len(), 8);
 
-        let fast_ns = config.expected_iter_ns(FreqMhz(1410));
-        let slow_ns = config.expected_iter_ns(FreqMhz(705));
+        let fast_ns = config.expected_iter_ns_state(FreqMhz(1410));
+        let slow_ns = config.expected_iter_ns_state(FreqMhz(705));
         let sm = &cap.records[0];
         let n_fast = sm
             .iter()
@@ -264,7 +264,7 @@ mod tests {
             15.0,
         )
         .unwrap();
-        let gt = platform.last_ground_truth().unwrap();
+        let gt = platform.last_transition(ClockDomain::Core).unwrap();
         assert_eq!(gt.to, FreqMhz(1410));
         // 12 ms fixed + sub-ms driver travel.
         let sl = gt.switching_latency().as_millis_f64();

@@ -209,9 +209,9 @@ mod tests {
     use crate::config::CampaignConfig;
     use crate::phase1::run_phase1;
     use crate::phase2::run_phase2;
-    use crate::platform::SimPlatform;
+    use crate::platform::{GroundTruth, SimPlatform};
     use latest_gpu_sim::devices;
-    use latest_gpu_sim::freq::FreqMhz;
+    use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
     use latest_gpu_sim::transition::FixedTransition;
     use latest_sim_clock::{SimDuration, SimTime};
     use std::sync::Arc;
@@ -249,7 +249,7 @@ mod tests {
         let measured_ms = eval.latency_ns.expect("pass must evaluate") as f64 / 1e6;
 
         let gt = platform
-            .last_ground_truth()
+            .last_transition(ClockDomain::Core)
             .unwrap()
             .switching_latency()
             .as_millis_f64();

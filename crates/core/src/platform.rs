@@ -1,6 +1,6 @@
 //! The platform abstraction: what the methodology needs from an accelerator.
 //!
-//! Phases 1–3, the probe, the wake-up estimator and the RSE controller are
+//! Phases 1–3, the probe and the RSE controller are
 //! defined over *any* accelerator exposing NVML-style control and CUDA-style
 //! execution (Secs. V–VI make no simulator assumptions). The [`Platform`]
 //! trait captures exactly that contract — clock access, frequency control,
@@ -25,7 +25,7 @@ use latest_cuda_sim::{CudaContext, TimerData};
 use latest_gpu_sim::devices::DeviceSpec;
 use latest_gpu_sim::freq::FreqMhz;
 use latest_gpu_sim::transition::TransitionGroundTruth;
-use latest_gpu_sim::{GpuDevice, KernelConfig, KernelId, ThrottleReasons};
+use latest_gpu_sim::{ClockDomain, GpuDevice, KernelConfig, KernelId, ThrottleReasons};
 use latest_nvml_sim::{Nvml, NvmlDevice};
 use latest_sim_clock::{SharedClock, SimDuration, SimTime};
 use parking_lot::Mutex;
@@ -155,23 +155,16 @@ pub fn require_memory_clocks<P: Platform + ?Sized>(
 ///
 /// Implemented by the simulator only — real hardware cannot know the true
 /// switching latency (that is why the paper needs a methodology at all).
+///
+/// Each [`ClockDomain`] keeps its own ledger: core requests never show up
+/// in the memory ledger, nor the other way round.
 pub trait GroundTruth {
-    /// All ground-truth transitions recorded so far.
-    fn transitions(&self) -> Vec<TransitionGroundTruth>;
+    /// All ground-truth transitions of `domain` recorded so far, in
+    /// request order.
+    fn transitions(&self, domain: ClockDomain) -> Vec<TransitionGroundTruth>;
 
-    /// The most recent ground-truth transition.
-    fn last_transition(&self) -> Option<TransitionGroundTruth>;
-
-    /// All ground-truth *memory-clock* transitions. Empty unless the
-    /// backend also models a memory domain.
-    fn mem_transitions(&self) -> Vec<TransitionGroundTruth> {
-        Vec::new()
-    }
-
-    /// The most recent ground-truth memory-clock transition.
-    fn last_mem_transition(&self) -> Option<TransitionGroundTruth> {
-        None
-    }
+    /// The most recent ground-truth transition of `domain`.
+    fn last_transition(&self, domain: ClockDomain) -> Option<TransitionGroundTruth>;
 }
 
 /// Builds fresh [`Platform`] instances for campaign workers.
@@ -214,16 +207,6 @@ impl SimPlatform {
             cuda,
             device,
         })
-    }
-
-    /// Ground-truth transitions recorded by the device (closed-loop tests).
-    pub fn ground_truth(&self) -> Vec<TransitionGroundTruth> {
-        self.device.lock().transitions().to_vec()
-    }
-
-    /// The most recent ground-truth transition.
-    pub fn last_ground_truth(&self) -> Option<TransitionGroundTruth> {
-        self.device.lock().last_transition().copied()
     }
 
     /// The device's spec.
@@ -298,20 +281,12 @@ impl Platform for SimPlatform {
 }
 
 impl GroundTruth for SimPlatform {
-    fn transitions(&self) -> Vec<TransitionGroundTruth> {
-        self.ground_truth()
+    fn transitions(&self, domain: ClockDomain) -> Vec<TransitionGroundTruth> {
+        self.device.lock().transitions(domain).to_vec()
     }
 
-    fn last_transition(&self) -> Option<TransitionGroundTruth> {
-        self.last_ground_truth()
-    }
-
-    fn mem_transitions(&self) -> Vec<TransitionGroundTruth> {
-        self.device.lock().mem_transitions().to_vec()
-    }
-
-    fn last_mem_transition(&self) -> Option<TransitionGroundTruth> {
-        self.device.lock().last_mem_transition().copied()
+    fn last_transition(&self, domain: ClockDomain) -> Option<TransitionGroundTruth> {
+        self.device.lock().transitions(domain).last().copied()
     }
 }
 
@@ -394,7 +369,7 @@ mod tests {
         let p = SimPlatform::new(devices::a100_sxm4(), 7).unwrap();
         assert!(p.nvml.name().contains("A100"));
         assert_eq!(p.cuda.clock().now(), p.clock.now());
-        assert!(p.ground_truth().is_empty());
+        assert!(p.transitions(ClockDomain::Core).is_empty());
     }
 
     #[test]
@@ -419,8 +394,8 @@ mod tests {
         p.nvml
             .set_gpu_locked_clocks(latest_gpu_sim::freq::FreqMhz(705))
             .unwrap();
-        assert_eq!(p.ground_truth().len(), 1);
-        assert_eq!(p.last_ground_truth().unwrap().to.0, 705);
+        assert_eq!(p.transitions(ClockDomain::Core).len(), 1);
+        assert_eq!(p.last_transition(ClockDomain::Core).unwrap().to.0, 705);
     }
 
     /// The methodology's contract: every phase sees the simulator only
@@ -433,7 +408,10 @@ mod tests {
         let snapped = p.set_locked_clocks(FreqMhz(1001)).unwrap();
         assert_eq!(snapped, FreqMhz(1005));
         let gt = p.as_ground_truth().expect("simulator offers ground truth");
-        assert_eq!(gt.last_transition().unwrap().to, FreqMhz(1005));
+        assert_eq!(
+            gt.last_transition(ClockDomain::Core).unwrap().to,
+            FreqMhz(1005)
+        );
         let t0 = Platform::now(&p);
         p.sleep(SimDuration::from_micros(250));
         assert_eq!(
@@ -460,10 +438,16 @@ mod tests {
         }
         p.set_locked_clocks(FreqMhz(705)).unwrap();
         let gt = p.as_ground_truth().unwrap();
-        assert_eq!(gt.transitions().len(), 1);
-        assert_eq!(gt.mem_transitions().len(), 1);
-        assert_eq!(gt.last_transition().unwrap().to, FreqMhz(705));
-        assert_eq!(gt.last_mem_transition().unwrap().to, FreqMhz(810));
+        assert_eq!(gt.transitions(ClockDomain::Core).len(), 1);
+        assert_eq!(gt.transitions(ClockDomain::Memory).len(), 1);
+        assert_eq!(
+            gt.last_transition(ClockDomain::Core).unwrap().to,
+            FreqMhz(705)
+        );
+        assert_eq!(
+            gt.last_transition(ClockDomain::Memory).unwrap().to,
+            FreqMhz(810)
+        );
     }
 
     #[test]
@@ -477,8 +461,8 @@ mod tests {
         a.set_locked_clocks(FreqMhz(1980)).unwrap();
         b.set_locked_clocks(FreqMhz(1980)).unwrap();
         let (ga, gb) = (
-            a.last_ground_truth().unwrap(),
-            b.last_ground_truth().unwrap(),
+            a.last_transition(ClockDomain::Core).unwrap(),
+            b.last_transition(ClockDomain::Core).unwrap(),
         );
         assert_eq!(ga.device_arrival, gb.device_arrival);
     }

@@ -329,7 +329,7 @@ pub struct CampaignPrelude {
 }
 
 /// One pair inside a [`WorkUnit`]: its canonical position plus the
-/// `pair_seed`-derived seed its platform is constructed from.
+/// `state_pair_seed`-derived seed its platform is constructed from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PairTask {
     /// Position in `ordered_state_pairs` order.
@@ -348,7 +348,7 @@ pub struct PairTask {
 /// # Determinism contract
 ///
 /// A work unit owns everything its pairs need. Each [`PairTask`] carries
-/// the `pair_seed`-derived seed its `Platform` is built from through the
+/// the `state_pair_seed`-derived seed its `Platform` is built from through the
 /// session's [`PlatformFactory`], and phase 1 + probe arrive as the shared
 /// [`CampaignPrelude`]. No state flows between pairs or between shards, so
 /// *any* partition of the pairs into units, executed in *any* order on
@@ -685,7 +685,7 @@ impl<F: PlatformFactory> CampaignSession<F> {
             .collect()
     }
 
-    /// Execute one [`WorkUnit`]: every pair on its own `pair_seed`-seeded
+    /// Execute one [`WorkUnit`]: every pair on its own `state_pair_seed`-seeded
     /// platform, in the unit's canonical order, between `ShardStarted` and
     /// `ShardFinished` events. Returns the unit's `(canonical index,
     /// measurement)` pairs, pairs skipped by cancellation as

@@ -29,7 +29,6 @@
 //! Views borrow the result; building one allocates nothing until a
 //! projection runs.
 
-use latest_gpu_sim::freq::FreqMhz;
 use latest_stats::{quantile, Summary};
 
 use crate::campaign::{CampaignResult, PairMeasurement};
@@ -205,7 +204,7 @@ impl<'a> PairView<'a> {
 /// A filtering, projecting view over a whole campaign's pairs.
 ///
 /// Filters compose with builder chaining; projections iterate the result's
-/// pairs lazily in `ordered_pairs` order (so every projection is
+/// pairs lazily in `ordered_state_pairs` order (so every projection is
 /// deterministic).
 #[derive(Clone, Copy, Debug)]
 pub struct LatencyView<'a> {
@@ -214,7 +213,6 @@ pub struct LatencyView<'a> {
     init_mhz: Option<u32>,
     target_mhz: Option<u32>,
     kind: Option<PairKind>,
-    mem_slice: Option<u32>,
     outcome: Option<OutcomeKind>,
     band: Option<(f64, f64)>,
 }
@@ -228,7 +226,6 @@ impl<'a> LatencyView<'a> {
             init_mhz: None,
             target_mhz: None,
             kind: None,
-            mem_slice: None,
             outcome: None,
             band: None,
         }
@@ -264,14 +261,6 @@ impl<'a> LatencyView<'a> {
         self
     }
 
-    /// Keep only pairs measured entirely at memory clock `mhz` (both
-    /// endpoints pin it) — one core × core slice of a 2-D sweep, the
-    /// unit a per-memory-clock heatmap renders.
-    pub fn mem_slice_mhz(mut self, mhz: u32) -> Self {
-        self.mem_slice = Some(mhz);
-        self
-    }
-
     /// Keep only pairs whose outcome classifies as `kind`.
     pub fn outcome(mut self, kind: OutcomeKind) -> Self {
         self.outcome = Some(kind);
@@ -287,9 +276,8 @@ impl<'a> LatencyView<'a> {
     /// band (quantiles in `[0, 1]` of the pair's own filtered sample) —
     /// e.g. `.percentile_band(0.0, 0.5)` keeps each pair's fastest half.
     ///
-    /// Affects [`LatencyView::pooled_filtered_ms`] and
-    /// [`LatencyView::pair_latencies`]; per-pair summaries keep the full
-    /// sample.
+    /// Affects [`LatencyView::pooled_filtered_ms`]; per-pair summaries
+    /// keep the full sample.
     pub fn percentile_band(mut self, lo: f64, hi: f64) -> Self {
         self.band = Some((lo.clamp(0.0, 1.0), hi.clamp(0.0, 1.0)));
         self
@@ -313,11 +301,6 @@ impl<'a> LatencyView<'a> {
         }
         if let Some(kind) = self.kind {
             if view.kind() != kind {
-                return false;
-            }
-        }
-        if let Some(mem) = self.mem_slice {
-            if view.init_mem_mhz() != Some(mem) || view.target_mem_mhz() != Some(mem) {
                 return false;
             }
         }
@@ -348,31 +331,16 @@ impl<'a> LatencyView<'a> {
         self.pairs().count()
     }
 
-    /// O(1) lookup of one admitted core-only pair by its coordinates.
-    pub fn pair(&self, init_mhz: u32, target_mhz: u32) -> Option<PairView<'a>> {
-        self.pair_state(FreqMhz(init_mhz).into(), FreqMhz(target_mhz).into())
-    }
-
-    /// O(1) lookup of one admitted pair by its full two-domain
-    /// coordinates.
-    pub fn pair_state(&self, init: FreqState, target: FreqState) -> Option<PairView<'a>> {
-        let m = self.result.pair(init, target)?;
-        let view = PairView::new(m);
-        if self.admits(&view) {
-            Some(view)
-        } else {
-            None
-        }
-    }
-
-    /// One admitted pair's filtered latencies, percentile band applied.
-    pub fn pair_latencies(&self, init_mhz: u32, target_mhz: u32) -> Option<Vec<f64>> {
-        let view = self.pair(init_mhz, target_mhz)?;
-        let xs = view.filtered_ms()?;
-        Some(match self.band_of(xs) {
-            Some((lo, hi)) => xs.iter().copied().filter(|&x| lo <= x && x <= hi).collect(),
-            None => xs.to_vec(),
-        })
+    /// O(1) lookup of one admitted pair by its clock states (a bare
+    /// [`FreqMhz`](latest_gpu_sim::freq::FreqMhz) converts to the
+    /// core-only state).
+    pub fn pair(
+        &self,
+        init: impl Into<FreqState>,
+        target: impl Into<FreqState>,
+    ) -> Option<PairView<'a>> {
+        let view = PairView::new(self.result.pair(init, target)?);
+        self.admits(&view).then_some(view)
     }
 
     /// Pool the outlier-filtered latencies of every admitted completed
@@ -406,18 +374,10 @@ impl<'a> LatencyView<'a> {
         Some((min, mean, max))
     }
 
-    /// The extreme of one statistic over admitted pairs, with the pair it
-    /// occurs on: `(value, init_mhz, target_mhz)`. `largest` picks max.
-    /// Core coordinates only — ambiguous over a 2-D sweep, where
-    /// [`LatencyView::stat_extreme_state`] carries the full states.
-    pub fn stat_extreme(&self, stat: PairStat, largest: bool) -> Option<(f64, u32, u32)> {
-        self.stat_extreme_state(stat, largest)
-            .map(|(v, i, t)| (v, i.core.0, t.core.0))
-    }
-
-    /// The extreme of one statistic over admitted pairs, with the full
-    /// two-domain coordinates of the pair it occurs on.
-    pub fn stat_extreme_state(
+    /// The extreme of one statistic over admitted pairs, with the clock
+    /// states of the pair it occurs on: `(value, init, target)`. `largest`
+    /// picks max.
+    pub fn stat_extreme(
         &self,
         stat: PairStat,
         largest: bool,
@@ -483,6 +443,7 @@ mod tests {
     use crate::config::CampaignConfig;
     use crate::CampaignSession;
     use latest_gpu_sim::devices;
+    use latest_gpu_sim::freq::FreqMhz;
     use latest_gpu_sim::transition::FixedTransition;
     use latest_sim_clock::SimDuration;
     use std::sync::Arc;
@@ -524,12 +485,12 @@ mod tests {
         let r = small_result(5);
         let v = LatencyView::of(&r).init_mhz(705).target_mhz(1410);
         assert_eq!(v.count(), 1);
-        let p = v.pair(705, 1410).unwrap();
+        let p = v.pair(FreqMhz(705), FreqMhz(1410)).unwrap();
         assert_eq!(p.direction(), Direction::Increasing);
         // The same pair is invisible through a contradictory filter.
         assert!(LatencyView::of(&r)
             .direction(Direction::Decreasing)
-            .pair(705, 1410)
+            .pair(FreqMhz(705), FreqMhz(1410))
             .is_none());
     }
 

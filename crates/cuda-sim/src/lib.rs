@@ -151,13 +151,6 @@ impl CudaContext {
         (host_before, device_stamp, host_after)
     }
 
-    /// Project a global instant onto this device's timer (what a kernel
-    /// reading `%globaltimer` at that instant would see). Exposed for
-    /// closed-loop validation.
-    pub fn device_timer_at(&self, t: SimTime) -> SimTime {
-        self.device.lock().timer().project(t)
-    }
-
     /// The underlying device.
     pub fn raw(&self) -> Arc<Mutex<GpuDevice>> {
         self.device.clone()
@@ -168,7 +161,7 @@ impl CudaContext {
 mod tests {
     use super::*;
     use latest_gpu_sim::devices;
-    use latest_gpu_sim::freq::FreqMhz;
+    use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
     use latest_gpu_sim::sm::WorkloadParams;
     use latest_gpu_sim::transition::FixedTransition;
 
@@ -211,7 +204,12 @@ mod tests {
         {
             let dev = ctx.raw();
             let mut d = dev.lock();
-            d.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1005));
+            d.apply_locked_clocks(
+                ClockDomain::Core,
+                SimTime::EPOCH,
+                SimTime::EPOCH,
+                FreqMhz(1005),
+            );
         }
         clock.advance(SimDuration::from_millis(100));
         let id = ctx.launch_benchmark(small_kernel()).unwrap();

@@ -35,6 +35,11 @@ pub struct SkippedPairs {
     pub cancelled: usize,
     /// Completed, but outlier filtering left no sample.
     pub empty_filtered: usize,
+    /// Initial or target state pins a memory clock. The table is keyed by
+    /// core clocks alone, so such a pair would overwrite a core cell (a
+    /// memory-only switch would land on a core self-pair); it is skipped
+    /// whatever its outcome.
+    pub memory_plane: usize,
 }
 
 impl SkippedPairs {
@@ -45,6 +50,7 @@ impl SkippedPairs {
             + self.retries_exhausted
             + self.cancelled
             + self.empty_filtered
+            + self.memory_plane
     }
 
     /// Whether nothing was skipped (the table covers the whole campaign).
@@ -58,13 +64,15 @@ impl fmt::Display for SkippedPairs {
         write!(
             f,
             "{} pairs skipped ({} power-limited, {} indistinguishable, \
-             {} retries-exhausted, {} cancelled, {} empty after filtering)",
+             {} retries-exhausted, {} cancelled, {} empty after filtering, \
+             {} with a memory clock)",
             self.total(),
             self.power_limited,
             self.indistinguishable,
             self.retries_exhausted,
             self.cancelled,
-            self.empty_filtered
+            self.empty_filtered,
+            self.memory_plane
         )
     }
 }
@@ -170,11 +178,17 @@ impl LatencyTable {
     }
 
     /// Like [`LatencyTable::from_campaign`], but also reports every pair
-    /// that did *not* make it into the table, classified by cause.
+    /// that did *not* make it into the table, classified by cause. Pairs
+    /// with a memory clock are skipped and counted, never merged into the
+    /// core-keyed cells.
     pub fn from_campaign_counting(result: &CampaignResult) -> (Self, SkippedPairs) {
         let mut table = LatencyTable::new(result.device_name.clone());
         let mut skipped = SkippedPairs::default();
         for pair in result.pairs() {
+            if pair.init.has_mem() || pair.target.has_mem() {
+                skipped.memory_plane += 1;
+                continue;
+            }
             match pair.outcome.kind() {
                 OutcomeKind::Completed => {
                     match pair.analysis.as_ref().filter(|a| !a.inliers_ms.is_empty()) {

@@ -6,11 +6,14 @@
 //! The device is driven by the host-side façades (`latest-nvml-sim`,
 //! `latest-cuda-sim`) in strict call order on the virtual timeline:
 //!
-//! * [`GpuDevice::apply_locked_clocks`] — a locked-clocks request *arrives*
-//!   at the device (the façade has already paid bus/driver latency). The
-//!   device samples its [`TransitionModel`](crate::transition::TransitionModel), extends the *requested*
+//! * [`GpuDevice::apply_locked_clocks`] — a locked-clocks request for one
+//!   [`ClockDomain`] (core or memory) *arrives* at the device (the façade
+//!   has already paid bus/driver latency). The device samples that
+//!   domain's [`TransitionModel`], extends the domain's *requested*
 //!   frequency trajectory with the pending/ramp/target breakpoints, and
-//!   records a [`TransitionGroundTruth`].
+//!   records a [`TransitionGroundTruth`] in the domain's ledger. Both
+//!   domains take this one path; only the ladder, the model and the
+//!   randomness stream differ.
 //! * [`GpuDevice::enqueue_kernel`] — queues a kernel (single in-order
 //!   stream, as LATEST uses).
 //! * [`GpuDevice::synchronize`] — *materialises* every queued kernel:
@@ -27,11 +30,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::devices::DeviceSpec;
-use crate::freq::FreqMhz;
+use crate::freq::{ClockDomain, FreqLadder, FreqMhz};
 use crate::sm::{self, IterRecord, MemView, WorkloadParams};
 use crate::thermal::ThermalState;
 use crate::trajectory::FreqTrajectory;
-use crate::transition::TransitionGroundTruth;
+use crate::transition::{TransitionGroundTruth, TransitionModel};
 
 /// Identifier of an enqueued kernel, unique per device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -114,34 +117,86 @@ struct KernelState {
     records: Option<Vec<Vec<IterRecord>>>,
 }
 
+/// One clock domain's locked-clock plan.
+struct DomainPlan {
+    /// Requested frequency over time, including the pending/ramp segments
+    /// of in-flight transitions.
+    requested: FreqTrajectory,
+    /// Sampled transition ground truths, in request order.
+    ledger: Vec<TransitionGroundTruth>,
+    /// The domain's own transition-sampling stream: requests in one domain
+    /// never consume the other's, so core-only campaigns stay bit-identical.
+    rng: ChaCha8Rng,
+    /// Bus jitter never reorders requests on the device queue.
+    last_arrival: SimTime,
+}
+
+impl DomainPlan {
+    fn new(flat_mhz: f64, seed: u64) -> Self {
+        DomainPlan {
+            requested: FreqTrajectory::flat(flat_mhz),
+            ledger: Vec::new(),
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            last_arrival: SimTime::EPOCH,
+        }
+    }
+
+    /// Extend the plan with one request's pending/ramp/target breakpoints
+    /// and record its ground truth. Returns the ladder-snapped target.
+    fn request(
+        &mut self,
+        ladder: &FreqLadder,
+        model: &dyn TransitionModel,
+        host_call: SimTime,
+        arrival: SimTime,
+        target: FreqMhz,
+    ) -> FreqMhz {
+        let arrival = arrival.max(self.last_arrival);
+        self.last_arrival = arrival;
+
+        let target = ladder.snap(target);
+        let from_f = self.requested.freq_at(arrival);
+        let from = ladder.snap(FreqMhz(from_f.round() as u32));
+
+        // A new request overrides the rest of any in-flight transition.
+        self.requested.truncate_after(arrival);
+
+        let shape = model.sample(from, target, ladder, &mut self.rng);
+        let ramp_start = arrival + shape.pending;
+        let mut t = ramp_start;
+        for &(freq, dur) in &shape.ramp {
+            self.requested.push(t, freq);
+            t += dur;
+        }
+        self.requested.push(t, target.as_f64());
+        self.ledger.push(TransitionGroundTruth {
+            from,
+            to: target,
+            host_call,
+            device_arrival: arrival,
+            ramp_start,
+            settled: t,
+        });
+        target
+    }
+}
+
 /// The simulated GPU.
 pub struct GpuDevice {
     spec: DeviceSpec,
     timer: ClockView,
-    /// The locked-clock plan: requested frequency over time, including
-    /// pending/ramp segments of in-flight transitions.
-    requested: FreqTrajectory,
-    /// Sampled transition ground truths, in request order.
-    transitions: Vec<TransitionGroundTruth>,
-    /// The memory-clock plan: requested DRAM frequency over time, including
-    /// in-flight memory transitions. Flat at the default memory P-state
-    /// until the first locked-memory-clocks request.
-    mem_requested: FreqTrajectory,
-    /// Memory-domain transition ground truths, in request order.
-    mem_transitions: Vec<TransitionGroundTruth>,
-    /// Dedicated RNG for memory-domain transition sampling — its own stream,
-    /// so core-only campaigns never consume from it and stay bit-identical.
-    mem_rng: ChaCha8Rng,
-    last_mem_arrival: SimTime,
+    /// The core-clock plan, starting flat at the nominal clock.
+    core: DomainPlan,
+    /// The memory-clock plan, flat at the default memory P-state until the
+    /// first locked-memory-clocks request.
+    mem: DomainPlan,
     thermal: ThermalState,
     /// Device is busy (kernel running) until this instant.
     busy_until: SimTime,
     /// True while the thermal governor holds the clock at the cap.
     thermally_throttled: bool,
     kernels: Vec<KernelState>,
-    rng: ChaCha8Rng,
     next_kernel: u64,
-    last_arrival: SimTime,
     seed: u64,
 }
 
@@ -155,25 +210,19 @@ impl GpuDevice {
             spec.timer_drift_ppm,
             spec.timer_resolution,
         );
-        let requested = FreqTrajectory::flat(spec.nominal_mhz.as_f64());
-        let mem_requested = FreqTrajectory::flat(spec.mem_freq_mhz as f64);
+        let core = DomainPlan::new(spec.nominal_mhz.as_f64(), seed ^ 0xD3_5E_55_AA);
+        let mem = DomainPlan::new(spec.mem_freq_mhz as f64, seed ^ 0x11E1_0C1C);
         let thermal = ThermalState::equilibrium(&spec.thermal, SimTime::EPOCH);
         GpuDevice {
             spec,
             timer,
-            requested,
-            transitions: Vec::new(),
-            mem_requested,
-            mem_transitions: Vec::new(),
-            mem_rng: ChaCha8Rng::seed_from_u64(seed ^ 0x11E1_0C1C),
-            last_mem_arrival: SimTime::EPOCH,
+            core,
+            mem,
             thermal,
             busy_until: SimTime::EPOCH,
             thermally_throttled: false,
             kernels: Vec::new(),
-            rng: ChaCha8Rng::seed_from_u64(seed ^ 0xD3_5E_55_AA),
             next_kernel: 0,
-            last_arrival: SimTime::EPOCH,
             seed,
         }
     }
@@ -188,103 +237,49 @@ impl GpuDevice {
         &self.timer
     }
 
-    /// A locked-clocks request arrives. `host_call` is when the CPU invoked
-    /// the driver; `arrival` is when the request reached the device.
-    /// Returns the ladder-snapped target actually applied.
-    pub fn apply_locked_clocks(
-        &mut self,
-        host_call: SimTime,
-        arrival: SimTime,
-        target: FreqMhz,
-    ) -> FreqMhz {
-        // Bus jitter never reorders requests on the device queue.
-        let arrival = arrival.max(self.last_arrival);
-        self.last_arrival = arrival;
-
-        let target = self.spec.ladder.snap(target);
-        let from_f = self.requested.freq_at(arrival);
-        let from = self.spec.ladder.snap(FreqMhz(from_f.round() as u32));
-
-        // A new request overrides the rest of any in-flight transition.
-        self.requested.truncate_after(arrival);
-
-        let shape = self
-            .spec
-            .transition
-            .sample(from, target, &self.spec.ladder, &mut self.rng);
-        let ramp_start = arrival + shape.pending;
-        let mut t = ramp_start;
-        for &(freq, dur) in &shape.ramp {
-            self.requested.push(t, freq);
-            t += dur;
+    fn plan(&self, domain: ClockDomain) -> &DomainPlan {
+        match domain {
+            ClockDomain::Core => &self.core,
+            ClockDomain::Memory => &self.mem,
         }
-        self.requested.push(t, target.as_f64());
-        self.transitions.push(TransitionGroundTruth {
-            from,
-            to: target,
-            host_call,
-            device_arrival: arrival,
-            ramp_start,
-            settled: t,
-        });
-        target
     }
 
-    /// A locked-memory-clocks request arrives: the DRAM-domain twin of
-    /// [`GpuDevice::apply_locked_clocks`], with its own ladder, transition
-    /// model, and randomness stream. Returns the snapped target.
-    pub fn apply_locked_mem_clocks(
+    /// A locked-clocks request for `domain` arrives. `host_call` is when
+    /// the CPU invoked the driver; `arrival` is when the request reached
+    /// the device. The domain's transition model shapes the switch on the
+    /// domain's own randomness stream. Returns the ladder-snapped target
+    /// actually applied.
+    pub fn apply_locked_clocks(
         &mut self,
+        domain: ClockDomain,
         host_call: SimTime,
         arrival: SimTime,
         target: FreqMhz,
     ) -> FreqMhz {
-        let arrival = arrival.max(self.last_mem_arrival);
-        self.last_mem_arrival = arrival;
-
-        let target = self.spec.mem_ladder.snap(target);
-        let from_f = self.mem_requested.freq_at(arrival);
-        let from = self.spec.mem_ladder.snap(FreqMhz(from_f.round() as u32));
-
-        self.mem_requested.truncate_after(arrival);
-
-        let shape =
-            self.spec
-                .mem_transition
-                .sample(from, target, &self.spec.mem_ladder, &mut self.mem_rng);
-        let ramp_start = arrival + shape.pending;
-        let mut t = ramp_start;
-        for &(freq, dur) in &shape.ramp {
-            self.mem_requested.push(t, freq);
-            t += dur;
-        }
-        self.mem_requested.push(t, target.as_f64());
-        self.mem_transitions.push(TransitionGroundTruth {
-            from,
-            to: target,
+        let (plan, model) = match domain {
+            ClockDomain::Core => (&mut self.core, &self.spec.transition),
+            ClockDomain::Memory => (&mut self.mem, &self.spec.mem_transition),
+        };
+        plan.request(
+            self.spec.ladder_of(domain),
+            model.as_ref(),
             host_call,
-            device_arrival: arrival,
-            ramp_start,
-            settled: t,
-        });
-        target
+            arrival,
+            target,
+        )
+    }
+
+    /// Ground-truth transitions of `domain` recorded so far, in request
+    /// order (closed-loop validation).
+    pub fn transitions(&self, domain: ClockDomain) -> &[TransitionGroundTruth] {
+        &self.plan(domain).ledger
     }
 
     /// The effective memory clock at `now` as a driver query would report
     /// (the memory domain has no idle drop: DRAM keeps its P-state).
     pub fn current_mem_clock(&self, now: SimTime) -> FreqMhz {
-        let f = self.mem_requested.freq_at(now);
+        let f = self.mem.requested.freq_at(now);
         self.spec.mem_ladder.snap(FreqMhz(f.round() as u32))
-    }
-
-    /// Memory-domain ground-truth transitions recorded so far.
-    pub fn mem_transitions(&self) -> &[TransitionGroundTruth] {
-        &self.mem_transitions
-    }
-
-    /// The most recent memory-domain ground-truth transition.
-    pub fn last_mem_transition(&self) -> Option<&TransitionGroundTruth> {
-        self.mem_transitions.last()
     }
 
     /// Queue a kernel; it will start once the previous kernel (if any)
@@ -361,7 +356,7 @@ impl GpuDevice {
                 }
             }
         }
-        let requested_now = self.requested.freq_at(now);
+        let requested_now = self.core.requested.freq_at(now);
         let cap = self
             .spec
             .power
@@ -391,7 +386,7 @@ impl GpuDevice {
         if now > self.busy_until && self.busy_until != SimTime::EPOCH {
             return self.spec.idle_mhz;
         }
-        let f = self.requested.freq_at(now);
+        let f = self.core.requested.freq_at(now);
         let capped = match self
             .spec
             .power
@@ -401,16 +396,6 @@ impl GpuDevice {
             None => self.spec.ladder.min().as_f64(),
         };
         self.spec.ladder.snap(FreqMhz(capped.round() as u32))
-    }
-
-    /// Ground-truth transitions recorded so far (closed-loop validation).
-    pub fn transitions(&self) -> &[TransitionGroundTruth] {
-        &self.transitions
-    }
-
-    /// The most recent ground-truth transition.
-    pub fn last_transition(&self) -> Option<&TransitionGroundTruth> {
-        self.transitions.last()
     }
 
     // ----- materialisation internals -------------------------------------
@@ -443,7 +428,7 @@ impl GpuDevice {
         // single-domain engine).
         let mem_ref = self.spec.mem_freq_mhz as f64;
         let mem_draft = if config.workload.mem_stall_ns > 0.0 {
-            Some(self.mem_requested.clone())
+            Some(self.mem.requested.clone())
         } else {
             None
         };
@@ -525,6 +510,7 @@ impl GpuDevice {
 
         // The clamped locked-clock plan as a step function of time.
         let plan_breaks: Vec<(SimTime, f64)> = self
+            .core
             .requested
             .segments()
             .iter()
@@ -688,7 +674,7 @@ impl std::fmt::Debug for GpuDevice {
             .field("name", &self.spec.name)
             .field("busy_until", &self.busy_until)
             .field("temp_c", &self.thermal.temp_c)
-            .field("transitions", &self.transitions.len())
+            .field("transitions", &self.core.ledger.len())
             .finish()
     }
 }
@@ -730,7 +716,12 @@ mod tests {
         let clock = SharedClock::new();
         let mut dev = test_device(clock.clone());
         // Lock 1000 MHz well before launch (arrival at t=0 settles at 10ms).
-        dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1005));
+        dev.apply_locked_clocks(
+            ClockDomain::Core,
+            SimTime::EPOCH,
+            SimTime::EPOCH,
+            FreqMhz(1005),
+        );
         // 1005 snaps to a ladder value (210 + 15k); 1005 = 210+795 -> yes.
         let t0 = SimTime::from_millis(50);
         let id = dev
@@ -761,7 +752,12 @@ mod tests {
     fn mid_kernel_transition_visible_in_records() {
         let clock = SharedClock::new();
         let mut dev = test_device(clock.clone());
-        dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1410));
+        dev.apply_locked_clocks(
+            ClockDomain::Core,
+            SimTime::EPOCH,
+            SimTime::EPOCH,
+            FreqMhz(1410),
+        );
         let t0 = SimTime::from_millis(50);
         let id = dev
             .enqueue_kernel(
@@ -777,13 +773,13 @@ mod tests {
         // settles 10 ms later.
         let call = SimTime::from_millis(60);
         let arrival = call + SimDuration::from_micros(50);
-        dev.apply_locked_clocks(call, arrival, FreqMhz(705));
+        dev.apply_locked_clocks(ClockDomain::Core, call, arrival, FreqMhz(705));
         dev.synchronize(t0);
         let recs = dev.take_records(id).unwrap().remove(0);
 
         let fast_ns = 100_000.0 / 1.410;
         let slow_ns = 100_000.0 / 0.705;
-        let settled = dev.transitions().last().unwrap().settled;
+        let settled = dev.transitions(ClockDomain::Core).last().unwrap().settled;
         for r in &recs {
             let d = r.duration().as_nanos() as f64;
             if r.end < arrival {
@@ -802,8 +798,8 @@ mod tests {
         let mut dev = test_device(clock);
         let call = SimTime::from_millis(5);
         let arrival = call + SimDuration::from_micros(30);
-        dev.apply_locked_clocks(call, arrival, FreqMhz(705));
-        let gt = dev.last_transition().unwrap();
+        dev.apply_locked_clocks(ClockDomain::Core, call, arrival, FreqMhz(705));
+        let gt = dev.transitions(ClockDomain::Core).last().unwrap();
         assert_eq!(
             gt.switching_latency(),
             SimDuration::from_micros(30) + SimDuration::from_millis(10)
@@ -816,20 +812,28 @@ mod tests {
     fn override_inflight_transition() {
         let clock = SharedClock::new();
         let mut dev = test_device(clock);
-        dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1410));
+        dev.apply_locked_clocks(
+            ClockDomain::Core,
+            SimTime::EPOCH,
+            SimTime::EPOCH,
+            FreqMhz(1410),
+        );
         // Second request arrives 2 ms later, well inside the 10 ms pending
         // window of the first: the first target must never materialise.
         let t2 = SimTime::from_millis(2);
-        dev.apply_locked_clocks(t2, t2, FreqMhz(705));
-        let settled = dev.last_transition().unwrap().settled;
+        dev.apply_locked_clocks(ClockDomain::Core, t2, t2, FreqMhz(705));
+        let settled = dev.transitions(ClockDomain::Core).last().unwrap().settled;
         assert_eq!(
-            dev.requested.freq_at(settled + SimDuration::from_millis(1)),
+            dev.core
+                .requested
+                .freq_at(settled + SimDuration::from_millis(1)),
             705.0
         );
         // At t = 10.5 ms (when the first would have settled) the plan must
         // not be 1410.
         assert_ne!(
-            dev.requested
+            dev.core
+                .requested
                 .freq_at(SimTime::from_millis(10) + SimDuration::from_micros(500)),
             1410.0
         );
@@ -839,7 +843,12 @@ mod tests {
     fn in_order_kernel_queueing() {
         let clock = SharedClock::new();
         let mut dev = test_device(clock);
-        dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1410));
+        dev.apply_locked_clocks(
+            ClockDomain::Core,
+            SimTime::EPOCH,
+            SimTime::EPOCH,
+            FreqMhz(1410),
+        );
         let cfg = KernelConfig {
             iters_per_sm: 1_000,
             workload: quiet_workload(),
@@ -896,7 +905,12 @@ mod tests {
         });
         spec.thermal.tdp_w = spec.power.busy_power(900.0); // cap near 900 MHz
         let mut dev = GpuDevice::new(spec, 1, clock);
-        dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1410));
+        dev.apply_locked_clocks(
+            ClockDomain::Core,
+            SimTime::EPOCH,
+            SimTime::EPOCH,
+            FreqMhz(1410),
+        );
         let reasons = dev.throttle_reasons(SimTime::from_millis(1));
         assert!(reasons.sw_power_cap);
         // Records must reflect the capped clock, not 1410.
@@ -933,7 +947,12 @@ mod tests {
         spec.thermal.r_th = 0.2;
         spec.thermal.throttle_cap_mhz = 600.0;
         let mut dev = GpuDevice::new(spec, 1, clock);
-        dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1410));
+        dev.apply_locked_clocks(
+            ClockDomain::Core,
+            SimTime::EPOCH,
+            SimTime::EPOCH,
+            FreqMhz(1410),
+        );
         let id = dev
             .enqueue_kernel(
                 SimTime::from_millis(1),
@@ -963,7 +982,12 @@ mod tests {
     fn idle_device_reports_idle_clock_and_cools() {
         let clock = SharedClock::new();
         let mut dev = test_device(clock);
-        dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1410));
+        dev.apply_locked_clocks(
+            ClockDomain::Core,
+            SimTime::EPOCH,
+            SimTime::EPOCH,
+            FreqMhz(1410),
+        );
         let cfg = KernelConfig {
             iters_per_sm: 100,
             workload: quiet_workload(),
@@ -987,7 +1011,12 @@ mod tests {
         // memory model too so the settle instant is deterministic.
         // (test_device leaves the A100 mem model in place — fine: we read
         // the ground truth back rather than assuming the latency.)
-        dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1410));
+        dev.apply_locked_clocks(
+            ClockDomain::Core,
+            SimTime::EPOCH,
+            SimTime::EPOCH,
+            FreqMhz(1410),
+        );
         let mut wl = quiet_workload();
         wl.mem_stall_ns = 50_000.0; // 50 us of DRAM stall at 1215 MHz
         let t0 = SimTime::from_millis(50);
@@ -1004,7 +1033,7 @@ mod tests {
         // Halve the DRAM clock mid-kernel.
         let call = SimTime::from_millis(90);
         let arrival = call + SimDuration::from_micros(50);
-        let applied = dev.apply_locked_mem_clocks(call, arrival, FreqMhz(810));
+        let applied = dev.apply_locked_clocks(ClockDomain::Memory, call, arrival, FreqMhz(810));
         assert_eq!(applied, FreqMhz(810));
         dev.synchronize(t0);
         let recs = dev.take_records(id).unwrap().remove(0);
@@ -1012,7 +1041,7 @@ mod tests {
         let work_ns = 100_000.0 / 1.410;
         let fast_ns = work_ns + 50_000.0; // mem at the 1215 reference
         let slow_ns = work_ns + 50_000.0 * 1215.0 / 810.0;
-        let settled = dev.last_mem_transition().unwrap().settled;
+        let settled = dev.transitions(ClockDomain::Memory).last().unwrap().settled;
         for r in &recs {
             let d = r.duration().as_nanos() as f64;
             if r.end < arrival {
@@ -1023,8 +1052,8 @@ mod tests {
         }
         assert!(recs.iter().any(|r| r.start > settled));
         // The core-domain ground truth is untouched by memory requests.
-        assert_eq!(dev.transitions().len(), 1);
-        assert_eq!(dev.mem_transitions().len(), 1);
+        assert_eq!(dev.transitions(ClockDomain::Core).len(), 1);
+        assert_eq!(dev.transitions(ClockDomain::Memory).len(), 1);
     }
 
     #[test]
@@ -1034,10 +1063,15 @@ mod tests {
         let run = |with_mem: bool| {
             let clock = SharedClock::new();
             let mut dev = test_device(clock);
-            dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1200));
+            dev.apply_locked_clocks(
+                ClockDomain::Core,
+                SimTime::EPOCH,
+                SimTime::EPOCH,
+                FreqMhz(1200),
+            );
             if with_mem {
                 let t = SimTime::from_millis(10);
-                dev.apply_locked_mem_clocks(t, t, FreqMhz(810));
+                dev.apply_locked_clocks(ClockDomain::Memory, t, t, FreqMhz(810));
             }
             let mut wl = quiet_workload();
             wl.noise_rel_sigma = 0.01;
@@ -1058,7 +1092,12 @@ mod tests {
         let run = || {
             let clock = SharedClock::new();
             let mut dev = test_device(clock);
-            dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1200));
+            dev.apply_locked_clocks(
+                ClockDomain::Core,
+                SimTime::EPOCH,
+                SimTime::EPOCH,
+                FreqMhz(1200),
+            );
             let mut wl = quiet_workload();
             wl.noise_rel_sigma = 0.01;
             let cfg = KernelConfig {
@@ -1086,7 +1125,12 @@ mod tests {
         spec.wakeup_ramp = SimDuration::from_millis(20);
         spec.wakeup_idle_threshold = SimDuration::from_millis(1);
         let mut dev = GpuDevice::new(spec, 1, clock);
-        dev.apply_locked_clocks(SimTime::EPOCH, SimTime::EPOCH, FreqMhz(1410));
+        dev.apply_locked_clocks(
+            ClockDomain::Core,
+            SimTime::EPOCH,
+            SimTime::EPOCH,
+            FreqMhz(1410),
+        );
         let cfg = KernelConfig {
             iters_per_sm: 600,
             workload: quiet_workload(),

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use latest_sim_clock::SimDuration;
 
-use crate::freq::{FreqLadder, FreqMhz};
+use crate::freq::{ClockDomain, FreqLadder, FreqMhz};
 use crate::noise::{LatencyMixture, MixtureComponent};
 use crate::thermal::{PowerModel, ThermalParams};
 use crate::transition::{
@@ -135,6 +135,14 @@ impl DeviceSpec {
     /// resets to when memory locks are cleared).
     pub fn mem_default(&self) -> FreqMhz {
         FreqMhz(self.mem_freq_mhz)
+    }
+
+    /// The selectable frequencies of `domain`.
+    pub fn ladder_of(&self, domain: ClockDomain) -> &FreqLadder {
+        match domain {
+            ClockDomain::Core => &self.ladder,
+            ClockDomain::Memory => &self.mem_ladder,
+        }
     }
 }
 

@@ -20,12 +20,17 @@ impl FreqMhz {
     pub fn as_f64(self) -> f64 {
         self.0 as f64
     }
+}
 
-    /// Cycles per nanosecond at this frequency.
-    #[inline]
-    pub fn cycles_per_ns(self) -> f64 {
-        self.0 as f64 * 1e-3
-    }
+/// A clock domain of the device: the SM (graphics) clock or the memory
+/// (DRAM) clock. Each domain has its own ladder, transition model and
+/// randomness stream; a clock request takes the same path in both.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ClockDomain {
+    /// The SM / graphics clock.
+    Core,
+    /// The memory (DRAM) clock.
+    Memory,
 }
 
 impl fmt::Debug for FreqMhz {

@@ -6,7 +6,8 @@
 //! durations reflect the instantaneous SM frequency*. This crate produces
 //! exactly that observable, from first principles:
 //!
-//! * [`freq`] — frequency ladders (the discrete clock steps NVML exposes);
+//! * [`freq`] — frequency ladders (the discrete clock steps NVML exposes)
+//!   and the two [`ClockDomain`]s, core (SM) and memory (DRAM);
 //! * [`trajectory`] — the device's piecewise-constant frequency-vs-time
 //!   curve, with exact integration of `work_cycles = ∫ f(t) dt` to turn a
 //!   per-iteration cycle budget into start/end timestamps;
@@ -20,9 +21,11 @@
 //! * [`sm`] — the streaming-multiprocessor engine: iterations of a
 //!   compute-bound microbenchmark with per-iteration noise and timer
 //!   quantisation;
-//! * [`device`] — [`device::GpuDevice`]: locked-clock requests, kernel
-//!   launches, lazy in-order materialisation at synchronisation points,
-//!   ground-truth transition records for closed-loop validation;
+//! * [`device`] — [`device::GpuDevice`]: locked-clock requests (one path
+//!   for both clock domains, each with its own plan, ledger and randomness
+//!   stream), kernel launches, lazy in-order materialisation at
+//!   synchronisation points, ground-truth transition records for
+//!   closed-loop validation;
 //! * [`devices`] — calibrated descriptors for the paper's three GPUs
 //!   (RTX Quadro 6000, A100-SXM4, GH200) and per-unit manufacturing
 //!   variation for the four-A100 experiment;
@@ -40,6 +43,6 @@ pub mod transition;
 
 pub use device::{GpuDevice, KernelConfig, KernelId, LaunchError, ThrottleReasons};
 pub use devices::{DeviceSpec, GpuArchitecture};
-pub use freq::{FreqLadder, FreqMhz};
+pub use freq::{ClockDomain, FreqLadder, FreqMhz};
 pub use trajectory::FreqTrajectory;
 pub use transition::{TransitionGroundTruth, TransitionModel, TransitionShape};

@@ -110,16 +110,12 @@ impl WorkloadParams {
         }
     }
 
-    /// Expected iteration duration at a given core frequency (noise-free,
-    /// memory at its reference clock), ns.
-    pub fn expected_iter_ns(&self, freq_mhz: f64) -> f64 {
-        self.work_cycles / (freq_mhz * 1e-3) + self.mem_stall_ns
-    }
-
-    /// Expected iteration duration with the memory domain off its reference
-    /// clock: the arithmetic block scales with the core clock, the stall
-    /// scales with `reference_mhz / mem_mhz` (fixed memory cycles), ns.
-    pub fn expected_iter_ns_mem(&self, freq_mhz: f64, mem_mhz: f64, reference_mhz: f64) -> f64 {
+    /// Expected iteration duration (noise-free), ns: the arithmetic block
+    /// scales with the core clock `freq_mhz`, the stall with
+    /// `reference_mhz / mem_mhz` (a fixed count of memory cycles). With the
+    /// memory clock at its reference (`mem_mhz == reference_mhz`) the stall
+    /// takes its face value exactly.
+    pub fn expected_iter_ns(&self, freq_mhz: f64, mem_mhz: f64, reference_mhz: f64) -> f64 {
         self.work_cycles / (freq_mhz * 1e-3) + self.mem_stall_ns * (reference_mhz / mem_mhz)
     }
 }
@@ -519,13 +515,13 @@ mod tests {
         // keeps a weaker (but still detectable) core sensitivity because
         // most of its iteration is DRAM stall.
         for params in [WorkloadParams::default_micro(), WorkloadParams::bursty()] {
-            let slow = params.expected_iter_ns(705.0);
-            let fast = params.expected_iter_ns(1410.0);
+            let slow = params.expected_iter_ns(705.0, 1215.0, 1215.0);
+            let fast = params.expected_iter_ns(1410.0, 1215.0, 1215.0);
             assert!(slow > 1.9 * fast, "iteration time must track 1/f");
         }
         let mb = WorkloadParams::memory_bound();
-        let slow = mb.expected_iter_ns(705.0);
-        let fast = mb.expected_iter_ns(1410.0);
+        let slow = mb.expected_iter_ns(705.0, 1215.0, 1215.0);
+        let fast = mb.expected_iter_ns(1410.0, 1215.0, 1215.0);
         assert!(
             slow > 1.3 * fast,
             "memory-bound core sensitivity too weak: {slow} vs {fast}"
@@ -569,8 +565,8 @@ mod tests {
             "memory-bound must slow down at half DRAM clock: {half} vs {full}"
         );
         // Analytic expectation agrees with the engine.
-        let exp_ratio = mb.expected_iter_ns_mem(1410.0, 607.5, 1215.0)
-            / mb.expected_iter_ns_mem(1410.0, 1215.0, 1215.0);
+        let exp_ratio = mb.expected_iter_ns(1410.0, 607.5, 1215.0)
+            / mb.expected_iter_ns(1410.0, 1215.0, 1215.0);
         assert!((half / full - exp_ratio).abs() < 0.05 * exp_ratio);
 
         let pd = WorkloadParams::default_micro();

@@ -218,8 +218,8 @@ proptest! {
     #[test]
     fn expected_iteration_time_scales_inversely_with_frequency(cycles in 1.0e3..1.0e6f64, f in 200.0..2000.0f64) {
         let w = WorkloadParams { work_cycles: cycles, ..WorkloadParams::default_micro() };
-        let at_f = w.expected_iter_ns(f);
-        let at_2f = w.expected_iter_ns(2.0 * f);
+        let at_f = w.expected_iter_ns(f, 1215.0, 1215.0);
+        let at_2f = w.expected_iter_ns(2.0 * f, 1215.0, 1215.0);
         prop_assert!((at_f / at_2f - 2.0).abs() < 1e-9);
     }
 

@@ -9,8 +9,14 @@
 //! before the device has applied anything; the request then travels the bus
 //! and is processed asynchronously.
 //!
+//! The memory clock (`nvmlDeviceSetMemoryLockedClocks`) is a second
+//! [`ClockDomain`] behind the same façade: both set-clocks calls are thin
+//! wrappers over one private call path, which validates the target against
+//! the domain's ladder and then pays the same driver timing.
+//!
 //! Timing model per control call (all sampled from the device's
-//! [`DriverProfile`](latest_gpu_sim::devices::DriverProfile), seeded):
+//! [`DriverProfile`](latest_gpu_sim::devices::DriverProfile), seeded, in
+//! this order: blocking, travel, stall check):
 //!
 //! ```text
 //! host:   |--- call blocking (~100 µs) ---| (returns)
@@ -30,7 +36,7 @@ use std::sync::Arc;
 use latest_gpu_sim::devices::DeviceSpec;
 use latest_gpu_sim::freq::FreqMhz;
 use latest_gpu_sim::noise::LogNormal;
-use latest_gpu_sim::{GpuDevice, ThrottleReasons};
+use latest_gpu_sim::{ClockDomain, GpuDevice, ThrottleReasons};
 use latest_sim_clock::{SharedClock, SimDuration, SimTime};
 use parking_lot::Mutex;
 use rand::{Rng, SeedableRng};
@@ -127,11 +133,6 @@ impl Nvml {
         })
     }
 
-    /// The shared virtual clock (for composing with the CUDA façade).
-    pub fn shared_clock(&self) -> &SharedClock {
-        &self.clock
-    }
-
     /// Raw access to a device for composing façades over the same silicon.
     pub fn raw_device(&self, index: usize) -> NvmlResult<Arc<Mutex<GpuDevice>>> {
         self.devices
@@ -192,50 +193,11 @@ impl NvmlDevice {
     }
 
     /// `nvmlDeviceSetGpuLockedClocks(min = max = target)` — the call LATEST
-    /// issues for every frequency change. Returns the ladder-snapped target.
-    ///
-    /// The host blocks for the sampled call time; the request reaches the
-    /// device asynchronously afterwards. Rejects frequencies outside the
-    /// ladder range, mirroring `NVML_ERROR_INVALID_ARGUMENT`.
+    /// issues for every frequency change. Returns the ladder-snapped target;
+    /// rejects clocks outside the ladder range, mirroring
+    /// `NVML_ERROR_INVALID_ARGUMENT`.
     pub fn set_gpu_locked_clocks(&mut self, target: FreqMhz) -> NvmlResult<FreqMhz> {
-        let (min, max) = {
-            let d = self.device.lock();
-            (d.spec().ladder.min(), d.spec().ladder.max())
-        };
-        if target < min || target > max {
-            return Err(NvmlError::InvalidClock {
-                requested: target.0,
-                min: min.0,
-                max: max.0,
-            });
-        }
-
-        let profile = self.device.lock().spec().driver.clone();
-        let call = self.clock.now();
-        let blocking_us =
-            LogNormal::from_median(profile.call_blocking_us, profile.call_blocking_sigma_ln)
-                .sample(&mut self.rng);
-        let mut travel_us =
-            LogNormal::from_median(profile.request_travel_us, profile.request_travel_sigma_ln)
-                .sample(&mut self.rng);
-        if self.rng.gen::<f64>() < profile.stall_prob {
-            travel_us += profile.stall.sample_ms(&mut self.rng) * 1e3;
-        }
-        let arrival = call + SimDuration::from_nanos((travel_us * 1e3).round() as u64);
-        let snapped = self
-            .device
-            .lock()
-            .apply_locked_clocks(call, arrival, target);
-        let ret = self
-            .clock
-            .advance(SimDuration::from_nanos((blocking_us * 1e3).round() as u64));
-        self.trace.push(DriverCallTrace {
-            kind: DriverCallKind::SetLockedClocks,
-            call,
-            ret,
-            device_arrival: Some(arrival),
-        });
-        Ok(snapped)
+        self.set_locked_clocks(ClockDomain::Core, target)
     }
 
     /// `nvmlDeviceResetGpuLockedClocks`: return to the nominal clock.
@@ -244,50 +206,11 @@ impl NvmlDevice {
         self.set_gpu_locked_clocks(nominal)
     }
 
-    /// `nvmlDeviceSetMemoryLockedClocks(min = max = target)` — the memory
-    /// domain's twin of [`NvmlDevice::set_gpu_locked_clocks`]: the host
-    /// blocks for the sampled call time, the request travels the bus, the
-    /// device retrains DRAM asynchronously. Returns the ladder-snapped
-    /// target; rejects clocks outside the memory ladder range.
+    /// `nvmlDeviceSetMemoryLockedClocks(min = max = target)`: the same
+    /// call path as [`NvmlDevice::set_gpu_locked_clocks`], on the memory
+    /// ladder. Returns the ladder-snapped target.
     pub fn set_memory_locked_clocks(&mut self, target: FreqMhz) -> NvmlResult<FreqMhz> {
-        let (min, max) = {
-            let d = self.device.lock();
-            (d.spec().mem_ladder.min(), d.spec().mem_ladder.max())
-        };
-        if target < min || target > max {
-            return Err(NvmlError::InvalidClock {
-                requested: target.0,
-                min: min.0,
-                max: max.0,
-            });
-        }
-
-        let profile = self.device.lock().spec().driver.clone();
-        let call = self.clock.now();
-        let blocking_us =
-            LogNormal::from_median(profile.call_blocking_us, profile.call_blocking_sigma_ln)
-                .sample(&mut self.rng);
-        let mut travel_us =
-            LogNormal::from_median(profile.request_travel_us, profile.request_travel_sigma_ln)
-                .sample(&mut self.rng);
-        if self.rng.gen::<f64>() < profile.stall_prob {
-            travel_us += profile.stall.sample_ms(&mut self.rng) * 1e3;
-        }
-        let arrival = call + SimDuration::from_nanos((travel_us * 1e3).round() as u64);
-        let snapped = self
-            .device
-            .lock()
-            .apply_locked_mem_clocks(call, arrival, target);
-        let ret = self
-            .clock
-            .advance(SimDuration::from_nanos((blocking_us * 1e3).round() as u64));
-        self.trace.push(DriverCallTrace {
-            kind: DriverCallKind::SetLockedMemClocks,
-            call,
-            ret,
-            device_arrival: Some(arrival),
-        });
-        Ok(snapped)
+        self.set_locked_clocks(ClockDomain::Memory, target)
     }
 
     /// `nvmlDeviceResetMemoryLockedClocks`: return to the default memory
@@ -297,60 +220,79 @@ impl NvmlDevice {
         self.set_memory_locked_clocks(default)
     }
 
-    /// `nvmlDeviceGetClockInfo(NVML_CLOCK_MEM)`.
-    pub fn mem_clock_info(&mut self) -> FreqMhz {
+    /// One locked-clocks call in `domain`: the host blocks for the sampled
+    /// call time while the request travels the bus (plus a rare driver
+    /// stall) and reaches the device asynchronously. The draws come in a
+    /// fixed order — blocking, travel, stall check — on the handle's one
+    /// stream, whichever the domain.
+    fn set_locked_clocks(&mut self, domain: ClockDomain, target: FreqMhz) -> NvmlResult<FreqMhz> {
+        let (min, max, profile) = {
+            let d = self.device.lock();
+            let ladder = d.spec().ladder_of(domain);
+            (ladder.min(), ladder.max(), d.spec().driver.clone())
+        };
+        if target < min || target > max {
+            return Err(NvmlError::InvalidClock {
+                requested: target.0,
+                min: min.0,
+                max: max.0,
+            });
+        }
+
         let call = self.clock.now();
-        let f = self.device.lock().current_mem_clock(call);
-        let ret = self.query_cost();
+        let blocking_us =
+            LogNormal::from_median(profile.call_blocking_us, profile.call_blocking_sigma_ln)
+                .sample(&mut self.rng);
+        let mut travel_us =
+            LogNormal::from_median(profile.request_travel_us, profile.request_travel_sigma_ln)
+                .sample(&mut self.rng);
+        if self.rng.gen::<f64>() < profile.stall_prob {
+            travel_us += profile.stall.sample_ms(&mut self.rng) * 1e3;
+        }
+        let arrival = call + SimDuration::from_nanos((travel_us * 1e3).round() as u64);
+        let snapped = self
+            .device
+            .lock()
+            .apply_locked_clocks(domain, call, arrival, target);
+        let ret = self
+            .clock
+            .advance(SimDuration::from_nanos((blocking_us * 1e3).round() as u64));
         self.trace.push(DriverCallTrace {
-            kind: DriverCallKind::GetMemClockInfo,
+            kind: match domain {
+                ClockDomain::Core => DriverCallKind::SetLockedClocks,
+                ClockDomain::Memory => DriverCallKind::SetLockedMemClocks,
+            },
             call,
             ret,
-            device_arrival: None,
+            device_arrival: Some(arrival),
         });
-        f
+        Ok(snapped)
+    }
+
+    /// `nvmlDeviceGetClockInfo(NVML_CLOCK_MEM)`.
+    pub fn mem_clock_info(&mut self) -> FreqMhz {
+        self.query(DriverCallKind::GetMemClockInfo, |d, now| {
+            d.current_mem_clock(now)
+        })
     }
 
     /// `nvmlDeviceGetClockInfo(NVML_CLOCK_SM)`.
     pub fn clock_info(&mut self) -> FreqMhz {
-        let call = self.clock.now();
-        let f = self.device.lock().current_sm_clock(call);
-        let ret = self.query_cost();
-        self.trace.push(DriverCallTrace {
-            kind: DriverCallKind::GetClockInfo,
-            call,
-            ret,
-            device_arrival: None,
-        });
-        f
+        self.query(DriverCallKind::GetClockInfo, |d, now| {
+            d.current_sm_clock(now)
+        })
     }
 
     /// `nvmlDeviceGetCurrentClocksThrottleReasons`.
     pub fn throttle_reasons(&mut self) -> ThrottleReasons {
-        let call = self.clock.now();
-        let r = self.device.lock().throttle_reasons(call);
-        let ret = self.query_cost();
-        self.trace.push(DriverCallTrace {
-            kind: DriverCallKind::GetThrottleReasons,
-            call,
-            ret,
-            device_arrival: None,
-        });
-        r
+        self.query(DriverCallKind::GetThrottleReasons, |d, now| {
+            d.throttle_reasons(now)
+        })
     }
 
     /// `nvmlDeviceGetTemperature(NVML_TEMPERATURE_GPU)`.
     pub fn temperature_c(&mut self) -> f64 {
-        let call = self.clock.now();
-        let t = self.device.lock().temperature(call);
-        let ret = self.query_cost();
-        self.trace.push(DriverCallTrace {
-            kind: DriverCallKind::GetTemperature,
-            call,
-            ret,
-            device_arrival: None,
-        });
-        t
+        self.query(DriverCallKind::GetTemperature, |d, now| d.temperature(now))
     }
 
     /// Drain the driver-call trace (for Fig. 2-style timelines).
@@ -364,11 +306,26 @@ impl NvmlDevice {
         self.device.clone()
     }
 
-    fn query_cost(&mut self) -> SimTime {
-        // Queries are cheap but not free: ~20-60 us.
+    /// One query call: read the device at call entry, then pay the query
+    /// cost (cheap but not free: ~20-60 us) and trace the call.
+    fn query<T>(
+        &mut self,
+        kind: DriverCallKind,
+        read: impl FnOnce(&mut GpuDevice, SimTime) -> T,
+    ) -> T {
+        let call = self.clock.now();
+        let value = read(&mut self.device.lock(), call);
         let us: f64 = self.rng.gen_range(20.0..60.0);
-        self.clock
-            .advance(SimDuration::from_nanos((us * 1e3) as u64))
+        let ret = self
+            .clock
+            .advance(SimDuration::from_nanos((us * 1e3) as u64));
+        self.trace.push(DriverCallTrace {
+            kind,
+            call,
+            ret,
+            device_arrival: None,
+        });
+        value
     }
 }
 
@@ -426,7 +383,12 @@ mod tests {
         assert!(arrival > t.call, "arrival must be after the call");
         // Ground truth: the device recorded the transition with our call time.
         let raw = dev.raw();
-        let gt = raw.lock().last_transition().cloned().unwrap();
+        let gt = raw
+            .lock()
+            .transitions(ClockDomain::Core)
+            .last()
+            .cloned()
+            .unwrap();
         assert_eq!(gt.host_call, t.call);
         assert_eq!(gt.device_arrival, arrival);
         assert_eq!(gt.to, FreqMhz(705));
@@ -473,7 +435,12 @@ mod tests {
         // After the transition settles, the requested plan is nominal.
         clock.advance(SimDuration::from_secs(1));
         let raw = dev.raw();
-        let gt = raw.lock().last_transition().cloned().unwrap();
+        let gt = raw
+            .lock()
+            .transitions(ClockDomain::Core)
+            .last()
+            .cloned()
+            .unwrap();
         assert_eq!(gt.to, FreqMhz(1095));
     }
 
@@ -517,8 +484,8 @@ mod tests {
         let raw = dev.raw();
         {
             let d = raw.lock();
-            assert!(d.last_transition().is_none());
-            let gt = d.last_mem_transition().cloned().unwrap();
+            assert!(d.transitions(ClockDomain::Core).is_empty());
+            let gt = d.transitions(ClockDomain::Memory).last().cloned().unwrap();
             assert_eq!(gt.to, FreqMhz(810));
         }
         // After settling, the reported memory clock is the locked state and

@@ -14,9 +14,9 @@
 //! Both reports convert into `latest-report` artifacts (scatter, error
 //! heatmap, table) for the `latest predict validate` CLI.
 
-use latest_core::SimPlatform;
+use latest_core::{GroundTruth, SimPlatform};
 use latest_gpu_sim::devices::DeviceSpec;
-use latest_gpu_sim::freq::FreqMhz;
+use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
 use latest_report::{prediction_error_heatmap, Heatmap, PredictionRow, PredictionScatter};
 use latest_sim_clock::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -294,7 +294,7 @@ pub fn closed_loop_validate(
                 .set_gpu_locked_clocks(FreqMhz(target))
                 .map_err(|e| PredictError::Platform(e.to_string()))?;
             let gt = platform
-                .last_ground_truth()
+                .last_transition(ClockDomain::Core)
                 .expect("transition just requested");
             truths.push(gt.switching_latency().as_millis_f64());
         }

@@ -119,8 +119,8 @@ impl Bundle {
 
         // Figs. 5/6 shape: the worst pair's per-measurement scatter, raw
         // sample with the filter's outliers marked as noise.
-        if let Some((_, init, target)) = completed.stat_extreme_state(PairStat::Max, true) {
-            if let Some(pair) = completed.pair_state(init, target) {
+        if let Some((_, init, target)) = completed.stat_extreme(PairStat::Max, true) {
+            if let Some(pair) = completed.pair(init, target) {
                 if let (Some(raw), Some(analysis)) =
                     (pair.raw_ms(), pair.measurement().analysis.as_ref())
                 {
@@ -229,14 +229,14 @@ fn campaign_record(result: &CampaignResult) -> ExperimentRecord {
     record.compare(
         "best-case min [ms]",
         "-",
-        fmt(completed.stat_extreme_state(PairStat::Min, false)),
+        fmt(completed.stat_extreme(PairStat::Min, false)),
         true,
         "fastest measured transition",
     );
     record.compare(
         "worst-case max [ms]",
         "-",
-        fmt(completed.stat_extreme_state(PairStat::Max, true)),
+        fmt(completed.stat_extreme(PairStat::Max, true)),
         true,
         "slowest measured transition",
     );

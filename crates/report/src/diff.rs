@@ -13,7 +13,7 @@
 //! a significant regression into a CI failure.
 
 use latest_core::view::LatencyView;
-use latest_core::CampaignResult;
+use latest_core::{CampaignResult, FreqState};
 use latest_stats::hypothesis::mann_whitney_u;
 
 use crate::heatmap::Heatmap;
@@ -91,7 +91,10 @@ impl CampaignDiff {
                 continue;
             };
             let (init, target) = (pa.init_mhz(), pa.target_mhz());
-            let Some(xs_b) = view_b.pair(init, target).and_then(|p| p.filtered_ms()) else {
+            let Some(xs_b) = view_b
+                .pair(FreqState::core_mhz(init), FreqState::core_mhz(target))
+                .and_then(|p| p.filtered_ms())
+            else {
                 only_in_a.push((init, target));
                 continue;
             };
@@ -113,7 +116,12 @@ impl CampaignDiff {
             .pairs()
             .filter(|p| p.filtered_ms().is_some())
             .map(|p| (p.init_mhz(), p.target_mhz()))
-            .filter(|&(i, t)| view_a.pair(i, t).and_then(|p| p.filtered_ms()).is_none())
+            .filter(|&(i, t)| {
+                view_a
+                    .pair(FreqState::core_mhz(i), FreqState::core_mhz(t))
+                    .and_then(|p| p.filtered_ms())
+                    .is_none()
+            })
             .collect();
         CampaignDiff {
             device_a: a.device_name.clone(),

@@ -52,7 +52,11 @@ impl Heatmap {
             if init == target {
                 return None;
             }
-            view.pair(init, target).and_then(|p| p.stat(stat))
+            view.pair(
+                latest_core::FreqState::core_mhz(init),
+                latest_core::FreqState::core_mhz(target),
+            )
+            .and_then(|p| p.stat(stat))
         })
     }
 
@@ -71,7 +75,7 @@ impl Heatmap {
             if init == target {
                 return None;
             }
-            view.pair_state(init, target).and_then(|p| p.stat(stat))
+            view.pair(init, target).and_then(|p| p.stat(stat))
         })
     }
 
@@ -92,7 +96,7 @@ impl Heatmap {
             if init == target {
                 return None;
             }
-            view.pair_state(
+            view.pair(
                 FreqState::mhz(init, mem_mhz),
                 FreqState::mhz(target, mem_mhz),
             )

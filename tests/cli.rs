@@ -469,3 +469,34 @@ fn queue_status_on_an_empty_queue() {
     );
     fs::remove_dir_all(&dir).ok();
 }
+
+/// The governor's latency table is keyed by core clocks alone, so every
+/// pair of a memory-plane run is skipped and counted (never merged into a
+/// core cell), and the empty table that leaves is an input error.
+#[test]
+fn govern_skips_memory_plane_pairs_and_rejects_the_empty_table() {
+    let dir = temp_dir("govern_mem");
+    let store = dir.join("store");
+    let store = path_str(&store);
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/mem_plane_spec.json"
+    );
+    let run = latest(&["run", spec, "--store", store]);
+    assert_eq!(run.code, 0, "{}", run.stderr);
+
+    let out = latest(&["govern", "run", "steady", "--table", spec, "--store", store]);
+    assert_eq!(out.code, 2, "{}", out.stderr);
+    assert_eq!(out.stdout, "");
+    let id = "run-40fa3fcbf6a657f4ac93e35d7785bcc7";
+    assert_eq!(
+        out.stderr,
+        format!(
+            "note: 12 pairs skipped (0 power-limited, 0 indistinguishable, \
+             0 retries-exhausted, 0 cancelled, 0 empty after filtering, \
+             12 with a memory clock) ({id})\n\
+             error: {id} yields an empty latency table\n"
+        )
+    );
+    fs::remove_dir_all(&dir).ok();
+}

@@ -258,8 +258,8 @@ fn mem_plane_sharded_schedules_are_bitwise_identical_to_sequential() {
 // --- pair seeding -----------------------------------------------------------
 
 proptest! {
-    /// `pair_seed` must be collision-free across all ordered pairs of a
-    /// realistic frequency ladder: two pairs sharing a seed would run
+    /// `state_pair_seed` must be collision-free across all ordered core-only
+    /// pairs of a realistic frequency ladder: two pairs sharing a seed would run
     /// identical simulations, silently correlating their noise.
     #[test]
     fn pair_seed_is_collision_free_over_a_ladder(
@@ -275,7 +275,7 @@ proptest! {
             for &target in &freqs {
                 if init != target {
                     prop_assert!(
-                        seeds.insert(c.pair_seed(init, target)),
+                        seeds.insert(c.state_pair_seed(init.into(), target.into())),
                         "seed collision at {init}->{target} MHz"
                     );
                 }
