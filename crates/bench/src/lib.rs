@@ -7,8 +7,8 @@
 //! and the number of simulated SM record streams, both documented in
 //! DESIGN.md §4).
 
-use latest_core::view::{LatencyView, PairStat, PairView};
-use latest_core::{CampaignConfig, CampaignResult, FreqState, PairMeasurement};
+use latest_core::view::{LatencyView, PairStat};
+use latest_core::{CampaignConfig, CampaignResult, FreqState};
 use latest_gpu_sim::devices::DeviceSpec;
 use latest_report::{Artifact, DirectionSplit, Format, Heatmap};
 
@@ -41,11 +41,6 @@ pub fn repro_spec(device: &str, n_freqs: usize, seed: u64) -> latest_core::spec:
 /// layer's [`PairStat`], kept under the historical name the `repro_*`
 /// binaries use.
 pub type CellStat = PairStat;
-
-/// Extract the requested statistic from one pair (post-outlier-filter).
-pub fn pair_stat(p: &PairMeasurement, stat: CellStat) -> Option<f64> {
-    PairView::new(p).stat(stat)
-}
 
 /// A heatmap for the terminal: ANSI-coloured, or the plain
 /// [`Format::Text`] rendering when `NO_COLOR` is set.

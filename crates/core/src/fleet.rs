@@ -1,22 +1,21 @@
-//! The multi-device fleet driver: one campaign per [`DeviceSpec`], run one
-//! after another, aggregated per device.
+//! The multi-device fleet driver: one campaign per
+//! [`DeviceSpec`](latest_gpu_sim::devices::DeviceSpec), run one after
+//! another, aggregated per device.
 //!
 //! The paper benchmarks three GPU models and four units of the same SKU;
 //! related frequency-scaling studies sweep whole clusters. [`Fleet`] is the
 //! orchestration layer for that shape: add one [`CampaignConfig`] per
-//! device (different models, or units of one model), run them all — each
-//! device is an independent [`CampaignSession`] scheduled at pair
-//! granularity — and collect a [`FleetResult`] holding per-device
-//! [`CampaignResult`]s plus cross-device summary rows ready for
-//! `latest-report`'s table renderers.
+//! device (different models, or units of one model), run them in slot
+//! order on the calling thread — each device an independent
+//! [`CampaignSession`] whose pairs run in canonical order — and collect a
+//! [`FleetResult`] holding per-device [`CampaignResult`]s plus
+//! cross-device summary rows ready for `latest-report`'s table renderers.
 //!
 //! Cancellation and progress events compose: one shared [`CancelToken`]
 //! winds down every member session, and a [`FleetObserver`] sees every
 //! member's [`CampaignEvent`] tagged with its device slot.
 
 use latest_cluster::AdaptiveConfig;
-use latest_gpu_sim::devices::DeviceSpec;
-use rayon::prelude::*;
 
 use crate::campaign::CampaignResult;
 use crate::config::CampaignConfig;
@@ -55,18 +54,6 @@ impl Fleet {
     pub fn add_campaign(mut self, config: CampaignConfig) -> Self {
         self.members.push(config);
         self
-    }
-
-    /// Convenience: add a device spec measured over `frequencies_mhz`, with
-    /// the device index and a per-device seed derived from the slot.
-    pub fn add_device(self, spec: DeviceSpec, frequencies_mhz: &[u32], base_seed: u64) -> Self {
-        let slot = self.members.len();
-        let config = CampaignConfig::builder(spec)
-            .frequencies_mhz(frequencies_mhz)
-            .device_index(slot)
-            .seed(base_seed.wrapping_add(slot as u64))
-            .build();
-        self.add_campaign(config)
     }
 
     /// Override the Algorithm-3 parameters for every member.
@@ -110,38 +97,26 @@ impl Fleet {
 
     /// Run every member campaign and aggregate per-device results.
     ///
-    /// Members go through `par_iter` (as does each member's pair set),
-    /// which the vendored `rayon` stand-in runs one after another; the
-    /// per-device seeding makes the outcome independent of scheduling. A
-    /// shared-token cancellation that lands before a member even starts its
-    /// phase 1 leaves that member in [`FleetResult::unstarted`] rather than
-    /// failing the whole fleet.
+    /// Members run one after another on the calling thread, in slot order,
+    /// each through [`CampaignSession::run`] (so its pairs run in canonical
+    /// order too). A shared-token cancellation that lands before a member
+    /// even starts its phase 1 leaves that member in
+    /// [`FleetResult::unstarted`] rather than failing the whole fleet.
     pub fn run(&self) -> CoreResult<FleetResult> {
-        let outcomes: CoreResult<Vec<Option<CampaignResult>>> = self
-            .members
-            .par_iter()
-            .enumerate()
-            .map(|(slot, config)| {
-                let mut session = CampaignSession::new(config.clone())
-                    .with_adaptive(self.adaptive)
-                    .with_cancel_token(self.cancel.clone());
-                for obs in &self.observers {
-                    let obs = obs.clone();
-                    session = session.observe(move |e: &CampaignEvent| obs.event(slot, e));
-                }
-                match session.run() {
-                    Ok(r) => Ok(Some(r)),
-                    Err(CoreError::Cancelled) => Ok(None),
-                    Err(e) => Err(e),
-                }
-            })
-            .collect();
         let mut devices = Vec::new();
         let mut unstarted = Vec::new();
-        for (slot, outcome) in outcomes?.into_iter().enumerate() {
-            match outcome {
-                Some(r) => devices.push(r),
-                None => unstarted.push(slot),
+        for (slot, config) in self.members.iter().enumerate() {
+            let mut session = CampaignSession::new(config.clone())
+                .with_adaptive(self.adaptive)
+                .with_cancel_token(self.cancel.clone());
+            for obs in &self.observers {
+                let obs = obs.clone();
+                session = session.observe(move |e: &CampaignEvent| obs.event(slot, e));
+            }
+            match session.run() {
+                Ok(r) => devices.push(r),
+                Err(CoreError::Cancelled) => unstarted.push(slot),
+                Err(e) => return Err(e),
             }
         }
         Ok(FleetResult { devices, unstarted })

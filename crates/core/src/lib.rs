@@ -24,8 +24,10 @@
 //!   (Algorithm 3) applied per pair, with cluster census and silhouette
 //!   validation.
 //! * **Session** ([`session`]) — the campaign runner,
-//!   [`CampaignSession::run`]: work scheduled at pair granularity, typed
-//!   progress events through observer hooks or channels, cooperative
+//!   [`CampaignSession::run`]: pairs measured one after another in
+//!   canonical order on the calling thread, each on its own seeded
+//!   platform (the queue's worker pool runs shards of them on threads),
+//!   typed progress events through observer hooks or channels, cooperative
 //!   cancellation, and checkpoint/resume over the serialisable
 //!   [`CampaignResult`].
 //! * **Fleet** ([`fleet`]) — multi-device orchestration: one campaign per

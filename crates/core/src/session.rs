@@ -5,11 +5,12 @@
 //!
 //! * schedules work at **pair granularity** — phase 1 and the probe run
 //!   once, then every ordered pair is an independent work item on its own
-//!   freshly seeded platform (bitwise identical in any order; `run` goes
-//!   through `par_iter`, which the vendored `rayon` stand-in runs one pair
-//!   after another, and the queue's worker pool runs [`WorkUnit`] shards
-//!   of them on threads). Both settle pairs into canonical-order slots
-//!   with [`settle`] and build the result with
+//!   freshly seeded platform, so any order gives bitwise-identical
+//!   results. [`CampaignSession::run`] measures the pairs one after
+//!   another on the calling thread, in canonical order, because a GPU's
+//!   clock is device-wide; the queue's worker pool runs [`WorkUnit`]
+//!   shards of them on threads. Both settle pairs into canonical-order
+//!   slots with [`settle`] and build the result with
 //!   [`CampaignSession::assemble`];
 //! * emits **typed progress events** ([`CampaignEvent`]) through any number
 //!   of observer hooks or a plain [`std::sync::mpsc`] channel, so UIs and
@@ -32,8 +33,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 use latest_cluster::AdaptiveConfig;
-use parking_lot::Mutex;
-use rayon::prelude::*;
 
 use crate::analysis::analyze_pair;
 use crate::campaign::{CampaignResult, PairMeasurement};
@@ -84,7 +83,8 @@ impl std::fmt::Display for SkipReason {
 
 /// Typed progress events emitted by a [`CampaignSession`].
 ///
-/// Pair-level events may interleave arbitrarily between pairs when work
+/// Under [`CampaignSession::run`] pair-level events arrive in canonical
+/// pair order. They may interleave arbitrarily between pairs when work
 /// units run concurrently (shards on the queue's worker pool); per pair,
 /// `PairStarted` always precedes `PairFinished`/`PairSkipped`.
 #[derive(Clone, Debug, PartialEq)]
@@ -271,20 +271,20 @@ impl<F: Fn(&CampaignEvent) + Send + Sync> CampaignObserver for F {
 
 /// Observer that forwards every event into an mpsc channel.
 pub struct ChannelObserver {
-    tx: Mutex<Sender<CampaignEvent>>,
+    tx: Sender<CampaignEvent>,
 }
 
 impl ChannelObserver {
     /// Wrap a sender.
     pub fn new(tx: Sender<CampaignEvent>) -> Self {
-        ChannelObserver { tx: Mutex::new(tx) }
+        ChannelObserver { tx }
     }
 }
 
 impl CampaignObserver for ChannelObserver {
     fn event(&self, event: &CampaignEvent) {
         // A dropped receiver only means nobody is listening any more.
-        let _ = self.tx.lock().send(event.clone());
+        let _ = self.tx.send(event.clone());
     }
 }
 
@@ -484,8 +484,8 @@ impl<F: PlatformFactory> CampaignSession<F> {
     /// [`CampaignSession::resume_from`] accepts, so persisting each
     /// snapshot gives crash recovery for free.
     ///
-    /// The sink is called from worker threads (serialised by an internal
-    /// lock) and must not assume any particular pair order.
+    /// [`CampaignSession::run`] calls the sink on the caller's thread, in
+    /// canonical pair order.
     pub fn checkpoint_to(
         mut self,
         every: usize,
@@ -855,6 +855,11 @@ impl<F: PlatformFactory> CampaignSession<F> {
 
     /// Run the campaign to completion (or cancellation).
     ///
+    /// Pairs are measured one after another on the calling thread, in
+    /// canonical `ordered_state_pairs` order: restored pairs first (as
+    /// `PairRestored`), then every pending pair. So every event, and every
+    /// checkpoint-sink call, happens on the caller's thread in that order.
+    ///
     /// Returns the full [`CampaignResult`]; after a cancellation the result
     /// is partial ([`CampaignResult::is_partial`]) and can be fed back
     /// through [`CampaignSession::resume_from`].
@@ -862,12 +867,11 @@ impl<F: PlatformFactory> CampaignSession<F> {
         let prelude = self.prelude()?;
 
         // Settled pairs land in canonical-order slots, so a checkpoint
-        // snapshot can stand Cancelled placeholders in for pairs still
-        // running — exactly the resumable partial-result shape
+        // snapshot can stand Cancelled placeholders in for pairs not yet
+        // measured — exactly the resumable partial-result shape
         // `resume_from` validates.
-        let slots = Mutex::new(vec![None; self.config.ordered_state_pairs().len()]);
-        let settle_pair = |index: usize, meas: PairMeasurement| {
-            let mut slots = slots.lock();
+        let mut slots = vec![None; self.config.ordered_state_pairs().len()];
+        let mut settle_pair = |index: usize, meas: PairMeasurement| {
             if settle(&mut slots, index, meas, self.checkpoint_every) {
                 if let Some(sink) = &self.checkpoint_sink {
                     sink(&self.assemble(&prelude, &slots));
@@ -885,14 +889,13 @@ impl<F: PlatformFactory> CampaignSession<F> {
             settle_pair(index, meas);
         }
 
-        self.pending().par_iter().try_for_each(|task| {
-            let meas = self.measure_pair(&prelude, task)?;
+        for task in self.pending() {
+            let meas = self.measure_pair(&prelude, &task)?;
             if !meas.outcome.is_cancelled() {
                 settle_pair(task.index, meas);
             }
-            Ok::<_, CoreError>(())
-        })?;
-        Ok(self.finish(&prelude, &slots.into_inner()))
+        }
+        Ok(self.finish(&prelude, &slots))
     }
 }
 
@@ -902,7 +905,7 @@ mod tests {
     use latest_gpu_sim::devices;
     use latest_gpu_sim::transition::FixedTransition;
     use latest_sim_clock::SimDuration;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn small_campaign(seed: u64) -> CampaignConfig {
         let mut spec = devices::a100_sxm4();
@@ -946,6 +949,38 @@ mod tests {
             events.last(),
             Some(CampaignEvent::CampaignFinished { .. })
         ));
+    }
+
+    #[test]
+    fn run_starts_pairs_in_canonical_order_on_the_calling_thread() {
+        let mut spec = devices::a100_sxm4();
+        spec.transition = Arc::new(FixedTransition {
+            latency: SimDuration::from_millis(7),
+        });
+        let config = CampaignConfig::builder(spec)
+            .frequencies_mhz(&[705, 1095, 1410])
+            .measurements(5, 10)
+            .simulated_sms(Some(2))
+            .seed(21)
+            .build();
+        let n = config.ordered_state_pairs().len();
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let seen = started.clone();
+        CampaignSession::new(config)
+            .observe(move |e: &CampaignEvent| {
+                if let CampaignEvent::PairStarted { index, .. } = e {
+                    seen.lock()
+                        .unwrap()
+                        .push((*index, std::thread::current().id()));
+                }
+            })
+            .run()
+            .unwrap();
+        let caller = std::thread::current().id();
+        let started = started.lock().unwrap();
+        let indices: Vec<usize> = started.iter().map(|&(i, _)| i).collect();
+        assert_eq!(indices, (0..n).collect::<Vec<_>>());
+        assert!(started.iter().all(|&(_, id)| id == caller));
     }
 
     #[test]
@@ -1013,11 +1048,13 @@ mod tests {
         let snapshots: Arc<Mutex<Vec<CampaignResult>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = snapshots.clone();
         let full = CampaignSession::new(small_campaign(30))
-            .checkpoint_to(1, move |cp: &CampaignResult| sink.lock().push(cp.clone()))
+            .checkpoint_to(1, move |cp: &CampaignResult| {
+                sink.lock().unwrap().push(cp.clone())
+            })
             .run()
             .unwrap();
 
-        let snaps = snapshots.lock();
+        let snaps = snapshots.lock().unwrap();
         // Two pairs, every = 1: one snapshot per settled pair.
         assert_eq!(snaps.len(), 2);
         assert!(snaps[0].is_partial(), "first snapshot must be partial");

@@ -153,11 +153,6 @@ impl<'a> PairView<'a> {
         self.measurement.outcome.kind()
     }
 
-    /// Whether the pair completed with measurements.
-    pub fn is_completed(&self) -> bool {
-        self.outcome() == OutcomeKind::Completed
-    }
-
     /// Raw latencies (ms) when the pair completed.
     pub fn raw_ms(&self) -> Option<&'a [f64]> {
         self.measurement.latencies_ms()
@@ -212,7 +207,6 @@ pub struct LatencyView<'a> {
     direction: Option<Direction>,
     init_mhz: Option<u32>,
     target_mhz: Option<u32>,
-    kind: Option<PairKind>,
     outcome: Option<OutcomeKind>,
     band: Option<(f64, f64)>,
 }
@@ -225,7 +219,6 @@ impl<'a> LatencyView<'a> {
             direction: None,
             init_mhz: None,
             target_mhz: None,
-            kind: None,
             outcome: None,
             band: None,
         }
@@ -251,13 +244,6 @@ impl<'a> LatencyView<'a> {
     /// Keep only pairs targeting `mhz`.
     pub fn target_mhz(mut self, mhz: u32) -> Self {
         self.target_mhz = Some(mhz);
-        self
-    }
-
-    /// Keep only pairs whose transition moves `kind`'s domain(s) —
-    /// core-only, memory-only or simultaneous.
-    pub fn pair_kind(mut self, kind: PairKind) -> Self {
-        self.kind = Some(kind);
         self
     }
 
@@ -296,11 +282,6 @@ impl<'a> LatencyView<'a> {
         }
         if let Some(target) = self.target_mhz {
             if view.target_mhz() != target {
-                return false;
-            }
-        }
-        if let Some(kind) = self.kind {
-            if view.kind() != kind {
                 return false;
             }
         }

@@ -241,11 +241,6 @@ impl LatencyTable {
         self.pair(init, target).map(PairLatency::mean_ms)
     }
 
-    /// Tail (quantile-`q`) latency of `init → target` in ms.
-    pub fn tail_ms(&self, init: FreqMhz, target: FreqMhz, q: f64) -> Option<f64> {
-        self.pair(init, target).map(|p| p.quantile_ms(q))
-    }
-
     /// Median of all pair mean latencies — the table's "typical" cost.
     pub fn typical_ms(&self) -> Option<f64> {
         let mut means: Vec<f64> = self.entries.values().map(PairLatency::mean_ms).collect();

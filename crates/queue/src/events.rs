@@ -17,11 +17,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Mutex as StdMutex;
+use std::sync::Mutex;
 
 use latest_core::session::CampaignEvent;
 use latest_core::store::RunId;
-use parking_lot::Mutex;
 
 use crate::job::JobId;
 
@@ -171,20 +170,20 @@ impl<F: Fn(&QueueEvent) + Send + Sync> QueueObserver for F {
 
 /// Observer that forwards every event into an mpsc channel.
 pub struct QueueChannelObserver {
-    tx: Mutex<Sender<QueueEvent>>,
+    tx: Sender<QueueEvent>,
 }
 
 impl QueueChannelObserver {
     /// Wrap a sender.
     pub fn new(tx: Sender<QueueEvent>) -> Self {
-        QueueChannelObserver { tx: Mutex::new(tx) }
+        QueueChannelObserver { tx }
     }
 }
 
 impl QueueObserver for QueueChannelObserver {
     fn event(&self, event: &QueueEvent) {
         // A dropped receiver only means nobody is listening any more.
-        let _ = self.tx.lock().send(event.clone());
+        let _ = self.tx.send(event.clone());
     }
 }
 
@@ -198,7 +197,7 @@ impl QueueObserver for QueueChannelObserver {
 /// discarded — the caller counts it instead of blocking.
 pub struct EventSpool {
     seq: AtomicU64,
-    slots: Box<[StdMutex<SpoolBuffer>]>,
+    slots: Box<[Mutex<SpoolBuffer>]>,
     capacity: usize,
 }
 
@@ -211,7 +210,7 @@ impl EventSpool {
     pub fn new(slots: usize, capacity: usize) -> Self {
         let n = slots.max(1);
         let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || StdMutex::new(Vec::new()));
+        v.resize_with(n, || Mutex::new(Vec::new()));
         EventSpool {
             seq: AtomicU64::new(0),
             slots: v.into_boxed_slice(),

@@ -29,13 +29,6 @@ impl SharedClock {
         }
     }
 
-    /// A new clock starting at an arbitrary point (useful for tests).
-    pub fn starting_at(t: SimTime) -> Self {
-        SharedClock {
-            inner: Arc::new(Mutex::new(t.as_nanos())),
-        }
-    }
-
     /// Current global virtual time.
     pub fn now(&self) -> SimTime {
         SimTime::from_nanos(*self.inner.lock())

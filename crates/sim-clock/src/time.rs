@@ -137,12 +137,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Microseconds as a float.
-    #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Milliseconds as a float.
     #[inline]
     pub fn as_millis_f64(self) -> f64 {

@@ -24,11 +24,6 @@ pub fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
-/// Standard normal density φ(x).
-pub fn normal_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Inverse standard normal CDF (Acklam's rational approximation, refined by
 /// one Halley step; |relative error| < 1e-9 over (0, 1)).
 ///

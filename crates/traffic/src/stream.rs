@@ -60,11 +60,6 @@ impl TrafficTrace {
         self.requests.last().map_or(0.0, |r| r.arrival_ms)
     }
 
-    /// Total offered work (ms at the reference frequency).
-    pub fn offered_work_ms(&self) -> f64 {
-        self.requests.iter().map(|r| r.work_ms).sum()
-    }
-
     /// How many requests carry a deadline.
     pub fn with_deadline(&self) -> usize {
         self.requests

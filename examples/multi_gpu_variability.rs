@@ -12,8 +12,10 @@
 //! of the transition engine, as the four front-row GPUs of a Karolina node
 //! would show. The whole experiment is a declarative [`FleetSpec`]: four
 //! member [`CampaignSpec`]s, each an independent device slot with its own
-//! seed, resolved through the registries and executed one after another
-//! (`fleet_spec.to_json()` is the equivalent `latest run` scenario file).
+//! seed, resolved through the registries into a `Fleet` whose `run`
+//! measures the units one after another on this thread, each unit's pairs
+//! in canonical order (`fleet_spec.to_json()` is the equivalent
+//! `latest run` scenario file).
 
 use latest::core::spec::{CampaignSpec, FleetSpec};
 use latest::gpu_sim::devices;

@@ -1,7 +1,7 @@
 //! Reproducibility: identical seeds must give bitwise-identical campaigns,
-//! regardless of rayon scheduling, of how the pairs are split into work
-//! units and run on threads, or of a checkpoint/resume round-trip — and
-//! different seeds must differ.
+//! regardless of how many campaigns run at once on threads, of how the
+//! pairs are split into work units and run on threads, or of a
+//! checkpoint/resume round-trip — and different seeds must differ.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -20,12 +20,8 @@ fn config(seed: u64) -> CampaignConfig {
         .build()
 }
 
-fn run(seed: u64, threads: usize) -> CampaignResult {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .unwrap();
-    pool.install(|| CampaignSession::new(config(seed)).run().expect("campaign"))
+fn run(seed: u64) -> CampaignResult {
+    CampaignSession::new(config(seed)).run().expect("campaign")
 }
 
 fn all_latencies(result: &CampaignResult) -> Vec<(u32, u32, Vec<u64>)> {
@@ -46,24 +42,41 @@ fn all_latencies(result: &CampaignResult) -> Vec<(u32, u32, Vec<u64>)> {
 
 #[test]
 fn identical_seeds_are_bitwise_identical() {
-    let a = run(77, 4);
-    let b = run(77, 4);
+    let a = run(77);
+    let b = run(77);
     assert_eq!(all_latencies(&a), all_latencies(&b));
 }
 
 #[test]
 fn scheduling_does_not_affect_results() {
-    // 1 worker vs many workers: per-pair platforms are seeded from
-    // (campaign seed, pair), so the execution order cannot matter.
-    let serial = run(78, 1);
-    let parallel = run(78, 8);
-    assert_eq!(all_latencies(&serial), all_latencies(&parallel));
+    // Four copies of one campaign run at once on real threads: every
+    // platform is seeded from (campaign seed, pair) and shares nothing
+    // with the other copies, so each must match a run on this thread.
+    let reference = run(78).to_json();
+    let start = std::sync::Barrier::new(4);
+    let concurrent: Vec<String> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    run(78).to_json()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("campaign thread"))
+            .collect()
+    });
+    for (i, json) in concurrent.iter().enumerate() {
+        assert_eq!(&reference, json, "thread {i}");
+    }
 }
 
 #[test]
 fn different_seeds_differ() {
-    let a = run(79, 4);
-    let b = run(80, 4);
+    let a = run(79);
+    let b = run(80);
     assert_ne!(all_latencies(&a), all_latencies(&b));
 }
 
@@ -72,8 +85,8 @@ fn filtered_summaries_are_identical_for_identical_seeds() {
     // Smoke test for the rand_chacha seeding path end to end: not just the
     // raw latencies but the post-analysis (DBSCAN-filtered) summaries must
     // be bitwise identical between two campaigns with the same seed.
-    let a = run(82, 4);
-    let b = run(82, 4);
+    let a = run(82);
+    let b = run(82);
     let summaries = |r: &CampaignResult| -> Vec<(u32, u32, u64, u64, u64, u64)> {
         r.pairs()
             .iter()
@@ -98,8 +111,8 @@ fn filtered_summaries_are_identical_for_identical_seeds() {
 
 #[test]
 fn phase1_characterisation_is_reproducible() {
-    let a = run(81, 2);
-    let b = run(81, 2);
+    let a = run(81);
+    let b = run(81);
     for (fa, fb) in a.phase1.freqs.values().zip(b.phase1.freqs.values()) {
         assert_eq!(fa.iter_ns.mean.to_bits(), fb.iter_ns.mean.to_bits());
         assert_eq!(fa.iter_ns.stdev.to_bits(), fb.iter_ns.stdev.to_bits());
