@@ -1,20 +1,72 @@
-//! Campaign configuration: every knob of the LATEST tool (Sec. VI) plus the
-//! simulation-fidelity controls.
+//! Campaign configuration: the knobs a caller sets for one run of the
+//! LATEST tool (Sec. VI) plus the simulation-fidelity controls, and the
+//! methodology values the paper fixes as named constants.
 //!
 //! Mirrors the CLI of the paper's tool: the mandatory benchmarked-frequency
 //! list, the device index, the RSE threshold (default 5 %), and the
-//! minimum/maximum measurement counts — plus the methodology constants of
-//! Sec. V (delay period, confirmation window, detection band width) that the
-//! paper fixes in prose.
+//! minimum/maximum measurement counts. Secs. V–VI fix the rest in prose —
+//! the delay period, the confirmation window, the 2σ detection band, an RSE
+//! check every 25 passes, a throttle poll every 5, and a 5-measurement
+//! discard plus 10 s back-off after a thermal event — so those are the
+//! constants below, not fields.
 
 use latest_gpu_sim::devices::DeviceSpec;
 use latest_gpu_sim::freq::FreqMhz;
 use latest_gpu_sim::sm::WorkloadParams;
 use latest_sim_clock::SimDuration;
 
+use crate::spec::{CampaignSpec, SpecError, SpecErrors};
 use crate::state::FreqState;
 
-/// Full configuration of one measurement campaign on one device.
+// --- stopping rule (Sec. VI) ---
+
+/// RSE is evaluated every this many passes (25 in the paper).
+pub const RSE_CHECK_EVERY: usize = 25;
+/// Throttle reasons are polled every this many passes (5).
+pub const THROTTLE_CHECK_EVERY: usize = 5;
+/// Measurements discarded after a thermal event (5).
+pub const THERMAL_DISCARD: usize = 5;
+/// Cool-down pause after a thermal event (10 s).
+pub const THERMAL_BACKOFF: SimDuration = SimDuration::from_secs(10);
+/// Consecutive thermal discards tolerated with no net progress before the
+/// controller stops discarding and keeps measurements. On a device whose
+/// busy steady-state sits above the throttle threshold, every poll window
+/// re-trips the thermal event; discarding each window's measurements would
+/// livelock the pair. Past this limit the data is kept — per-pass phase-3
+/// evaluation remains the quality gate for measurements taken under a
+/// clamped clock.
+pub const THERMAL_DISCARD_LIMIT: usize = 3;
+
+// --- methodology constants (Sec. V) ---
+
+/// Iterations executed at the initial frequency before the change call
+/// (the *delay period*; "several hundred").
+pub const DELAY_ITERATIONS: u32 = 300;
+/// Iterations after the detected transition used to confirm the target
+/// mean ("several hundred up to a thousand").
+pub const CONFIRM_ITERATIONS: u32 = 300;
+/// Width multiplier of the detection band (2.0 = the paper's 2σ).
+pub const SIGMA_K: f64 = 2.0;
+/// Relative tolerance for the `meanDiff < tol` acceptance in Algorithm 2
+/// (fraction of the target mean). Tight enough to reject detections that
+/// fire a few ms early on near-adjacent pairs (a 2 ms-early hit leaves
+/// ~0.3 % of init-speed iterations in the confirm window), loose enough for
+/// honest passes (shift ~stderr ≈ 0.06 %).
+pub const MEAN_TOLERANCE_REL: f64 = 0.003;
+
+// --- phase 1 ---
+
+/// Kernels per frequency in phase 1 (first ones absorb wake-up).
+pub const PHASE1_KERNELS: usize = 3;
+/// Minimum busy time under a frequency before its characterisation kernel
+/// runs. Must exceed the slowest plausible transition *into* that
+/// frequency, or the "last kernel" statistics are contaminated with
+/// old-frequency iterations (Sec. V wake-up bullet: "keep the accelerator
+/// busy for a few seconds").
+pub const PHASE1_SETTLE: SimDuration = SimDuration::from_millis(1_500);
+
+/// Configuration of one measurement campaign on one device: the knobs a
+/// caller sets. The paper's fixed values are the module's constants.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// The device to benchmark.
@@ -42,37 +94,10 @@ pub struct CampaignConfig {
     pub min_measurements: usize,
     /// Hard cap on measurements per pair.
     pub max_measurements: usize,
-    /// RSE is evaluated every this many passes (25 in the paper).
-    pub rse_check_every: usize,
-    /// Throttle reasons are polled every this many passes (5).
-    pub throttle_check_every: usize,
-    /// Measurements discarded after a thermal event (5).
-    pub thermal_discard: usize,
-    /// Cool-down pause after a thermal event (10 s).
-    pub thermal_backoff: SimDuration,
-    /// Consecutive thermal discards tolerated with no net progress before
-    /// the controller stops discarding and keeps measurements. On a device
-    /// whose busy steady-state sits above the throttle threshold, every
-    /// poll window re-trips the thermal event; discarding each window's
-    /// measurements would livelock the pair. Past this limit the data is
-    /// kept — per-pass phase-3 evaluation remains the quality gate for
-    /// measurements taken under a clamped clock.
-    pub thermal_discard_limit: usize,
 
-    // --- methodology constants (Sec. V) ---
-    /// Iterations executed at the initial frequency before the change call
-    /// (the *delay period*; "several hundred").
-    pub delay_iterations: u32,
-    /// Iterations after the detected transition used to confirm the target
-    /// mean ("several hundred up to a thousand").
-    pub confirm_iterations: u32,
-    /// Width multiplier of the detection band (2.0 = the paper's 2σ).
-    pub sigma_k: f64,
+    // --- statistics and retries ---
     /// Confidence level for every interval/test (0.95).
     pub confidence: f64,
-    /// Relative tolerance for the `meanDiff < tol` acceptance in Algorithm 2
-    /// (fraction of the target mean).
-    pub mean_tolerance_rel: f64,
     /// Upper bound on phase-2/3 retries per measurement before the pair
     /// errors out.
     pub max_retries: usize,
@@ -81,18 +106,8 @@ pub struct CampaignConfig {
     pub probe_safety_factor: f64,
     /// Fallback upper bound (ms) used before any probe data exists.
     pub initial_latency_guess_ms: f64,
-
-    // --- phase 1 ---
-    /// Kernels per frequency in phase 1 (first ones absorb wake-up).
-    pub phase1_kernels: usize,
     /// Iterations per phase-1 kernel.
     pub phase1_iters: u32,
-    /// Minimum busy time under a frequency before its characterisation
-    /// kernel runs. Must exceed the slowest plausible transition *into*
-    /// that frequency, or the "last kernel" statistics are contaminated
-    /// with old-frequency iterations (Sec. V wake-up bullet: "keep the
-    /// accelerator busy for a few seconds").
-    pub phase1_settle: SimDuration,
 
     // --- workload & fidelity ---
     /// The microbenchmark workload.
@@ -206,42 +221,28 @@ pub struct CampaignConfigBuilder {
 }
 
 impl CampaignConfigBuilder {
-    /// Defaults per Secs. V–VI.
+    /// Defaults per Secs. V–VI. The knobs a spec shares with a config take
+    /// [`CampaignSpec::default`]'s values, so the two layers cannot drift.
     pub fn new(spec: DeviceSpec) -> Self {
+        let defaults = CampaignSpec::default();
         CampaignConfigBuilder {
             config: CampaignConfig {
                 spec,
-                device_index: 0,
-                hostname: "simnode".to_string(),
+                device_index: defaults.device_index,
+                hostname: defaults.hostname,
                 frequencies: Vec::new(),
                 mem_frequencies: Vec::new(),
-                seed: 0,
-                rse_threshold: 0.05,
-                min_measurements: 25,
-                max_measurements: 150,
-                rse_check_every: 25,
-                throttle_check_every: 5,
-                thermal_discard: 5,
-                thermal_backoff: SimDuration::from_secs(10),
-                thermal_discard_limit: 3,
-                delay_iterations: 300,
-                confirm_iterations: 300,
-                sigma_k: 2.0,
+                seed: defaults.seed,
+                rse_threshold: defaults.rse_threshold,
+                min_measurements: defaults.min_measurements,
+                max_measurements: defaults.max_measurements,
                 confidence: 0.95,
-                // Algorithm 2's `tol`, as a fraction of the target mean.
-                // Tight enough to reject detections that fire a few ms
-                // early on near-adjacent pairs (a 2 ms-early hit leaves
-                // ~0.3 % of init-speed iterations in the confirm window),
-                // loose enough for honest passes (shift ~stderr ≈ 0.06 %).
-                mean_tolerance_rel: 0.003,
                 max_retries: 8,
                 probe_safety_factor: 10.0,
                 initial_latency_guess_ms: 50.0,
-                phase1_kernels: 3,
                 phase1_iters: 800,
-                phase1_settle: SimDuration::from_millis(1_500),
                 workload: WorkloadParams::default_micro(),
-                simulated_sms: Some(8),
+                simulated_sms: defaults.simulated_sms,
             },
         }
     }
@@ -269,12 +270,6 @@ impl CampaignConfigBuilder {
     /// keeps the campaign core-only.
     pub fn mem_frequencies_mhz(mut self, mhz: &[u32]) -> Self {
         self.config.mem_frequencies = mhz.iter().map(|&m| FreqMhz(m)).collect();
-        self
-    }
-
-    /// Set the benchmarked memory frequencies from ladder values.
-    pub fn mem_frequencies(mut self, freqs: Vec<FreqMhz>) -> Self {
-        self.config.mem_frequencies = freqs;
         self
     }
 
@@ -315,97 +310,145 @@ impl CampaignConfigBuilder {
         self
     }
 
-    /// Delay-period length in iterations.
-    pub fn delay_iterations(mut self, n: u32) -> Self {
-        self.config.delay_iterations = n;
-        self
-    }
-
-    /// Confirmation-window length in iterations.
-    pub fn confirm_iterations(mut self, n: u32) -> Self {
-        self.config.confirm_iterations = n;
-        self
-    }
-
-    /// Detection band width multiplier (2.0 = paper).
-    pub fn sigma_k(mut self, k: f64) -> Self {
-        self.config.sigma_k = k;
-        self
-    }
-
-    /// Confidence level for every interval/test (0.95 = paper).
-    pub fn confidence(mut self, c: f64) -> Self {
-        self.config.confidence = c;
-        self
-    }
-
     /// Replace the workload.
     pub fn workload(mut self, w: WorkloadParams) -> Self {
         self.config.workload = w;
         self
     }
 
-    /// Validate and finish, enumerating every violated constraint (the
-    /// same [`SpecError`](crate::spec::SpecError) vocabulary the
-    /// declarative [`CampaignSpec`](crate::spec::CampaignSpec) layer uses).
-    pub fn try_build(self) -> Result<CampaignConfig, crate::spec::SpecErrors> {
-        use crate::spec::SpecError;
-        let c = &self.config;
-        let mut errors = Vec::new();
-        if !(c.rse_threshold > 0.0 && c.rse_threshold < 1.0) {
-            errors.push(SpecError::RseThresholdOutOfRange {
-                value: c.rse_threshold,
-            });
-        }
-        if c.min_measurements == 0 {
-            errors.push(SpecError::ZeroMinMeasurements);
-        } else if c.min_measurements > c.max_measurements {
-            errors.push(SpecError::MeasurementBoundsInverted {
-                min: c.min_measurements,
-                max: c.max_measurements,
-            });
-        }
-        if c.simulated_sms == Some(0) {
-            errors.push(SpecError::ZeroSimulatedSms);
-        }
-        if c.sigma_k <= 0.0 || c.sigma_k.is_nan() {
-            errors.push(SpecError::SigmaNonPositive { value: c.sigma_k });
-        }
-        if !(c.confidence > 0.0 && c.confidence < 1.0) {
-            errors.push(SpecError::ConfidenceOutOfRange {
-                value: c.confidence,
-            });
-        }
-        crate::spec::SpecErrors::collect(errors)?;
-        Ok(self.config)
-    }
-
-    /// Finish. Panics on an obviously broken configuration (the paper tool
-    /// likewise validates its CLI arguments up front); [`Self::try_build`]
-    /// is the non-panicking variant.
+    /// Finish. Panics, listing every violation, on an obviously broken
+    /// configuration (the paper tool likewise validates its CLI arguments
+    /// up front); a [`CampaignSpec`] reports the same violations as a
+    /// `Result`.
     pub fn build(self) -> CampaignConfig {
-        match self.try_build() {
-            Ok(config) => config,
-            Err(errors) => panic!("invalid campaign configuration: {errors}"),
+        let c = &self.config;
+        let violations = knob_violations(
+            c.rse_threshold,
+            c.min_measurements,
+            c.max_measurements,
+            c.simulated_sms,
+        );
+        if let Err(errors) = SpecErrors::collect(violations) {
+            panic!("invalid campaign configuration: {errors}");
         }
+        self.config
     }
+}
+
+/// The range checks on the knobs a [`CampaignSpec`] shares with a
+/// [`CampaignConfig`]: the RSE threshold, the measurement bounds and the
+/// simulated-SM count. Both the spec's validation and
+/// [`CampaignConfigBuilder::build`] run them through here.
+pub(crate) fn knob_violations(
+    rse_threshold: f64,
+    min_measurements: usize,
+    max_measurements: usize,
+    simulated_sms: Option<u32>,
+) -> Vec<SpecError> {
+    let mut errors = Vec::new();
+    if !(rse_threshold > 0.0 && rse_threshold < 1.0) {
+        errors.push(SpecError::RseThresholdOutOfRange {
+            value: rse_threshold,
+        });
+    }
+    if min_measurements == 0 {
+        errors.push(SpecError::ZeroMinMeasurements);
+    } else if min_measurements > max_measurements {
+        errors.push(SpecError::MeasurementBoundsInverted {
+            min: min_measurements,
+            max: max_measurements,
+        });
+    }
+    if simulated_sms == Some(0) {
+        errors.push(SpecError::ZeroSimulatedSms);
+    }
+    errors
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::FreqSelection;
     use latest_gpu_sim::devices;
 
     #[test]
     fn defaults_match_paper() {
         let c = CampaignConfig::builder(devices::a100_sxm4()).build();
         assert_eq!(c.rse_threshold, 0.05);
-        assert_eq!(c.rse_check_every, 25);
-        assert_eq!(c.throttle_check_every, 5);
-        assert_eq!(c.thermal_discard, 5);
-        assert_eq!(c.thermal_backoff, SimDuration::from_secs(10));
-        assert_eq!(c.sigma_k, 2.0);
+        assert_eq!((c.min_measurements, c.max_measurements), (25, 150));
+        assert_eq!(c.confidence, 0.95);
         assert_eq!(c.probe_safety_factor, 10.0);
+        assert_eq!(RSE_CHECK_EVERY, 25);
+        assert_eq!(THROTTLE_CHECK_EVERY, 5);
+        assert_eq!(THERMAL_DISCARD, 5);
+        assert_eq!(THERMAL_BACKOFF, SimDuration::from_secs(10));
+        assert_eq!(THERMAL_DISCARD_LIMIT, 3);
+        assert_eq!(DELAY_ITERATIONS, 300);
+        assert_eq!(CONFIRM_ITERATIONS, 300);
+        assert_eq!(SIGMA_K, 2.0);
+        assert_eq!(MEAN_TOLERANCE_REL, 0.003);
+        assert_eq!(PHASE1_KERNELS, 3);
+        assert_eq!(PHASE1_SETTLE, SimDuration::from_millis(1_500));
+    }
+
+    #[test]
+    fn spec_and_builder_report_the_same_violation() {
+        let base = CampaignSpec {
+            frequencies: FreqSelection::List(vec![705, 1410]),
+            ..CampaignSpec::default()
+        };
+        use SpecError as E;
+        let cases = [
+            (
+                0.0,
+                25,
+                150,
+                Some(8),
+                E::RseThresholdOutOfRange { value: 0.0 },
+            ),
+            (
+                1.0,
+                25,
+                150,
+                Some(8),
+                E::RseThresholdOutOfRange { value: 1.0 },
+            ),
+            (0.05, 0, 150, Some(8), E::ZeroMinMeasurements),
+            (
+                0.05,
+                100,
+                10,
+                Some(8),
+                E::MeasurementBoundsInverted { min: 100, max: 10 },
+            ),
+            (0.05, 25, 150, Some(0), E::ZeroSimulatedSms),
+        ];
+        for (rse, min, max, sms, expected) in cases {
+            let spec = CampaignSpec {
+                rse_threshold: rse,
+                min_measurements: min,
+                max_measurements: max,
+                simulated_sms: sms,
+                ..base.clone()
+            };
+            let from_spec = spec.validate().unwrap_err();
+            assert_eq!(from_spec.errors(), std::slice::from_ref(&expected));
+            let panic = std::panic::catch_unwind(|| {
+                CampaignConfig::builder(devices::a100_sxm4())
+                    .frequencies_mhz(&[705, 1410])
+                    .rse_threshold(rse)
+                    .measurements(min, max)
+                    .simulated_sms(sms)
+                    .build()
+            })
+            .expect_err("the builder rejects what the spec rejects");
+            let from_builder = panic.downcast_ref::<String>().expect("formatted panic");
+            assert_eq!(
+                from_builder,
+                &format!("invalid campaign configuration: {from_spec}"),
+                "{expected}"
+            );
+        }
     }
 
     #[test]

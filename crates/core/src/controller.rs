@@ -17,7 +17,10 @@
 use latest_gpu_sim::ClockDomain;
 use latest_stats::{RunningStats, Summary};
 
-use crate::config::CampaignConfig;
+use crate::config::{
+    CampaignConfig, RSE_CHECK_EVERY, THERMAL_BACKOFF, THERMAL_DISCARD, THERMAL_DISCARD_LIMIT,
+    THROTTLE_CHECK_EVERY,
+};
 use crate::error::CoreResult;
 use crate::phase1::Phase1Result;
 use crate::phase2::run_phase2;
@@ -276,7 +279,7 @@ pub fn run_pair<P: Platform>(
         let n = latencies_ms.len();
 
         // Throttle poll every 5 passes.
-        if n.is_multiple_of(config.throttle_check_every) {
+        if n.is_multiple_of(THROTTLE_CHECK_EVERY) {
             let reasons = platform.throttle_reasons();
             if reasons.sw_power_cap {
                 return Ok(PairOutcome::PowerLimited {
@@ -294,22 +297,22 @@ pub fn run_pair<P: Platform>(
                 // Past the limit the data is kept: phase-3 evaluation has
                 // already vetted each pass against the target-frequency
                 // regime, which is the actual quality gate.
-                if consecutive_thermal_discards < config.thermal_discard_limit {
+                if consecutive_thermal_discards < THERMAL_DISCARD_LIMIT {
                     consecutive_thermal_discards += 1;
-                    let drop = config.thermal_discard.min(latencies_ms.len());
+                    let drop = THERMAL_DISCARD.min(latencies_ms.len());
                     latencies_ms.truncate(latencies_ms.len() - drop);
                     ground_truth_ms.truncate(ground_truth_ms.len() - drop);
-                    platform.sleep(config.thermal_backoff);
+                    platform.sleep(THERMAL_BACKOFF);
                     continue;
                 }
-                platform.sleep(config.thermal_backoff);
+                platform.sleep(THERMAL_BACKOFF);
             } else {
                 consecutive_thermal_discards = 0;
             }
         }
 
         // RSE check every 25 passes, once past the minimum.
-        if n >= config.min_measurements && n.is_multiple_of(config.rse_check_every) {
+        if n >= config.min_measurements && n.is_multiple_of(RSE_CHECK_EVERY) {
             let s = RunningStats::from_slice(&latencies_ms).summary();
             if s.rse() < config.rse_threshold {
                 break;

@@ -15,8 +15,6 @@
 //! winds down every member session, and a [`FleetObserver`] sees every
 //! member's [`CampaignEvent`] tagged with its device slot.
 
-use latest_cluster::AdaptiveConfig;
-
 use crate::campaign::CampaignResult;
 use crate::config::CampaignConfig;
 use crate::error::{CoreError, CoreResult};
@@ -39,7 +37,6 @@ impl<F: Fn(usize, &CampaignEvent) + Send + Sync> FleetObserver for F {
 #[derive(Default)]
 pub struct Fleet {
     members: Vec<CampaignConfig>,
-    adaptive: AdaptiveConfig,
     observers: Vec<std::sync::Arc<dyn FleetObserver>>,
     cancel: CancelToken,
 }
@@ -53,12 +50,6 @@ impl Fleet {
     /// Add one device's campaign configuration.
     pub fn add_campaign(mut self, config: CampaignConfig) -> Self {
         self.members.push(config);
-        self
-    }
-
-    /// Override the Algorithm-3 parameters for every member.
-    pub fn with_adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
-        self.adaptive = adaptive;
         self
     }
 
@@ -106,9 +97,8 @@ impl Fleet {
         let mut devices = Vec::new();
         let mut unstarted = Vec::new();
         for (slot, config) in self.members.iter().enumerate() {
-            let mut session = CampaignSession::new(config.clone())
-                .with_adaptive(self.adaptive)
-                .with_cancel_token(self.cancel.clone());
+            let mut session =
+                CampaignSession::new(config.clone()).with_cancel_token(self.cancel.clone());
             for obs in &self.observers {
                 let obs = obs.clone();
                 session = session.observe(move |e: &CampaignEvent| obs.event(slot, e));

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use latest_gpu_sim::KernelConfig;
 use latest_stats::{diff_confidence_interval, Summary};
 
-use crate::config::CampaignConfig;
+use crate::config::{CampaignConfig, PHASE1_KERNELS, PHASE1_SETTLE};
 use crate::error::{CoreError, CoreResult};
 use crate::platform::Platform;
 use crate::state::FreqState;
@@ -143,7 +143,7 @@ pub fn run_phase1<P: Platform>(
 }
 
 /// Characterise one clock state: lock the memory clock (when the state has
-/// one), lock the core clock, run `phase1_kernels` kernels, keep only the
+/// one), lock the core clock, run [`PHASE1_KERNELS`] kernels, keep only the
 /// last kernel's pooled statistics.
 pub fn characterize_state<P: Platform>(
     platform: &mut P,
@@ -167,15 +167,15 @@ pub fn characterize_state<P: Platform>(
     // kernel count. Only the final kernel is measured.
     let settle_from = platform.now();
     let mut warm_kernels = 0usize;
-    while warm_kernels + 1 < config.phase1_kernels.max(2)
-        || platform.now().saturating_since(settle_from) < config.phase1_settle
+    while warm_kernels + 1 < PHASE1_KERNELS
+        || platform.now().saturating_since(settle_from) < PHASE1_SETTLE
     {
         let id = platform.launch_benchmark(kernel_cfg)?;
         platform.synchronize();
         let _ = platform.collect_records(id)?; // warm-up data discarded
         warm_kernels += 1;
         if warm_kernels > 10_000 {
-            break; // defensive bound; unreachable with sane configs
+            break; // defensive bound against a stalled platform clock
         }
     }
     let id = platform.launch_benchmark(kernel_cfg)?;

@@ -18,7 +18,7 @@ use latest_gpu_sim::KernelConfig;
 use latest_sim_clock::{SimDuration, SimTime};
 use latest_stats::{SigmaBand, Summary};
 
-use crate::config::CampaignConfig;
+use crate::config::{CampaignConfig, CONFIRM_ITERATIONS, DELAY_ITERATIONS, SIGMA_K};
 use crate::error::CoreResult;
 use crate::platform::{require_memory_clocks, Platform};
 use crate::state::FreqState;
@@ -56,7 +56,7 @@ pub fn kernel_iterations(
         .max(config.expected_iter_ns_state(target));
     let latency_iters =
         (latency_bound_ms * 1e6 * config.probe_safety_factor / iter_ns).ceil() as u32;
-    config.delay_iterations + latency_iters + config.confirm_iterations
+    DELAY_ITERATIONS + latency_iters + CONFIRM_ITERATIONS
 }
 
 /// Run one benchmark pass for `init → target`.
@@ -90,11 +90,11 @@ pub fn run_phase2<P: Platform>(
     }
     platform.set_locked_clocks(init.core)?;
     let warm_cfg = KernelConfig {
-        iters_per_sm: config.delay_iterations.max(200),
+        iters_per_sm: DELAY_ITERATIONS,
         workload: config.workload,
         simulated_sms: Some(1),
     };
-    let init_band = SigmaBand::with_k(init_stats, config.sigma_k);
+    let init_band = SigmaBand::with_k(init_stats, SIGMA_K);
     const MAX_WARM_KERNELS: usize = 64;
     for _ in 0..MAX_WARM_KERNELS {
         let warm_id = platform.launch_benchmark(warm_cfg)?;
@@ -121,7 +121,7 @@ pub fn run_phase2<P: Platform>(
 
     // 4. Delay period: sleep while the kernel accumulates initial-state
     //    iterations.
-    let delay_ns = config.delay_iterations as f64 * config.expected_iter_ns_state(init);
+    let delay_ns = DELAY_ITERATIONS as f64 * config.expected_iter_ns_state(init);
     platform.sleep(SimDuration::from_nanos(delay_ns as u64));
 
     // 5. t_s, then the frequency-change call(s): only the domains that

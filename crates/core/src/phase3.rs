@@ -26,7 +26,7 @@
 use latest_gpu_sim::sm::IterRecord;
 use latest_stats::{diff_confidence_interval, robust_stats, SigmaBand, Summary};
 
-use crate::config::CampaignConfig;
+use crate::config::{CampaignConfig, CONFIRM_ITERATIONS, MEAN_TOLERANCE_REL, SIGMA_K};
 use crate::phase2::SwitchCapture;
 
 /// Why a single SM stream produced no confirmed latency.
@@ -86,7 +86,7 @@ pub fn evaluate_pass(
     target_iter_ns: &Summary,
     config: &CampaignConfig,
 ) -> PassEvaluation {
-    let band = SigmaBand::with_k(target_iter_ns, config.sigma_k);
+    let band = SigmaBand::with_k(target_iter_ns, SIGMA_K);
     let cores: Vec<CoreEvaluation> = capture
         .records
         .iter()
@@ -153,7 +153,7 @@ fn evaluate_core(
                 / tail.len() as f64
         }
     };
-    let wide = SigmaBand::with_k(target_iter_ns, config.sigma_k * 1.5);
+    let wide = SigmaBand::with_k(target_iter_ns, SIGMA_K * 1.5);
     let spike_floor = 1.25 * init_est.max(target_iter_ns.mean);
     let mut entry = hit;
     while entry > 0 && hit - entry < 8 {
@@ -180,7 +180,7 @@ fn evaluate_core(
     if confirm_window.len() < 8 {
         return Err(CoreRejection::WindowTooShort);
     }
-    let confirm_n = (config.confirm_iterations as usize).min(confirm_window.len());
+    let confirm_n = (CONFIRM_ITERATIONS as usize).min(confirm_window.len());
     let durations: Vec<f64> = confirm_window[..confirm_n]
         .iter()
         .map(|r| r.duration().as_nanos() as f64)
@@ -191,7 +191,7 @@ fn evaluate_core(
         Some(ci) => {
             ci.contains_zero()
                 || (confirm.mean - target_iter_ns.mean).abs()
-                    < config.mean_tolerance_rel * target_iter_ns.mean
+                    < MEAN_TOLERANCE_REL * target_iter_ns.mean
         }
         None => false,
     };

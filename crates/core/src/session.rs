@@ -415,7 +415,6 @@ type CheckpointSink = Arc<dyn Fn(&CampaignResult) + Send + Sync>;
 /// The streaming campaign engine. See the [module docs](self) for the tour.
 pub struct CampaignSession<F: PlatformFactory = SimPlatformFactory> {
     config: CampaignConfig,
-    adaptive: AdaptiveConfig,
     factory: F,
     observers: Vec<Arc<dyn CampaignObserver>>,
     cancel: CancelToken,
@@ -437,7 +436,6 @@ impl<F: PlatformFactory> CampaignSession<F> {
     pub fn with_factory(config: CampaignConfig, factory: F) -> Self {
         CampaignSession {
             config,
-            adaptive: AdaptiveConfig::default(),
             factory,
             observers: Vec::new(),
             cancel: CancelToken::new(),
@@ -445,12 +443,6 @@ impl<F: PlatformFactory> CampaignSession<F> {
             checkpoint_every: 1,
             checkpoint_sink: None,
         }
-    }
-
-    /// Override the Algorithm-3 parameters.
-    pub fn with_adaptive(mut self, adaptive: AdaptiveConfig) -> Self {
-        self.adaptive = adaptive;
-        self
     }
 
     /// Attach an observer; may be called several times.
@@ -765,7 +757,7 @@ impl<F: PlatformFactory> CampaignSession<F> {
         )?;
         let analysis = outcome
             .run()
-            .map(|r| analyze_pair(&r.latencies_ms, &self.adaptive));
+            .map(|r| analyze_pair(&r.latencies_ms, &AdaptiveConfig::default()));
         match (&outcome, &analysis) {
             (PairOutcome::Completed(run), Some(a)) => {
                 self.emit(CampaignEvent::PairFinished {

@@ -36,14 +36,14 @@ use latest_gpu_sim::devices::DeviceRegistry;
 use latest_gpu_sim::freq::FreqMhz;
 use latest_gpu_sim::sm::WorkloadRegistry;
 
-use crate::config::CampaignConfig;
+use crate::config::{knob_violations, CampaignConfig};
 use crate::fleet::Fleet;
 use crate::session::CampaignSession;
 
 /// One violated constraint of a [`CampaignSpec`] / [`FleetSpec`] (or of a
-/// [`CampaignConfig`](crate::config::CampaignConfigBuilder) under
-/// `try_build`). Validation never stops at the first violation — see
-/// [`SpecErrors`].
+/// [`CampaignConfig`] whose [`build`](crate::config::CampaignConfigBuilder::build)
+/// panics with the same list). Validation never stops at the first
+/// violation — see [`SpecErrors`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpecError {
     /// The device name is not in the registry.
@@ -117,16 +117,6 @@ pub enum SpecError {
     },
     /// `simulated_sms` of zero (no record streams to evaluate).
     ZeroSimulatedSms,
-    /// Detection band width multiplier not positive.
-    SigmaNonPositive {
-        /// The configured value.
-        value: f64,
-    },
-    /// Confidence level outside (0, 1).
-    ConfidenceOutOfRange {
-        /// The configured value.
-        value: f64,
-    },
     /// A fleet spec with no member campaigns.
     EmptyFleet,
     /// A violation inside one member of a fleet spec.
@@ -185,12 +175,6 @@ impl std::fmt::Display for SpecError {
             }
             SpecError::ZeroSimulatedSms => {
                 write!(f, "simulated_sms must be at least 1 (or null for all SMs)")
-            }
-            SpecError::SigmaNonPositive { value } => {
-                write!(f, "sigma_k must be positive, got {value}")
-            }
-            SpecError::ConfidenceOutOfRange { value } => {
-                write!(f, "confidence must be in (0, 1), got {value}")
             }
             SpecError::EmptyFleet => write!(f, "fleet spec has no members"),
             SpecError::InMember { index, inner } => {
@@ -329,7 +313,9 @@ pub struct CampaignSpec {
 
 impl Default for CampaignSpec {
     /// The paper defaults with an empty frequency list (which fails
-    /// validation until frequencies are selected).
+    /// validation until frequencies are selected). The one home of the
+    /// defaults a spec shares with [`CampaignConfig`]: its builder starts
+    /// from these values.
     fn default() -> Self {
         CampaignSpec {
             description: String::new(),
@@ -453,22 +439,12 @@ impl CampaignSpec {
                 }
             }
         }
-        if !(self.rse_threshold > 0.0 && self.rse_threshold < 1.0) {
-            errors.push(SpecError::RseThresholdOutOfRange {
-                value: self.rse_threshold,
-            });
-        }
-        if self.min_measurements == 0 {
-            errors.push(SpecError::ZeroMinMeasurements);
-        } else if self.min_measurements > self.max_measurements {
-            errors.push(SpecError::MeasurementBoundsInverted {
-                min: self.min_measurements,
-                max: self.max_measurements,
-            });
-        }
-        if self.simulated_sms == Some(0) {
-            errors.push(SpecError::ZeroSimulatedSms);
-        }
+        errors.extend(knob_violations(
+            self.rse_threshold,
+            self.min_measurements,
+            self.max_measurements,
+            self.simulated_sms,
+        ));
         errors
     }
 
@@ -937,14 +913,13 @@ impl SpecCheckpoint {
         serde_json::from_str(text)
     }
 
-    /// Write the checkpoint to `path` atomically (write-to-temp +
-    /// rename), so a crash mid-write can never corrupt an existing
-    /// checkpoint. The single checkpoint-persistence path shared by
-    /// `latest run --checkpoint` and the queue service's worker pool.
+    /// Write the checkpoint to `path` atomically
+    /// ([`write_atomic`](crate::store::write_atomic)), so a crash mid-write
+    /// can never corrupt an existing checkpoint. The single
+    /// checkpoint-persistence path shared by `latest run --checkpoint` and
+    /// the queue service's worker pool.
     pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        crate::store::write_atomic(path, self.to_json())
     }
 
     /// Read a checkpoint file back; a parse failure surfaces as

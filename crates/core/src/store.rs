@@ -35,6 +35,7 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::campaign::CampaignResult;
 use crate::spec::{CampaignSpec, FleetSpec};
@@ -327,6 +328,29 @@ impl From<io::Error> for StoreError {
 /// Result alias for store operations.
 pub type StoreResult<T> = Result<T, StoreError>;
 
+/// Write `contents` to `path` atomically: write a temp file beside it, then
+/// rename it over `path`, so a crash mid-write never corrupts an existing
+/// file and a reader sees either the old bytes or the new.
+///
+/// The temp name carries the pid and a per-process counter, so concurrent
+/// writers of one path (two jobs archiving the same run) never share a temp
+/// file; the last rename wins and every writer's bytes are whole. The name
+/// is a dot-file ending in `.tmp`, never `.json`, so the directory scans
+/// that key on the `.json` suffix skip it.
+pub fn write_atomic(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = path.with_file_name(format!(
+        ".{name}.{}-{}.tmp",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    fs::write(&tmp, contents)?;
+    fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })
+}
+
 /// A directory-backed archive of campaign runs.
 #[derive(Clone, Debug)]
 pub struct ResultStore {
@@ -365,13 +389,8 @@ impl ResultStore {
             spec: spec.clone(),
             result: result.clone(),
         };
-        let path = self.path_of(&run_id);
         let json = serde_json::to_string_pretty(&doc).expect("stored run serialises");
-        // Atomic write: a crash mid-write must not corrupt an existing
-        // entry.
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, &json)?;
-        fs::rename(&tmp, &path)?;
+        write_atomic(&self.path_of(&run_id), json)?;
         Ok(run_id)
     }
 
@@ -838,5 +857,48 @@ mod tests {
             assert!(store.contains(id));
         }
         fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_run_all_succeed() {
+        // Concurrent writers of one run (a fleet job and a campaign job
+        // sharing a member spec) must not collide on a shared temp file.
+        let store = temp_store("concurrent");
+        let s = spec(41);
+        let r = run(&s);
+        const ROUNDS: usize = 200;
+        const WRITERS: usize = 4;
+        let barrier = std::sync::Barrier::new(WRITERS);
+        let failures: usize = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..ROUNDS)
+                            .filter(|_| {
+                                barrier.wait();
+                                store.put(&s, &r).is_err()
+                            })
+                            .count()
+                    })
+                })
+                .collect();
+            writers.into_iter().map(|w| w.join().unwrap()).sum()
+        });
+        assert_eq!(
+            failures,
+            0,
+            "{failures} of {} puts failed",
+            WRITERS * ROUNDS
+        );
+        let sequential = temp_store("concurrent_reference");
+        let name = format!("{}.json", sequential.put(&s, &r).unwrap());
+        assert_eq!(
+            fs::read(store.root().join(&name)).unwrap(),
+            fs::read(sequential.root().join(&name)).unwrap()
+        );
+        // No temp file outlives its write.
+        assert_eq!(fs::read_dir(store.root()).unwrap().count(), 1);
+        fs::remove_dir_all(store.root()).ok();
+        fs::remove_dir_all(sequential.root()).ok();
     }
 }

@@ -17,7 +17,8 @@ use std::fs;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::MetadataExt;
 use std::path::PathBuf;
-use std::sync::Mutex as StdMutex;
+
+use parking_lot::Mutex;
 
 /// Append-only event feed writer with size-capped rotation; see the
 /// [module docs](self).
@@ -26,7 +27,7 @@ pub struct EventLog {
     rotated: PathBuf,
     /// Rotation threshold in bytes; 0 disables rotation.
     max_bytes: u64,
-    file: StdMutex<fs::File>,
+    file: Mutex<fs::File>,
 }
 
 impl EventLog {
@@ -43,7 +44,7 @@ impl EventLog {
             path,
             rotated: rotated.into(),
             max_bytes,
-            file: StdMutex::new(file),
+            file: Mutex::new(file),
         })
     }
 
@@ -51,7 +52,7 @@ impl EventLog {
     /// when the line would cross the cap. Oversized single lines still
     /// land — rotation bounds the *file*, it never drops the line.
     pub fn append_line(&self, line: &str) -> io::Result<()> {
-        let mut file = self.file.lock().expect("event log poisoned");
+        let mut file = self.file.lock();
         if self.max_bytes > 0 {
             let len = file.metadata()?.len();
             if len > 0 && len + line.len() as u64 + 1 > self.max_bytes {

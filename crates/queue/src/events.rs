@@ -17,10 +17,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::Mutex;
 
 use latest_core::session::CampaignEvent;
 use latest_core::store::RunId;
+use parking_lot::Mutex;
 
 use crate::job::JobId;
 
@@ -227,7 +227,7 @@ impl EventSpool {
     /// `false` — and discards the event — when the buffer is full.
     pub fn push(&self, slot: usize, event: QueueEvent) -> bool {
         let i = slot.min(self.slots.len() - 1);
-        let mut buf = self.slots[i].lock().expect("event spool poisoned");
+        let mut buf = self.slots[i].lock();
         if buf.len() >= self.capacity {
             return false;
         }
@@ -241,7 +241,7 @@ impl EventSpool {
     pub fn drain(&self) -> Vec<QueueEvent> {
         let mut merged: Vec<(u64, QueueEvent)> = Vec::new();
         for slot in self.slots.iter() {
-            let mut buf = slot.lock().expect("event spool poisoned");
+            let mut buf = slot.lock();
             merged.append(&mut buf);
         }
         merged.sort_by_key(|(seq, _)| *seq);
@@ -251,7 +251,7 @@ impl EventSpool {
     /// Discard everything buffered and restart the sequence.
     pub fn reset(&self) {
         for slot in self.slots.iter() {
-            slot.lock().expect("event spool poisoned").clear();
+            slot.lock().clear();
         }
         self.seq.store(0, Ordering::Relaxed);
     }

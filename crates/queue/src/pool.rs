@@ -62,7 +62,7 @@ use latest_core::session::{
     settle, CampaignEvent, CampaignPrelude, CampaignSession, CancelToken, WorkUnit,
 };
 use latest_core::spec::{CampaignSpec, SpecCheckpoint};
-use latest_core::store::{ResultStore, RunId, StoreError};
+use latest_core::store::{write_atomic, ResultStore, RunId, StoreError};
 use latest_core::{CoreError, PairMeasurement};
 use latest_telemetry::{ClockSpec, Registry, Stage, StageClock, TelemetrySnapshot};
 use parking_lot::Mutex;
@@ -216,7 +216,9 @@ enum Task {
 
 /// The shared task board every worker steals from. A plain FIFO deque
 /// under a mutex — tasks are coarse (a prelude or a batch of pairs), so
-/// contention here is noise next to the measurement work itself.
+/// contention here is noise next to the measurement work itself. The one
+/// std `Mutex` in the crate: workers sleep on a `Condvar`, which the
+/// `parking_lot` stand-in does not provide.
 struct TaskBoard {
     tasks: StdMutex<VecDeque<Task>>,
     available: Condvar,
@@ -256,7 +258,7 @@ impl TaskBoard {
 
 /// Shared state of one claimed job while its tasks are in flight.
 struct JobRun {
-    job: StdMutex<Job>,
+    job: Mutex<Job>,
     /// Service-clock timestamp of the claim, the zero point for the job's
     /// claim-to-start and settle-latency telemetry.
     claimed_ns: u64,
@@ -268,12 +270,12 @@ struct JobRun {
     /// Unfinished tasks; the worker that drops it to zero finalises.
     outstanding: AtomicUsize,
     /// First terminal failure, if any (first writer wins).
-    failure: StdMutex<Option<String>>,
+    failure: Mutex<Option<String>>,
 }
 
 impl JobRun {
     fn fail(&self, message: String) {
-        let mut failure = self.failure.lock().expect("failure slot poisoned");
+        let mut failure = self.failure.lock();
         if failure.is_none() {
             *failure = Some(message);
         }
@@ -283,10 +285,7 @@ impl JobRun {
     }
 
     fn failed(&self) -> bool {
-        self.failure
-            .lock()
-            .expect("failure slot poisoned")
-            .is_some()
+        self.failure.lock().is_some()
     }
 }
 
@@ -301,7 +300,7 @@ struct MemberRun {
     shards_done: AtomicUsize,
     /// Canonical-order result slots; `Some` once the pair settled (or was
     /// restored from a checkpoint).
-    slots: StdMutex<Vec<Option<PairMeasurement>>>,
+    slots: Mutex<Vec<Option<PairMeasurement>>>,
 }
 
 /// Per-thread telemetry context: which registry/spool slot this thread
@@ -339,10 +338,10 @@ pub struct WorkerPool {
     /// Serialises observer delivery so drained batches keep their order.
     /// Lock order: `deliver` before the journal file lock, never inside
     /// it — observers may call back into the queue (`request_cancel`).
-    deliver: StdMutex<()>,
+    deliver: Mutex<()>,
     /// Service-clock timestamp each queued job was first observed at, the
     /// zero point for its queue-wait telemetry.
-    first_seen: StdMutex<HashMap<JobId, u64>>,
+    first_seen: Mutex<HashMap<JobId, u64>>,
 }
 
 impl WorkerPool {
@@ -379,8 +378,8 @@ impl WorkerPool {
             running: Mutex::new(HashMap::new()),
             board: TaskBoard::new(),
             stats: Mutex::new(DrainStats::default()),
-            deliver: StdMutex::new(()),
-            first_seen: StdMutex::new(HashMap::new()),
+            deliver: Mutex::new(()),
+            first_seen: Mutex::new(HashMap::new()),
         })
     }
 
@@ -461,7 +460,7 @@ impl WorkerPool {
     /// Must never be called with the journal file lock held (observers
     /// may call back into the queue).
     fn flush_events(&self) {
-        let _guard = self.deliver.lock().expect("deliver lock poisoned");
+        let _guard = self.deliver.lock();
         let batch = self.spool.drain();
         if batch.is_empty() {
             return;
@@ -514,7 +513,7 @@ impl WorkerPool {
         *self.stats.lock() = DrainStats::default();
         self.registry.reset();
         self.spool.reset();
-        self.first_seen.lock().expect("first seen poisoned").clear();
+        self.first_seen.lock().clear();
         // The calling thread records into the shared service slot; the
         // drain-level clock times the call as a whole.
         self.set_ctx(self.config.workers);
@@ -550,10 +549,7 @@ impl WorkerPool {
     /// (`<dir>/telemetry.json`, atomic write-to-temp + rename) so `queue
     /// status`/`queue stats` can report service latency after the fact.
     fn persist_telemetry(&self, snapshot: &TelemetrySnapshot) -> QueueResult<()> {
-        let path = self.queue.telemetry_path();
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, snapshot.to_json())?;
-        fs::rename(&tmp, &path)?;
+        write_atomic(&self.queue.telemetry_path(), snapshot.to_json())?;
         Ok(())
     }
 
@@ -587,7 +583,7 @@ impl WorkerPool {
                 let cancelled = self.honour_cancel_markers()?;
                 let claim = self.queue.claim()?;
                 let now = self.now_ns();
-                let mut first_seen = self.first_seen.lock().expect("first seen poisoned");
+                let mut first_seen = self.first_seen.lock();
                 for id in &claim.queued {
                     first_seen.entry(*id).or_insert(now);
                 }
@@ -647,10 +643,7 @@ impl WorkerPool {
                     self.queue.clear_checkpoints(&job)?;
                     self.queue.clear_cancel_request(job.id)?;
                     self.stats.lock().cancelled += 1;
-                    self.first_seen
-                        .lock()
-                        .expect("first seen poisoned")
-                        .remove(&job.id);
+                    self.first_seen.lock().remove(&job.id);
                     cancelled.push(job.id);
                 }
                 JobState::Running => {
@@ -722,12 +715,12 @@ impl WorkerPool {
             pairs,
         });
         let run = Arc::new(JobRun {
-            job: StdMutex::new(job),
+            job: Mutex::new(job),
             claimed_ns,
             token,
             members: (0..members).map(|_| OnceLock::new()).collect(),
             outstanding: AtomicUsize::new(members),
-            failure: StdMutex::new(None),
+            failure: Mutex::new(None),
         });
         let tasks = (0..members)
             .map(|member| Task::Setup {
@@ -754,7 +747,7 @@ impl WorkerPool {
             return self.complete_task(run);
         }
         let (job_id, spec) = {
-            let job = run.job.lock().expect("job slot poisoned");
+            let job = run.job.lock();
             (job.id, job.members()[member].clone())
         };
         match self.build_member(job_id, member, &spec, run) {
@@ -766,7 +759,7 @@ impl WorkerPool {
                     self.now_ns().saturating_sub(run.claimed_ns),
                 );
                 let (restored, pending) = {
-                    let slots = mr.slots.lock().expect("member slots poisoned");
+                    let slots = mr.slots.lock();
                     let restored: Vec<(usize, PairMeasurement)> = slots
                         .iter()
                         .enumerate()
@@ -897,7 +890,7 @@ impl WorkerPool {
             ckpt_path,
             shards_total: 0,
             shards_done: AtomicUsize::new(0),
-            slots: StdMutex::new(slots),
+            slots: Mutex::new(slots),
         }))
     }
 
@@ -912,14 +905,14 @@ impl WorkerPool {
             run.fail(format!("member {member}: internal: shard before setup"));
             return self.complete_task(run);
         };
-        let job_id = run.job.lock().expect("job slot poisoned").id;
+        let job_id = run.job.lock().id;
 
         let on_settle = |index: usize, meas: &PairMeasurement| {
             // The session already spooled this pair's events (its
             // `PairFinished` is emitted before this hook runs): deliver
             // them now, so watchers still see pair-granular progress.
             self.flush_events();
-            let mut slots = mr.slots.lock().expect("member slots poisoned");
+            let mut slots = mr.slots.lock();
             if settle(
                 &mut slots,
                 index,
@@ -952,7 +945,7 @@ impl WorkerPool {
                     drop(stats);
                     mr.shards_done.fetch_add(1, Ordering::SeqCst);
                     {
-                        let slots = mr.slots.lock().expect("member slots poisoned");
+                        let slots = mr.slots.lock();
                         self.write_checkpoint(mr, &slots);
                     }
                     self.update_ledger(run)?;
@@ -986,7 +979,7 @@ impl WorkerPool {
         for slot in &run.members {
             match slot.get() {
                 Some(Some(mr)) => {
-                    let slots = mr.slots.lock().expect("member slots poisoned");
+                    let slots = mr.slots.lock();
                     members.push(MemberLedger {
                         pairs_done: slots.iter().filter(|s| s.is_some()).count(),
                         pairs_total: slots.len(),
@@ -998,7 +991,7 @@ impl WorkerPool {
             }
         }
         let job = {
-            let mut job = run.job.lock().expect("job slot poisoned");
+            let mut job = run.job.lock();
             job.ledger = Some(ShardLedger { members });
             job.clone()
         };
@@ -1011,8 +1004,8 @@ impl WorkerPool {
     /// Settle a job whose last task just completed. Exactly one worker
     /// gets here per job (the outstanding count hits zero once).
     fn finalize(&self, run: &Arc<JobRun>) -> QueueResult<()> {
-        let mut job = run.job.lock().expect("job slot poisoned").clone();
-        let failure = run.failure.lock().expect("failure slot poisoned").clone();
+        let mut job = run.job.lock().clone();
+        let failure = run.failure.lock().clone();
         let run_ids = job.run_ids();
 
         if let Some(error) = failure {
@@ -1071,10 +1064,7 @@ impl WorkerPool {
             };
             // `finish` spools the member's `CampaignFinished` through the
             // session's observer; deliver it before the next member's.
-            let result = mr.session.finish(
-                &mr.prelude,
-                &mr.slots.lock().expect("member slots poisoned"),
-            );
+            let result = mr.session.finish(&mr.prelude, &mr.slots.lock());
             self.flush_events();
             results.push((mr.spec.clone(), result));
         }

@@ -50,7 +50,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use latest_core::spec::ScenarioSpec;
-use latest_core::store::RunId;
+use latest_core::store::{write_atomic, RunId};
 
 use crate::error::{QueueError, QueueResult};
 use crate::job::{CompletionVia, Job, JobId, JobKey, JobState};
@@ -305,9 +305,7 @@ impl JobQueue {
         } else {
             self.done_path(job.id)
         };
-        let tmp = path.with_extension("json.tmp");
-        fs::write(&tmp, job.to_json())?;
-        fs::rename(&tmp, &path)?;
+        write_atomic(&path, job.to_json())?;
         if !job.state.is_pending() {
             match fs::remove_file(self.path_of(job.id)) {
                 Ok(()) => {}

@@ -204,6 +204,45 @@ fn mixed_batch_dedupes_caches_and_archives() {
 }
 
 #[test]
+fn a_fleet_and_a_campaign_sharing_a_member_both_archive_it() {
+    // Different job keys, so neither coalesces into the other: when both
+    // are claimed before either settles, both archive the shared run.
+    let dir = temp_dir("shared_member");
+    let shared = tiny(80);
+    let fleet = FleetSpec::new().member(shared.clone()).member(tiny(81));
+
+    let (pool, _) = recording_pool(&dir, 2);
+    let queue = pool.queue();
+    let job_fleet = queue
+        .submit(ScenarioSpec::Fleet(fleet.clone()), SubmitOptions::default())
+        .unwrap();
+    let job_campaign = queue
+        .submit(
+            ScenarioSpec::Campaign(shared.clone()),
+            SubmitOptions::default(),
+        )
+        .unwrap();
+    let stats = pool.drain().unwrap();
+    assert_eq!(stats.failed, 0);
+    assert_eq!(stats.executed + stats.cached, 2);
+    for id in [job_fleet.id, job_campaign.id] {
+        let state = queue.load(id).unwrap().state;
+        assert!(matches!(state, JobState::Done { .. }), "{id}: {state:?}");
+    }
+
+    let shared_id = RunId::of_spec(&shared);
+    let runs = pool.store().list().unwrap();
+    assert_eq!(runs.iter().filter(|r| r.run_id == shared_id).count(), 1);
+    assert_eq!(runs.len(), 2, "the shared run and the fleet's other member");
+    assert_eq!(
+        pool.store().get(&shared_id).unwrap().result.to_json(),
+        reference_run(&shared).to_json()
+    );
+
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn forced_duplicates_execute_instead_of_coalescing() {
     let dir = temp_dir("force_dup");
     let spec = tiny(5);

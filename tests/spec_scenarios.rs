@@ -175,30 +175,6 @@ fn zero_simulated_sms_is_rejected() {
 }
 
 #[test]
-fn sigma_non_positive_is_rejected_by_try_build() {
-    let errs = CampaignConfig::builder(devices::a100_sxm4())
-        .sigma_k(0.0)
-        .try_build()
-        .unwrap_err();
-    assert!(matches!(
-        errs.errors(),
-        [SpecError::SigmaNonPositive { value }] if *value == 0.0
-    ));
-}
-
-#[test]
-fn confidence_out_of_range_is_rejected_by_try_build() {
-    let errs = CampaignConfig::builder(devices::a100_sxm4())
-        .confidence(1.0)
-        .try_build()
-        .unwrap_err();
-    assert!(matches!(
-        errs.errors(),
-        [SpecError::ConfidenceOutOfRange { value }] if *value == 1.0
-    ));
-}
-
-#[test]
 fn empty_fleet_is_rejected() {
     let errs = FleetSpec::new().validate().unwrap_err();
     assert!(matches!(errs.errors(), [SpecError::EmptyFleet]));
