@@ -185,7 +185,7 @@ impl CampaignConfig {
     }
 
     /// Derived per-pair seed, stable across runs and independent of pair
-    /// execution order (this is what makes a campaign whose shards run
+    /// execution order (this is what makes a campaign whose pairs run
     /// concurrently on the queue's worker pool bitwise equal to
     /// `CampaignSession::run`). Core-only pairs reduce to the exact legacy
     /// core-pair formula (bitwise-identical campaigns); states with a

@@ -77,11 +77,11 @@ impl Fleet {
     /// The members' campaign configurations, in slot order.
     ///
     /// Each member is an independent campaign — its own device, seed and
-    /// pair set — so each decomposes into its own shard set
-    /// ([`CampaignSession::plan`]) with no state shared between members:
-    /// fleet members are independent units, and a scheduler (the queue's
-    /// worker pool, which runs shards on threads) may interleave shards of
-    /// different members freely without affecting any result.
+    /// pair set — so each decomposes into its own pair tasks
+    /// ([`CampaignSession::pending_pairs`]) with no state shared between
+    /// members: a scheduler (the queue's worker pool, which runs pair
+    /// tasks on threads) may interleave pairs of different members freely
+    /// without affecting any result.
     pub fn members(&self) -> &[CampaignConfig] {
         &self.members
     }

@@ -26,7 +26,7 @@
 //! * **Session** ([`session`]) — the campaign runner,
 //!   [`CampaignSession::run`]: pairs measured one after another in
 //!   canonical order on the calling thread, each on its own seeded
-//!   platform (the queue's worker pool runs shards of them on threads),
+//!   platform (the queue's worker pool runs them as tasks on threads),
 //!   typed progress events through observer hooks or channels, cooperative
 //!   cancellation, and checkpoint/resume over the serialisable
 //!   [`CampaignResult`].
@@ -92,7 +92,7 @@ pub use platform::{
 };
 pub use session::{
     CampaignEvent, CampaignObserver, CampaignPrelude, CampaignSession, CancelToken,
-    ChannelObserver, PairTask, SkipReason, WorkUnit,
+    ChannelObserver, PairTask, SkipReason,
 };
 pub use spec::{
     CampaignSpec, CampaignSpecBuilder, FleetSpec, FreqSelection, ScenarioSpec, SpecCheckpoint,

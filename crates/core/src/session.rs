@@ -8,9 +8,10 @@
 //!   freshly seeded platform, so any order gives bitwise-identical
 //!   results. [`CampaignSession::run`] measures the pairs one after
 //!   another on the calling thread, in canonical order, because a GPU's
-//!   clock is device-wide; the queue's worker pool runs [`WorkUnit`]
-//!   shards of them on threads. Both settle pairs into canonical-order
-//!   slots with [`settle`] and build the result with
+//!   clock is device-wide; the queue's worker pool runs each
+//!   [`PairTask`] of [`CampaignSession::pending_pairs`] as its own task
+//!   through [`CampaignSession::measure`]. Both settle pairs into
+//!   canonical-order slots with [`settle`] and build the result with
 //!   [`CampaignSession::assemble`];
 //! * emits **typed progress events** ([`CampaignEvent`]) through any number
 //!   of observer hooks or a plain [`std::sync::mpsc`] channel, so UIs and
@@ -84,8 +85,8 @@ impl std::fmt::Display for SkipReason {
 /// Typed progress events emitted by a [`CampaignSession`].
 ///
 /// Under [`CampaignSession::run`] pair-level events arrive in canonical
-/// pair order. They may interleave arbitrarily between pairs when work
-/// units run concurrently (shards on the queue's worker pool); per pair,
+/// pair order. They may interleave arbitrarily between pairs when pairs
+/// run concurrently (pair tasks on the queue's worker pool); per pair,
 /// `PairStarted` always precedes `PairFinished`/`PairSkipped`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CampaignEvent {
@@ -150,24 +151,6 @@ pub enum CampaignEvent {
         /// Target frequency state.
         target: FreqState,
     },
-    /// A [`WorkUnit`] shard began executing its pairs.
-    ShardStarted {
-        /// Shard position in its plan (0-based).
-        shard: usize,
-        /// Number of shards in the plan.
-        n_shards: usize,
-        /// Pairs the shard owns.
-        pairs: usize,
-    },
-    /// A [`WorkUnit`] shard finished every pair it owns.
-    ShardFinished {
-        /// Shard position in its plan (0-based).
-        shard: usize,
-        /// Number of shards in the plan.
-        n_shards: usize,
-        /// Pairs the shard owns.
-        pairs: usize,
-    },
     /// The session finished (possibly partially, after cancellation).
     CampaignFinished {
         /// Pairs that completed with measurements.
@@ -226,20 +209,6 @@ impl std::fmt::Display for CampaignEvent {
             CampaignEvent::PairRestored { init, target, .. } => {
                 write!(f, "pair {init}->{target} MHz restored from checkpoint")
             }
-            CampaignEvent::ShardStarted {
-                shard,
-                n_shards,
-                pairs,
-            } => {
-                write!(f, "shard {}/{n_shards} started: {pairs} pairs", shard + 1)
-            }
-            CampaignEvent::ShardFinished {
-                shard,
-                n_shards,
-                pairs,
-            } => {
-                write!(f, "shard {}/{n_shards} finished: {pairs} pairs", shard + 1)
-            }
             CampaignEvent::CampaignFinished {
                 completed,
                 skipped,
@@ -257,7 +226,7 @@ impl std::fmt::Display for CampaignEvent {
 /// Observer hook for [`CampaignEvent`]s.
 ///
 /// Implemented for any `Fn(&CampaignEvent) + Send + Sync` closure; events
-/// may arrive from worker threads when work units run concurrently.
+/// may arrive from worker threads when pairs run concurrently.
 pub trait CampaignObserver: Send + Sync {
     /// Called for every event, in emission order per pair.
     fn event(&self, event: &CampaignEvent);
@@ -319,7 +288,7 @@ impl CancelToken {
 /// Produced by [`CampaignSession::prelude`] on a platform seeded from the
 /// campaign seed alone (or restored from a resume checkpoint, which is
 /// equivalent bit for bit), then handed unchanged to every
-/// [`CampaignSession::run_unit_with`] call.
+/// [`CampaignSession::measure`] call.
 #[derive(Clone, Debug)]
 pub struct CampaignPrelude {
     /// Phase-1 characterisation and pair validation.
@@ -328,8 +297,20 @@ pub struct CampaignPrelude {
     pub probe: ProbeResult,
 }
 
-/// One pair inside a [`WorkUnit`]: its canonical position plus the
+/// One schedulable pair of a campaign: its canonical position plus the
 /// `state_pair_seed`-derived seed its platform is constructed from.
+///
+/// # Determinism contract
+///
+/// A pair task owns everything its measurement needs. Its `seed` builds
+/// the pair's `Platform` through the session's [`PlatformFactory`], and
+/// phase 1 + probe arrive as the shared [`CampaignPrelude`]. No state
+/// flows between pairs, so the tasks of
+/// [`CampaignSession::pending_pairs`], measured in *any* order on *any*
+/// number of threads (or processes), yield measurements bitwise
+/// identical to [`CampaignSession::run`]; [`settle`] and
+/// [`CampaignSession::assemble`] only have to put them back in canonical
+/// order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PairTask {
     /// Position in `ordered_state_pairs` order.
@@ -341,53 +322,6 @@ pub struct PairTask {
     /// The platform seed for this pair:
     /// `config.state_pair_seed(init, target)`.
     pub seed: u64,
-}
-
-/// One schedulable shard of a campaign: a subset of the ordered pairs.
-///
-/// # Determinism contract
-///
-/// A work unit owns everything its pairs need. Each [`PairTask`] carries
-/// the `state_pair_seed`-derived seed its `Platform` is built from through the
-/// session's [`PlatformFactory`], and phase 1 + probe arrive as the shared
-/// [`CampaignPrelude`]. No state flows between pairs or between shards, so
-/// *any* partition of the pairs into units, executed in *any* order on
-/// *any* number of threads (or processes), yields measurements bitwise
-/// identical to [`CampaignSession::run`]; [`settle`] and
-/// [`CampaignSession::assemble`] only have to put them back in canonical
-/// order.
-#[derive(Clone, Debug)]
-pub struct WorkUnit {
-    shard: usize,
-    n_shards: usize,
-    pairs: Vec<PairTask>,
-}
-
-impl WorkUnit {
-    /// This shard's position in its plan (0-based).
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Number of shards in the plan this unit belongs to.
-    pub fn n_shards(&self) -> usize {
-        self.n_shards
-    }
-
-    /// The pairs this shard owns, in canonical order.
-    pub fn pairs(&self) -> &[PairTask] {
-        &self.pairs
-    }
-
-    /// Number of pairs in this shard.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Whether the shard owns no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
 }
 
 /// Record one settled pair in its canonical slot and say whether a
@@ -566,7 +500,7 @@ impl<F: PlatformFactory> CampaignSession<F> {
     }
 
     /// Run phase 1 and the probe — the once-per-campaign preamble every
-    /// shard shares — emitting `CampaignStarted`, `Phase1Done` and
+    /// pair shares — emitting `CampaignStarted`, `Phase1Done` and
     /// `ProbeDone`.
     ///
     /// On a resume, phase 1 + probe are restored from the (validated)
@@ -615,9 +549,9 @@ impl<F: PlatformFactory> CampaignSession<F> {
 
     /// Pairs restorable verbatim from the resume checkpoint, as
     /// `(canonical index, measurement)` in canonical order (empty without a
-    /// checkpoint). These are exactly the pairs [`CampaignSession::plan`]
-    /// excludes; [`settle`] them into the slots alongside the executed
-    /// units.
+    /// checkpoint). These are exactly the pairs
+    /// [`CampaignSession::pending_pairs`] excludes; [`settle`] them into
+    /// the slots alongside the measured ones.
     pub fn restored_pairs(&self) -> Vec<(usize, PairMeasurement)> {
         let Some(cp) = &self.checkpoint else {
             return Vec::new();
@@ -635,8 +569,9 @@ impl<F: PlatformFactory> CampaignSession<F> {
     }
 
     /// Every pair not restorable from the resume checkpoint, in canonical
-    /// order.
-    fn pending(&self) -> Vec<PairTask> {
+    /// order: the campaign's remaining work, one self-contained
+    /// [`PairTask`] per pair.
+    pub fn pending_pairs(&self) -> Vec<PairTask> {
         self.config
             .ordered_state_pairs()
             .iter()
@@ -651,72 +586,11 @@ impl<F: PlatformFactory> CampaignSession<F> {
             .collect()
     }
 
-    /// Partition the campaign's *pending* pairs (everything not restorable
-    /// from the resume checkpoint) into at most `n_shards` [`WorkUnit`]s of
-    /// near-equal size, in canonical pair order.
-    ///
-    /// Each unit is self-contained — canonical indices, frequencies and
-    /// per-pair platform seeds — so units can be executed in any order, on
-    /// any thread or process, and settled back deterministically; see the
-    /// [`WorkUnit`] contract.
-    pub fn plan(&self, n_shards: usize) -> Vec<WorkUnit> {
-        let pending = self.pending();
-        if pending.is_empty() {
-            return Vec::new();
-        }
-        let chunk = pending.len().div_ceil(n_shards.clamp(1, pending.len()));
-        let n_shards = pending.len().div_ceil(chunk);
-        pending
-            .chunks(chunk)
-            .enumerate()
-            .map(|(shard, pairs)| WorkUnit {
-                shard,
-                n_shards,
-                pairs: pairs.to_vec(),
-            })
-            .collect()
-    }
-
-    /// Execute one [`WorkUnit`]: every pair on its own `state_pair_seed`-seeded
-    /// platform, in the unit's canonical order, between `ShardStarted` and
-    /// `ShardFinished` events. Returns the unit's `(canonical index,
-    /// measurement)` pairs, pairs skipped by cancellation as
-    /// [`PairOutcome::Cancelled`] placeholders.
-    ///
-    /// `on_settle` runs after each pair of the unit is measured (not for
-    /// pairs skipped by cancellation), before the next pair starts. The
-    /// queue's shard scheduler uses it to [`settle`] pairs into cross-shard
-    /// checkpoints and to poll cancellation at pair granularity.
-    pub fn run_unit_with(
-        &self,
-        prelude: &CampaignPrelude,
-        unit: &WorkUnit,
-        on_settle: impl Fn(usize, &PairMeasurement),
-    ) -> CoreResult<Vec<(usize, PairMeasurement)>> {
-        self.emit(CampaignEvent::ShardStarted {
-            shard: unit.shard,
-            n_shards: unit.n_shards,
-            pairs: unit.len(),
-        });
-        let mut pairs = Vec::with_capacity(unit.len());
-        for task in &unit.pairs {
-            let meas = self.measure_pair(prelude, task)?;
-            if !meas.outcome.is_cancelled() {
-                on_settle(task.index, &meas);
-            }
-            pairs.push((task.index, meas));
-        }
-        self.emit(CampaignEvent::ShardFinished {
-            shard: unit.shard,
-            n_shards: unit.n_shards,
-            pairs: unit.len(),
-        });
-        Ok(pairs)
-    }
-
-    /// Measure one pair on a freshly seeded platform (or record it as
-    /// cancelled), emitting the pair events.
-    fn measure_pair(
+    /// Measure one pair on its freshly seeded platform, emitting the pair
+    /// events. Once the session is cancelled the pair is not run: it comes
+    /// back as a [`PairOutcome::Cancelled`] placeholder, which callers
+    /// leave unsettled.
+    pub fn measure(
         &self,
         prelude: &CampaignPrelude,
         task: &PairTask,
@@ -881,8 +755,8 @@ impl<F: PlatformFactory> CampaignSession<F> {
             settle_pair(index, meas);
         }
 
-        for task in self.pending() {
-            let meas = self.measure_pair(&prelude, &task)?;
+        for task in self.pending_pairs() {
+            let meas = self.measure(&prelude, &task)?;
             if !meas.outcome.is_cancelled() {
                 settle_pair(task.index, meas);
             }

@@ -237,7 +237,7 @@ impl GpuDevice {
         &self.timer
     }
 
-    fn plan(&self, domain: ClockDomain) -> &DomainPlan {
+    fn domain_plan(&self, domain: ClockDomain) -> &DomainPlan {
         match domain {
             ClockDomain::Core => &self.core,
             ClockDomain::Memory => &self.mem,
@@ -272,7 +272,7 @@ impl GpuDevice {
     /// Ground-truth transitions of `domain` recorded so far, in request
     /// order (closed-loop validation).
     pub fn transitions(&self, domain: ClockDomain) -> &[TransitionGroundTruth] {
-        &self.plan(domain).ledger
+        &self.domain_plan(domain).ledger
     }
 
     /// The effective memory clock at `now` as a driver query would report

@@ -34,7 +34,7 @@ pub enum QueueEvent {
         /// Worker slot (0-based) executing it.
         worker: usize,
     },
-    /// A claimed job was decomposed into shard work units; its pair total
+    /// A claimed job was fanned out onto the task board; its pair total
     /// is known. Emitted once per executed job, after `Started` and
     /// before any `Progress`.
     Planned {

@@ -211,7 +211,7 @@ impl serde::Deserialize for JobState {
     }
 }
 
-/// Shard-level progress of one member campaign, journaled while the job
+/// Pair-level progress of one member campaign, journaled while the job
 /// runs so `queue status` (and a post-crash inspection) can see how far
 /// execution got without parsing checkpoints.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -220,24 +220,20 @@ pub struct MemberLedger {
     pub pairs_done: usize,
     /// Pairs the member campaign schedules in total.
     pub pairs_total: usize,
-    /// Work units that ran to completion.
-    pub shards_done: usize,
-    /// Work units the member's pending pairs were partitioned into.
-    pub shards_total: usize,
 }
 
-/// The job's shard ledger: one [`MemberLedger`] per member, in slot
-/// order. Journaled on every shard completion, so recovery knows exactly
-/// which fraction of the job survives in checkpoints — a requeued job
-/// re-executes only its unfinished shards (the checkpoint restores the
-/// finished ones verbatim).
+/// The job's pair ledger: one [`MemberLedger`] per member, in slot order.
+/// Journaled at every checkpoint boundary, so recovery knows exactly which
+/// fraction of the job survives in checkpoints — a requeued job measures
+/// only its unsettled pairs (the checkpoint restores the settled ones
+/// verbatim).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardLedger {
+pub struct PairLedger {
     /// Per-member progress, in slot order.
     pub members: Vec<MemberLedger>,
 }
 
-impl ShardLedger {
+impl PairLedger {
     /// Pairs settled across every member.
     pub fn pairs_done(&self) -> usize {
         self.members.iter().map(|m| m.pairs_done).sum()
@@ -248,25 +244,9 @@ impl ShardLedger {
         self.members.iter().map(|m| m.pairs_total).sum()
     }
 
-    /// Shards completed across every member.
-    pub fn shards_done(&self) -> usize {
-        self.members.iter().map(|m| m.shards_done).sum()
-    }
-
-    /// Shards planned across every member.
-    pub fn shards_total(&self) -> usize {
-        self.members.iter().map(|m| m.shards_total).sum()
-    }
-
-    /// One-line progress summary (`12/56 pairs, 3/8 shards`).
+    /// One-line progress summary (`12/56 pairs`).
     pub fn summary(&self) -> String {
-        format!(
-            "{}/{} pairs, {}/{} shards",
-            self.pairs_done(),
-            self.pairs_total(),
-            self.shards_done(),
-            self.shards_total()
-        )
+        format!("{}/{} pairs", self.pairs_done(), self.pairs_total())
     }
 }
 
@@ -275,8 +255,6 @@ impl serde::Serialize for MemberLedger {
         serde::Value::Map(vec![
             ("pairs_done".to_string(), self.pairs_done.to_value()),
             ("pairs_total".to_string(), self.pairs_total.to_value()),
-            ("shards_done".to_string(), self.shards_done.to_value()),
-            ("shards_total".to_string(), self.shards_total.to_value()),
         ])
     }
 }
@@ -294,28 +272,26 @@ impl serde::Deserialize for MemberLedger {
         Ok(MemberLedger {
             pairs_done: get("pairs_done")?,
             pairs_total: get("pairs_total")?,
-            shards_done: get("shards_done")?,
-            shards_total: get("shards_total")?,
         })
     }
 }
 
-impl serde::Serialize for ShardLedger {
+impl serde::Serialize for PairLedger {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![("members".to_string(), self.members.to_value())])
     }
 }
 
-impl serde::Deserialize for ShardLedger {
+impl serde::Deserialize for PairLedger {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
         let entries = value.as_map().ok_or_else(|| {
-            serde::Error::custom(format!("expected map for ShardLedger, got {value:?}"))
+            serde::Error::custom(format!("expected map for PairLedger, got {value:?}"))
         })?;
-        Ok(ShardLedger {
+        Ok(PairLedger {
             members: serde::Deserialize::from_value(serde::field(
                 entries,
                 "members",
-                "ShardLedger",
+                "PairLedger",
             )?)?,
         })
     }
@@ -339,11 +315,11 @@ pub struct Job {
     pub spec: ScenarioSpec,
     /// Lifecycle state.
     pub state: JobState,
-    /// Shard-level progress, journaled while the job runs (and kept on a
+    /// Pair-level progress, journaled while the job runs (and kept on a
     /// shutdown-requeued job, so `status` shows how much of the resume is
     /// already banked in checkpoints). `None` before execution plans the
     /// job and after it settles.
-    pub ledger: Option<ShardLedger>,
+    pub ledger: Option<PairLedger>,
 }
 
 impl Job {
@@ -420,8 +396,10 @@ impl serde::Deserialize for Job {
         let id = JobId::parse(&id_text)
             .map_err(|e| serde::Error::custom(format!("bad job id in journal entry: {e}")))?;
         let priority: i64 = serde::Deserialize::from_value(field("priority")?)?;
-        // Optional: entries journaled before the shard scheduler existed
-        // (or outside an execution window) carry no ledger.
+        // Optional: entries journaled before the ledger existed (or outside
+        // an execution window) carry no ledger. Keys a ledger member does
+        // not know — the shard counters older services journaled — are
+        // ignored, and dropped on the next save.
         let ledger = entries
             .iter()
             .find(|(k, _)| k == "ledger")
@@ -517,23 +495,19 @@ mod tests {
 
     #[test]
     fn ledgers_round_trip_and_summarise() {
-        let ledger = ShardLedger {
+        let ledger = PairLedger {
             members: vec![
                 MemberLedger {
                     pairs_done: 4,
                     pairs_total: 6,
-                    shards_done: 2,
-                    shards_total: 3,
                 },
                 MemberLedger {
                     pairs_done: 6,
                     pairs_total: 6,
-                    shards_done: 3,
-                    shards_total: 3,
                 },
             ],
         };
-        assert_eq!(ledger.summary(), "10/12 pairs, 5/6 shards");
+        assert_eq!(ledger.summary(), "10/12 pairs");
         let job = Job {
             id: JobId(7),
             priority: 0,
@@ -544,13 +518,75 @@ mod tests {
         };
         let back = Job::from_json(&job.to_json()).unwrap();
         assert_eq!(back, job);
-        // Entries journaled without a ledger (the pre-shard format) still
-        // parse: the field is optional.
+        // Entries journaled without a ledger still parse: the field is
+        // optional.
         let bare = Job {
             ledger: None,
             ..job
         };
         assert_eq!(Job::from_json(&bare.to_json()).unwrap().ledger, None);
+    }
+
+    #[test]
+    fn shard_era_ledgers_load_and_resave_without_shard_counters() {
+        // A job a shutdown requeued under a service that still scheduled
+        // pair shards: its ledger members carry shard counters.
+        let entry = r#"{
+  "format": 1,
+  "id": "job-000007",
+  "priority": 0,
+  "force": false,
+  "state": {
+    "state": "queued"
+  },
+  "ledger": {
+    "members": [
+      {
+        "pairs_done": 1,
+        "pairs_total": 2,
+        "shards_done": 1,
+        "shards_total": 2
+      }
+    ]
+  },
+  "spec": {
+    "description": "",
+    "device": "a100",
+    "device_index": 0,
+    "hostname": "simnode",
+    "frequencies": [
+      705,
+      1410
+    ],
+    "seed": 9,
+    "rse_threshold": 0.05,
+    "min_measurements": 3,
+    "max_measurements": 6,
+    "simulated_sms": 2,
+    "workload": "paper-default"
+  }
+}"#;
+        let job = Job::from_json(entry).expect("a shard-era entry loads");
+        assert_eq!(job.state, JobState::Queued);
+        let ledger = job.ledger.as_ref().expect("the ledger survives");
+        assert_eq!(
+            ledger.members,
+            vec![MemberLedger {
+                pairs_done: 1,
+                pairs_total: 2,
+            }]
+        );
+        assert_eq!(ledger.summary(), "1/2 pairs");
+        // Re-saving drops the shard counters and changes nothing else.
+        let resaved = job.to_json();
+        assert!(!resaved.contains("shards_"), "{resaved}");
+        assert_eq!(
+            resaved,
+            entry.replace(
+                ",\n        \"shards_done\": 1,\n        \"shards_total\": 2",
+                ""
+            )
+        );
     }
 
     #[test]

@@ -13,14 +13,14 @@
 //!   atomic-rename file per job, scheduled priority-first and FIFO within
 //!   a priority. Submissions of the same spec share a content-addressed
 //!   [`JobKey`], so duplicates coalesce onto one execution.
-//! * **[`WorkerPool`]** — a work-stealing shard scheduler: a claimed job
-//!   decomposes into [`WorkUnit`](latest_core::WorkUnit) pair-shards that
+//! * **[`WorkerPool`]** — a work-stealing pair scheduler: a claimed job
+//!   becomes one task per pending [`PairTask`](latest_core::PairTask),
 //!   spread across every worker thread, with per-job
 //!   [`CancelToken`](latest_core::CancelToken)s, a journaled
-//!   [`ShardLedger`] of in-flight progress and periodic resumable
+//!   [`PairLedger`] of in-flight progress and periodic resumable
 //!   checkpoints: a killed service requeues its in-flight jobs on restart
-//!   and resumes each from its checkpoint — even mid-shard — bitwise
-//!   identical to an uninterrupted run.
+//!   and resumes each from its checkpoint bitwise identical to an
+//!   uninterrupted run.
 //! * **Result cache** — before executing, a job consults the
 //!   [`ResultStore`](latest_core::ResultStore): an archived run of the
 //!   identical spec is served without recomputation (unless the job was
@@ -34,7 +34,7 @@
 //!   [`EventLog`] that [`EventTail`] follows across rotations.
 //! * **Service telemetry** — per-worker lock-free stage latency
 //!   recorders ([`latest_telemetry`]) time queue wait, claim-to-start,
-//!   shard execution, checkpoint stalls, settle latency and event
+//!   pair execution, checkpoint stalls, settle latency and event
 //!   fan-in; the merged snapshot rides on [`DrainStats`] and persists as
 //!   `<dir>/telemetry.json` for `queue status` / `queue stats`.
 //!
@@ -69,7 +69,7 @@ pub mod queue;
 pub use error::{QueueError, QueueResult};
 pub use eventlog::{EventLog, EventTail};
 pub use events::{EventSpool, QueueChannelObserver, QueueEvent, QueueObserver};
-pub use job::{CompletionVia, Job, JobId, JobKey, JobState, MemberLedger, ShardLedger};
+pub use job::{CompletionVia, Job, JobId, JobKey, JobState, MemberLedger, PairLedger};
 pub use pool::{DrainStats, PoolConfig, WorkerPool};
 pub use progress::ProgressFormatter;
 pub use queue::{Claim, JobQueue, QueueCounts, QueueLock, ServiceLock, SubmitOptions};

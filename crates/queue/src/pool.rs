@@ -1,7 +1,6 @@
-//! The work-stealing shard scheduler: N threads pulling jobs off the
-//! [`JobQueue`] and executing them at *pair-shard* granularity, with
-//! cooperative cancellation, periodic cross-shard checkpoints and the
-//! result cache.
+//! The work-stealing pair scheduler: N threads pulling jobs off the
+//! [`JobQueue`] and executing them one frequency pair per task, with
+//! cooperative cancellation, periodic checkpoints and the result cache.
 //!
 //! Execution path per job:
 //!
@@ -12,19 +11,20 @@
 //! 2. **Plan** — the claiming worker fans the job out onto the shared
 //!    task board: one setup task per member campaign. Each setup resolves
 //!    its spec, restores any matching checkpoint, runs the phase-1 +
-//!    probe prelude once, and decomposes the member's pending pairs into
-//!    [`WorkUnit`] shards — so a single claimed job spreads across every
-//!    idle worker in the pool, not just the claimer.
-//! 3. **Execute** — workers steal shard tasks off the board and run them
-//!    through the member's [`CampaignSession`]. Per-pair platforms are
-//!    seeded from the campaign seed and the pair alone, so the
-//!    interleaving of shards across workers is invisible in the results:
-//!    the assembled output is bitwise identical to
-//!    [`CampaignSession::run`]. Settled pairs fold into a per-member
-//!    [`SpecCheckpoint`] (atomic write-to-temp + rename), and the shard
-//!    ledger on the job's journal entry tracks pair/shard progress for
+//!    probe prelude once, and pushes one task per pending [`PairTask`] —
+//!    so a single claimed job spreads across every idle worker in the
+//!    pool, not just the claimer.
+//! 3. **Execute** — workers steal pair tasks off the board and measure
+//!    each through the member's [`CampaignSession::measure`]. Per-pair
+//!    platforms are seeded from the campaign seed and the pair alone, so
+//!    the interleaving of pairs across workers is invisible in the
+//!    results: the assembled output is bitwise identical to
+//!    [`CampaignSession::run`]. Settled pairs fold into the member's
+//!    canonical-order slots; at each checkpoint boundary the slots are
+//!    written as a [`SpecCheckpoint`] (atomic write-to-temp + rename) and
+//!    the pair ledger on the job's journal entry is updated for
 //!    `queue status`.
-//! 4. **Archive** — when a job's last shard settles, the finishing worker
+//! 4. **Archive** — when a job's last pair settles, the finishing worker
 //!    assembles each member's slots ([`CampaignSession::finish`]),
 //!    archives each member result into the [`ResultStore`], and settles
 //!    the job.
@@ -35,11 +35,11 @@
 //! Shutdown ([`WorkerPool::shutdown_token`]) cancels every in-flight
 //! session; their partial results are checkpointed and the jobs revert to
 //! `Queued`, so a restarted service resumes each one from where the last
-//! run stopped — even mid-shard, the crash-recovery path and the
-//! graceful-shutdown path are the same code.
+//! run stopped; the crash-recovery path and the graceful-shutdown path
+//! are the same code.
 //!
 //! Every stage of this path is timed into per-worker lock-free latency
-//! recorders ([`latest_telemetry`]): queue wait, claim-to-start, shard
+//! recorders ([`latest_telemetry`]): queue wait, claim-to-start, pair
 //! execution, checkpoint stalls, settle latency and observer fan-in.
 //! The merged [`TelemetrySnapshot`] rides on [`DrainStats`] and is
 //! persisted as `<dir>/telemetry.json` at the end of every drain/serve
@@ -59,7 +59,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::Duration;
 
 use latest_core::session::{
-    settle, CampaignEvent, CampaignPrelude, CampaignSession, CancelToken, WorkUnit,
+    settle, CampaignEvent, CampaignPrelude, CampaignSession, CancelToken, PairTask,
 };
 use latest_core::spec::{CampaignSpec, SpecCheckpoint};
 use latest_core::store::{write_atomic, ResultStore, RunId, StoreError};
@@ -69,7 +69,7 @@ use parking_lot::Mutex;
 
 use crate::error::QueueResult;
 use crate::events::{EventSpool, QueueChannelObserver, QueueEvent, QueueObserver};
-use crate::job::{CompletionVia, Job, JobId, JobState, MemberLedger, ShardLedger};
+use crate::job::{CompletionVia, Job, JobId, JobState, MemberLedger, PairLedger};
 use crate::queue::JobQueue;
 
 /// Tuning knobs for a [`WorkerPool`].
@@ -83,10 +83,6 @@ pub struct PoolConfig {
     pub poll_interval: Duration,
     /// Archive directory override (`None` = `<queue dir>/store`).
     pub store_dir: Option<PathBuf>,
-    /// Pairs per shard work unit (0 = auto: about two shards per worker,
-    /// so a claimed job keeps the whole pool busy with headroom for
-    /// stealing).
-    pub shard_pairs: usize,
     /// How service-side timing is taken: real monotonic time (default) or
     /// virtual tick time for deterministic telemetry in tests and the CI
     /// determinism gate (meaningful with `workers: 1` — tick clocks are
@@ -104,7 +100,6 @@ impl Default for PoolConfig {
             checkpoint_every: 1,
             poll_interval: Duration::from_millis(25),
             store_dir: None,
-            shard_pairs: 0,
             clock: ClockSpec::Monotonic,
             event_buffer: 4096,
         }
@@ -126,14 +121,16 @@ pub struct DrainStats {
     pub cancelled: usize,
     /// In-flight jobs requeued by shutdown.
     pub requeued: usize,
-    /// Shard work units executed across all jobs.
+    /// Pair tasks executed across all jobs: one per measured pair, so it
+    /// equals `pairs_measured`. The name predates pair tasks; the
+    /// benchmark reads it as `queue.shards`.
     pub shards_executed: usize,
     /// Pairs measured (not restored, not cancelled) across all jobs.
     pub pairs_measured: usize,
     /// Wall-clock milliseconds the call spent.
     pub elapsed_ms: u64,
     /// Merged per-stage service latency histograms for the call (queue
-    /// wait, claim-to-start, shard execution, checkpoint stalls, settle
+    /// wait, claim-to-start, pair execution, checkpoint stalls, settle
     /// latency, event fan-in), plus the dropped-event count.
     pub telemetry: TelemetrySnapshot,
 }
@@ -184,7 +181,7 @@ impl std::fmt::Display for DrainStats {
         write!(
             f,
             "{} settled ({} executed, {} cached, {} coalesced), {} failed, \
-             {} cancelled, {} requeued; {} shards / {} pairs measured \
+             {} cancelled, {} requeued; {} pairs measured \
              in {:.2}s ({:.2} jobs/s)",
             self.settled(),
             self.executed,
@@ -193,7 +190,6 @@ impl std::fmt::Display for DrainStats {
             self.failed,
             self.cancelled,
             self.requeued,
-            self.shards_executed,
             self.pairs_measured,
             self.elapsed_ms as f64 / 1000.0,
             self.jobs_per_sec(),
@@ -204,18 +200,18 @@ impl std::fmt::Display for DrainStats {
 /// One schedulable step of an in-flight job on the task board.
 enum Task {
     /// Resolve one member's spec, build its session, run the prelude and
-    /// fan its pending pairs out as shard tasks.
+    /// fan its pending pairs out as pair tasks.
     Setup { run: Arc<JobRun>, member: usize },
-    /// Execute one shard work unit of a member campaign.
-    Shard {
+    /// Measure one pending pair of a member campaign.
+    Pair {
         run: Arc<JobRun>,
         member: usize,
-        unit: WorkUnit,
+        task: PairTask,
     },
 }
 
 /// The shared task board every worker steals from. A plain FIFO deque
-/// under a mutex — tasks are coarse (a prelude or a batch of pairs), so
+/// under a mutex — tasks are coarse (a prelude or a whole pair), so
 /// contention here is noise next to the measurement work itself. The one
 /// std `Mutex` in the crate: workers sleep on a `Condvar`, which the
 /// `parking_lot` stand-in does not provide.
@@ -279,7 +275,7 @@ impl JobRun {
         if failure.is_none() {
             *failure = Some(message);
         }
-        // Stop sibling shards promptly; the failure outranks the
+        // Stop sibling pairs promptly; the failure outranks the
         // cancellation when the job settles.
         self.token.cancel();
     }
@@ -290,14 +286,12 @@ impl JobRun {
 }
 
 /// One member campaign of an in-flight job: its session (shared by every
-/// worker running its shards), the prelude, and the slot-wise results.
+/// worker measuring its pairs), the prelude, and the slot-wise results.
 struct MemberRun {
     spec: CampaignSpec,
     session: CampaignSession,
     prelude: CampaignPrelude,
     ckpt_path: PathBuf,
-    shards_total: usize,
-    shards_done: AtomicUsize,
     /// Canonical-order result slots; `Some` once the pair settled (or was
     /// restored from a checkpoint).
     slots: Mutex<Vec<Option<PairMeasurement>>>,
@@ -487,15 +481,6 @@ impl WorkerPool {
         self.run_workers(false)
     }
 
-    /// Pending pairs → shard count for one member's plan.
-    fn shards_for(&self, pending: usize) -> usize {
-        if self.config.shard_pairs > 0 {
-            pending.div_ceil(self.config.shard_pairs).max(1)
-        } else {
-            (self.config.workers * 2).clamp(1, pending.max(1))
-        }
-    }
-
     fn run_workers(&self, drain: bool) -> QueueResult<DrainStats> {
         // One service per queue directory: recover() cannot tell a killed
         // service's Running entries from a live sibling's, so serving
@@ -556,7 +541,7 @@ impl WorkerPool {
     fn worker_loop(&self, worker: usize, drain: bool) -> QueueResult<()> {
         self.set_ctx(worker);
         loop {
-            // Board first: shard tasks of claimed jobs outrank new claims,
+            // Board first: pair tasks of claimed jobs outrank new claims,
             // and they must still be consumed after shutdown — each
             // in-flight job settles (requeued, with its checkpoint) only
             // when its last task completes.
@@ -735,11 +720,11 @@ impl WorkerPool {
     fn run_task(&self, task: Task) -> QueueResult<()> {
         match task {
             Task::Setup { run, member } => self.setup_member(&run, member),
-            Task::Shard { run, member, unit } => self.run_shard(&run, member, &unit),
+            Task::Pair { run, member, task } => self.run_pair(&run, member, &task),
         }
     }
 
-    /// Build one member's session and fan its pending pairs out as shard
+    /// Build one member's session and fan its pending pairs out as pair
     /// tasks. Runs the member's prelude (phase 1 + probe) exactly once.
     fn setup_member(&self, run: &Arc<JobRun>, member: usize) -> QueueResult<()> {
         if run.failed() || run.token.is_cancelled() || self.shutdown.is_cancelled() {
@@ -751,56 +736,41 @@ impl WorkerPool {
             (job.id, job.members()[member].clone())
         };
         match self.build_member(job_id, member, &spec, run) {
-            Ok(Some(mut mr)) => {
+            Ok(Some(mr)) => {
                 // Claim-to-start: claim to "this member is ready to
                 // measure" (spec resolution, checkpoint restore, prelude).
                 self.record(
                     Stage::ClaimToStart,
                     self.now_ns().saturating_sub(run.claimed_ns),
                 );
-                let (restored, pending) = {
-                    let slots = mr.slots.lock();
-                    let restored: Vec<(usize, PairMeasurement)> = slots
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, s)| s.as_ref().map(|m| (i, m.clone())))
-                        .collect();
-                    let pending = slots.len() - restored.len();
-                    (restored, pending)
-                };
-                for (index, meas) in &restored {
+                for (index, meas) in mr.session.restored_pairs() {
                     self.emit(QueueEvent::Progress {
                         job: job_id,
                         member,
                         event: CampaignEvent::PairRestored {
-                            index: *index,
+                            index,
                             init: meas.init,
                             target: meas.target,
                         },
                     });
                 }
-                let units = if pending == 0 {
-                    Vec::new()
-                } else {
-                    mr.session.plan(self.shards_for(pending))
-                };
-                mr.shards_total = units.len();
+                let pending = mr.session.pending_pairs();
                 let _ = run.members[member].set(Some(mr));
                 self.update_ledger(run)?;
-                if units.is_empty() {
+                if pending.is_empty() {
                     // Fully restored from the checkpoint: nothing to run.
                     return self.complete_task(run);
                 }
-                // Register the shard tasks before pushing them: a sibling
+                // Register the pair tasks before pushing them: a sibling
                 // may pop and finish one before we decrement for the
                 // setup task itself.
-                run.outstanding.fetch_add(units.len(), Ordering::SeqCst);
-                let tasks = units
+                run.outstanding.fetch_add(pending.len(), Ordering::SeqCst);
+                let tasks = pending
                     .into_iter()
-                    .map(|unit| Task::Shard {
+                    .map(|task| Task::Pair {
                         run: run.clone(),
                         member,
-                        unit,
+                        task,
                     })
                     .collect();
                 self.board.push(tasks);
@@ -819,7 +789,7 @@ impl WorkerPool {
         }
     }
 
-    /// Resolve one member spec into a ready-to-shard [`MemberRun`],
+    /// Resolve one member spec into a ready-to-measure [`MemberRun`],
     /// resuming from its checkpoint when one matches. `Ok(None)` means
     /// cancelled during the prelude.
     fn build_member(
@@ -888,67 +858,54 @@ impl WorkerPool {
             session,
             prelude,
             ckpt_path,
-            shards_total: 0,
-            shards_done: AtomicUsize::new(0),
             slots: Mutex::new(slots),
         }))
     }
 
-    /// Execute one shard work unit; settled pairs fold into the member's
-    /// checkpoint, which doubles as the busy pool's cancellation poll.
-    fn run_shard(&self, run: &Arc<JobRun>, member: usize, unit: &WorkUnit) -> QueueResult<()> {
+    /// Measure one pair and settle it into the member's slots. At a
+    /// checkpoint boundary the slots are written as the member's
+    /// checkpoint and the job's ledger is journaled; the boundary doubles
+    /// as the busy pool's cancellation poll.
+    fn run_pair(&self, run: &Arc<JobRun>, member: usize, task: &PairTask) -> QueueResult<()> {
         if run.failed() || self.shutdown.is_cancelled() || run.token.is_cancelled() {
             return self.complete_task(run);
         }
         let Some(Some(mr)) = run.members[member].get() else {
-            // A shard task only exists because setup stored the member.
-            run.fail(format!("member {member}: internal: shard before setup"));
+            // A pair task only exists because setup stored the member.
+            run.fail(format!("member {member}: internal: pair before setup"));
             return self.complete_task(run);
         };
-        let job_id = run.job.lock().id;
 
-        let on_settle = |index: usize, meas: &PairMeasurement| {
-            // The session already spooled this pair's events (its
-            // `PairFinished` is emitted before this hook runs): deliver
-            // them now, so watchers still see pair-granular progress.
-            self.flush_events();
-            let mut slots = mr.slots.lock();
-            if settle(
-                &mut slots,
-                index,
-                meas.clone(),
-                self.config.checkpoint_every,
-            ) {
-                self.write_checkpoint(mr, &slots);
-                // The settle hook doubles as the busy pool's cancellation
-                // poll: markers and shutdown are honoured at the next
-                // checkpoint boundary even when no worker is idle.
-                if self.shutdown.is_cancelled() || self.queue.cancel_requested(job_id) {
-                    run.token.cancel();
-                }
-            }
-        };
-
+        // Only the measurement is pair execution; the checkpoint below is
+        // timed as a checkpoint stall.
         let exec_start = self.now_ns();
-        let outcome = mr.session.run_unit_with(&mr.prelude, unit, on_settle);
+        let outcome = mr.session.measure(&mr.prelude, task);
         self.record(Stage::ShardExec, self.now_ns().saturating_sub(exec_start));
         match outcome {
-            Ok(pairs) => {
-                let measured = pairs
-                    .iter()
-                    .filter(|(_, m)| !m.outcome.is_cancelled())
-                    .count();
-                if measured > 0 || !run.token.is_cancelled() {
+            // Cancelled before it started: the slot stays unsettled.
+            Ok(meas) if meas.outcome.is_cancelled() => {}
+            Ok(meas) => {
+                {
                     let mut stats = self.stats.lock();
                     stats.shards_executed += 1;
-                    stats.pairs_measured += measured;
-                    drop(stats);
-                    mr.shards_done.fetch_add(1, Ordering::SeqCst);
-                    {
-                        let slots = mr.slots.lock();
-                        self.write_checkpoint(mr, &slots);
-                    }
+                    stats.pairs_measured += 1;
+                }
+                // The session spooled this pair's events: deliver them
+                // before the cancellation poll, so watchers see
+                // pair-granular progress and can react to it.
+                self.flush_events();
+                let mut slots = mr.slots.lock();
+                if settle(&mut slots, task.index, meas, self.config.checkpoint_every) {
+                    self.write_checkpoint(mr, &slots);
+                    // The ledger reads every member's slots.
+                    drop(slots);
                     self.update_ledger(run)?;
+                    // Markers and shutdown are honoured at the next
+                    // checkpoint boundary even when no worker is idle.
+                    let job_id = run.job.lock().id;
+                    if self.shutdown.is_cancelled() || self.queue.cancel_requested(job_id) {
+                        run.token.cancel();
+                    }
                 }
             }
             Err(CoreError::Cancelled) => {}
@@ -971,28 +928,13 @@ impl WorkerPool {
         self.record(Stage::CheckpointStall, self.now_ns().saturating_sub(start));
     }
 
-    /// Journal the job's shard ledger (pair/shard progress per member) so
+    /// Journal the job's pair ledger (pair progress per member) so
     /// `queue status` can report in-flight progress without tailing the
     /// event feed.
     fn update_ledger(&self, run: &Arc<JobRun>) -> QueueResult<()> {
-        let mut members = Vec::with_capacity(run.members.len());
-        for slot in &run.members {
-            match slot.get() {
-                Some(Some(mr)) => {
-                    let slots = mr.slots.lock();
-                    members.push(MemberLedger {
-                        pairs_done: slots.iter().filter(|s| s.is_some()).count(),
-                        pairs_total: slots.len(),
-                        shards_done: mr.shards_done.load(Ordering::SeqCst),
-                        shards_total: mr.shards_total,
-                    });
-                }
-                _ => members.push(MemberLedger::default()),
-            }
-        }
         let job = {
             let mut job = run.job.lock();
-            job.ledger = Some(ShardLedger { members });
+            job.ledger = Some(ledger(run));
             job.clone()
         };
         let _guard = self.claim_lock.lock();
@@ -1026,8 +968,13 @@ impl WorkerPool {
         }
 
         if self.shutdown.is_cancelled() {
-            // Service shutdown: back to the queue; checkpoints (and the
-            // ledger) resume the job on restart.
+            // Service shutdown: bank the pairs settled since the last
+            // checkpoint boundary, then back to the queue; checkpoints (and
+            // the ledger) resume the job on restart.
+            for mr in run.members.iter().filter_map(|m| m.get()?.as_ref()) {
+                self.write_checkpoint(mr, &mr.slots.lock());
+            }
+            job.ledger = Some(ledger(run));
             job.state = JobState::Queued;
             self.queue.save(&job)?;
             self.emit(QueueEvent::Requeued { job: job.id });
@@ -1145,4 +1092,24 @@ impl WorkerPool {
         }
         Ok(())
     }
+}
+
+/// The job's pair ledger: settled and scheduled pairs per member, in slot
+/// order (zeros for a member whose setup never finished).
+fn ledger(run: &JobRun) -> PairLedger {
+    let members = run
+        .members
+        .iter()
+        .map(|slot| match slot.get() {
+            Some(Some(mr)) => {
+                let slots = mr.slots.lock();
+                MemberLedger {
+                    pairs_done: slots.iter().filter(|s| s.is_some()).count(),
+                    pairs_total: slots.len(),
+                }
+            }
+            _ => MemberLedger::default(),
+        })
+        .collect();
+    PairLedger { members }
 }

@@ -31,8 +31,6 @@ pub struct ProgressFormatter {
     total: usize,
     done: usize,
     seeded: bool,
-    shards_started: usize,
-    shards_done: usize,
 }
 
 impl Default for ProgressFormatter {
@@ -59,8 +57,6 @@ impl ProgressFormatter {
             total: 0,
             done: 0,
             seeded: false,
-            shards_started: 0,
-            shards_done: 0,
         }
     }
 
@@ -91,8 +87,6 @@ impl ProgressFormatter {
             CampaignEvent::PairFinished { .. }
             | CampaignEvent::PairSkipped { .. }
             | CampaignEvent::PairRestored { .. } => self.done += 1,
-            CampaignEvent::ShardStarted { .. } => self.shards_started += 1,
-            CampaignEvent::ShardFinished { .. } => self.shards_done += 1,
             _ => {}
         }
         let elapsed = self.clock.now_ns().saturating_sub(self.start_ns) as f64 / 1e9;
@@ -100,26 +94,17 @@ impl ProgressFormatter {
     }
 
     /// The ` [done/total pairs, ETA ..s]` suffix, present while pair work
-    /// is underway; gains a `done/started shards` figure once shard-level
-    /// scheduling is observed.
+    /// is underway.
     fn suffix(&self, elapsed: f64) -> String {
         if self.total == 0 || self.done == 0 {
             return String::new();
         }
-        let shards = if self.shards_started > 0 {
-            format!(", {}/{} shards", self.shards_done, self.shards_started)
-        } else {
-            String::new()
-        };
         if self.done >= self.total {
-            return format!(" [{}/{} pairs{shards}, done]", self.done, self.total);
+            return format!(" [{}/{} pairs, done]", self.done, self.total);
         }
         let remaining = (self.total - self.done) as f64;
         let eta = elapsed / self.done as f64 * remaining;
-        format!(
-            " [{}/{} pairs{shards}, ETA {eta:.0}s]",
-            self.done, self.total
-        )
+        format!(" [{}/{} pairs, ETA {eta:.0}s]", self.done, self.total)
     }
 }
 
@@ -197,36 +182,6 @@ mod tests {
             n_pairs: 6,
         });
         assert_eq!(fmt.total(), 12, "seeded total is authoritative");
-    }
-
-    #[test]
-    fn shard_counters_join_the_suffix() {
-        let mut fmt = ProgressFormatter::new();
-        fmt.seed_totals(4);
-        fmt.line(&CampaignEvent::ShardStarted {
-            shard: 0,
-            n_shards: 2,
-            pairs: 2,
-        });
-        fmt.line(&CampaignEvent::ShardStarted {
-            shard: 1,
-            n_shards: 2,
-            pairs: 2,
-        });
-        let line = fmt.line(&CampaignEvent::PairFinished {
-            index: 0,
-            init: FreqState::core_mhz(705),
-            target: FreqState::core_mhz(1410),
-            measurements: 10,
-            mean_ms: 9.5,
-        });
-        assert!(line.contains("[1/4 pairs, 0/2 shards, ETA"), "{line}");
-        let line = fmt.line(&CampaignEvent::ShardFinished {
-            shard: 0,
-            n_shards: 2,
-            pairs: 2,
-        });
-        assert!(line.contains("1/2 shards"), "{line}");
     }
 
     #[test]

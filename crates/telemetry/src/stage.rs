@@ -5,10 +5,10 @@
 //! observed the transition:
 //!
 //! ```text
-//!   submit ──▶ first seen ──▶ claimed ──▶ shards fanned out ──▶ settle
+//!   submit ──▶ first seen ──▶ claimed ──▶ pairs fanned out ──▶ settle
 //!              ╰─ QueueWait ─╯╰ ClaimToStart ╯
-//!                             ╰───────── SettleLatency ────────╯
-//!   per shard:   ShardExec (run_unit_with)   CheckpointStall (write)
+//!                             ╰───────── SettleLatency ───────╯
+//!   per pair:    ShardExec (measure)   CheckpointStall (write)
 //!   observer:    EventFanIn (batch delivery to observers)
 //! ```
 
@@ -19,9 +19,10 @@ use std::fmt;
 pub enum Stage {
     /// Submission (first seen by a claim scan) until a worker claims the job.
     QueueWait,
-    /// Claim until the member's shards are fanned out onto the task board.
+    /// Claim until the member's pairs are fanned out onto the task board.
     ClaimToStart,
-    /// Execution of one shard of simulated/measured pairs.
+    /// Measurement of one pair task (the name predates pair tasks; it is
+    /// reported as `shard-exec`).
     ShardExec,
     /// A checkpoint write stalling the worker that hit the boundary.
     CheckpointStall,

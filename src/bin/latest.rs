@@ -1016,13 +1016,12 @@ commands:
   submit <spec.json> [--priority P] [--force]
                        enqueue a campaign or fleet scenario
   serve [--workers N] [--drain] [--store <dir>] [--checkpoint-every N]
-        [--poll-ms M] [--stats-out <file>] [--shard-pairs N]
-        [--log-max-bytes B] [--virtual-clock]
+        [--poll-ms M] [--stats-out <file>] [--log-max-bytes B]
+        [--virtual-clock]
                        run the worker pool; --drain exits once the queue
                        is empty, otherwise new submissions are polled for.
-                       Claimed jobs shard into work units of --shard-pairs
-                       pairs (default: sized so one job spans the pool)
-                       that spread across every worker. events.log rotates
+                       Each pending pair of a claimed job is one task, so
+                       a job spreads across every worker. events.log rotates
                        to events.log.1 at --log-max-bytes (default 8 MiB,
                        0 = unbounded); --virtual-clock times telemetry on
                        a deterministic tick clock (pair with --workers 1
@@ -1051,7 +1050,6 @@ struct QueueArgs {
     stats_out: Option<PathBuf>,
     priority: i32,
     force: bool,
-    shard_pairs: Option<usize>,
     log_max_bytes: Option<u64>,
     virtual_clock: bool,
     json: bool,
@@ -1089,7 +1087,6 @@ fn parse_queue_args(raw: &[String]) -> Result<QueueArgs, CliError> {
             Flag("--checkpoint-every") => out.checkpoint_every = Some(args.parse()?),
             Flag("--poll-ms") => out.poll_ms = Some(args.parse()?),
             Flag("--stats-out") => out.stats_out = Some(args.parse()?),
-            Flag("--shard-pairs") => out.shard_pairs = Some(args.parse::<usize>()?.max(1)),
             Flag("--priority") => out.priority = args.parse()?,
             Flag("--force") => out.force = true,
             Flag("--log-max-bytes") => out.log_max_bytes = Some(args.parse()?),
@@ -1151,7 +1148,6 @@ fn queue_serve(raw: &[String]) -> CliResult {
         checkpoint_every: args.checkpoint_every.unwrap_or(1),
         poll_interval: std::time::Duration::from_millis(args.poll_ms.unwrap_or(50)),
         store_dir: args.store.clone(),
-        shard_pairs: args.shard_pairs.unwrap_or(0),
         clock,
         ..PoolConfig::default()
     };
@@ -1177,7 +1173,7 @@ fn queue_serve(raw: &[String]) -> CliResult {
     .map_err(|e| Input(format!("opening {}: {e}", log_path.display())))?;
     // One formatter per *job* (not per member): the `Planned` event seeds
     // the job-wide pair total, so fleet jobs get one done/total counter
-    // and ETA spanning every member's shards. Under --virtual-clock the
+    // and ETA spanning every member's pairs. Under --virtual-clock the
     // formatters read the same deterministic tick time as the telemetry.
     let formatters =
         std::sync::Mutex::new(std::collections::HashMap::<JobId, ProgressFormatter>::new());
@@ -1228,7 +1224,7 @@ fn queue_status(raw: &[String]) -> CliResult {
     .map_err(|e| Input(e.to_string()))?;
     let mut table = TextTable::with_header(&["job", "priority", "state", "work", "detail"]);
     for job in &jobs {
-        // A pending job with a journaled shard ledger (running, or
+        // A pending job with a journaled pair ledger (running, or
         // requeued mid-flight by a shutdown) shows its progress inline.
         let detail = match &job.ledger {
             Some(ledger) if job.state.is_pending() => {

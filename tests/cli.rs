@@ -141,11 +141,17 @@ fn usage_errors_print_the_group_usage_and_exit_two() {
         &top,
     );
     assert_usage_error(&["run", "--bogus"], "unknown option --bogus", &top);
-    // Work-unit size is a queue-service knob; a direct run has one schedule.
+    // Neither a direct run nor the queue service has a work-unit size:
+    // the pair is the only unit of work.
     assert_usage_error(
         &["run", "scenarios/table2.json", "--shard-pairs", "2"],
         "unknown option --shard-pairs",
         &top,
+    );
+    assert_usage_error(
+        &["queue", "serve", "--shard-pairs", "2"],
+        "unknown option --shard-pairs",
+        &queue_usage(),
     );
     assert_usage_error(&["run", "--seed"], "missing value for --seed", &top);
     assert_usage_error(

@@ -1,7 +1,7 @@
 //! Reproducibility: identical seeds must give bitwise-identical campaigns,
 //! regardless of how many campaigns run at once on threads, of how the
-//! pairs are split into work units and run on threads, or of a
-//! checkpoint/resume round-trip — and different seeds must differ.
+//! pairs are split across threads, or of a checkpoint/resume round-trip
+//! — and different seeds must differ.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -155,26 +155,24 @@ fn checkpoint_resume_roundtrip_is_bitwise_identical() {
     assert_eq!(all_latencies(&uninterrupted), all_latencies(&resumed));
 }
 
-// --- the work-unit layer ----------------------------------------------------
+// --- pair tasks on threads --------------------------------------------------
 
-/// Run `session`'s pending pairs the way the queue's worker pool does:
-/// split into `plan(n_shards)` work units, one scoped thread per unit,
-/// spawned in reverse key order, every measurement settled into shared
-/// canonical-order slots as its unit returns, then assembled.
-fn run_on_threads(session: &CampaignSession, n_shards: usize) -> CampaignResult {
+/// Measure `session`'s pending pairs on `n_threads` scoped threads (at
+/// most one per pair), each owning a contiguous run of the pairs, spawned
+/// in reverse order, every measurement settled into shared
+/// canonical-order slots as it finishes, then assembled.
+fn run_on_threads(session: &CampaignSession, n_threads: usize) -> CampaignResult {
     let prelude = session.prelude().expect("prelude");
-    let units = session.plan(n_shards);
+    let pending = session.pending_pairs();
+    let chunk = pending.len().div_ceil(n_threads.clamp(1, pending.len()));
     let slots = Mutex::new(vec![None; session.config().ordered_state_pairs().len()]);
     std::thread::scope(|scope| {
-        for unit in units.iter().rev() {
+        for tasks in pending.chunks(chunk).rev() {
             let (prelude, slots) = (&prelude, &slots);
             scope.spawn(move || {
-                let pairs = session
-                    .run_unit_with(prelude, unit, |_, _| {})
-                    .expect("work unit");
-                let mut slots = slots.lock().unwrap();
-                for (index, meas) in pairs {
-                    settle(&mut slots, index, meas, 1);
+                for task in tasks {
+                    let meas = session.measure(prelude, task).expect("pair");
+                    settle(&mut slots.lock().unwrap(), task.index, meas, 1);
                 }
             });
         }
@@ -184,30 +182,29 @@ fn run_on_threads(session: &CampaignSession, n_shards: usize) -> CampaignResult 
 
 #[test]
 fn sharded_schedules_are_bitwise_identical_to_sequential() {
-    // The WorkUnit determinism contract: partitioning the pairs into any
-    // number of units, run concurrently on threads, must be invisible in
-    // the results — each pair's platform is seeded from (campaign seed,
-    // pair) alone.
+    // The PairTask determinism contract: measuring the pairs on any
+    // number of threads must be invisible in the results — each pair's
+    // platform is seeded from (campaign seed, pair) alone.
     let reference = CampaignSession::new(config(85)).run().unwrap();
-    for n_shards in [1, 2, 5, usize::MAX] {
-        let sharded = run_on_threads(&CampaignSession::new(config(85)), n_shards);
+    for n_threads in [1, 2, 5, usize::MAX] {
+        let sharded = run_on_threads(&CampaignSession::new(config(85)), n_threads);
         assert_eq!(
             all_latencies(&reference),
             all_latencies(&sharded),
-            "n_shards={n_shards}"
+            "n_threads={n_threads}"
         );
         assert_eq!(
             reference.to_json(),
             sharded.to_json(),
-            "n_shards={n_shards}"
+            "n_threads={n_threads}"
         );
     }
 }
 
 proptest! {
     /// Settling measurements into the canonical slots and assembling must
-    /// reassemble the canonical result from ANY partition of the pairs into
-    /// shards, settled in any order.
+    /// reassemble the canonical result from ANY partition of the pairs
+    /// between workers, settled in any order.
     #[test]
     fn merge_reassembles_any_partition(
         assignment in proptest::collection::vec(0usize..4, 6),
@@ -218,8 +215,8 @@ proptest! {
         let ordered = session.config().ordered_state_pairs();
         prop_assert_eq!(assignment.len(), ordered.len());
 
-        // Partition the measured pairs by the random shard assignment,
-        // then settle the shards in reverse order.
+        // Partition the measured pairs by the random worker assignment,
+        // then settle the partitions in reverse order.
         let mut shards = vec![Vec::new(); 4];
         for (index, pair) in reference.pairs().iter().enumerate() {
             shards[assignment[index]].push((index, pair.clone()));
@@ -249,18 +246,17 @@ fn mem_plane_config(seed: u64) -> CampaignConfig {
 
 #[test]
 fn mem_plane_sharded_schedules_are_bitwise_identical_to_sequential() {
-    // The 2-D (core × memory) sweep inherits the WorkUnit determinism
+    // The 2-D (core × memory) sweep inherits the PairTask determinism
     // contract unchanged: 4 states → 12 ordered state pairs, and any
-    // split of them into units run on threads reproduces `run()` bit for
-    // bit.
+    // split of them across threads reproduces `run()` bit for bit.
     let reference = CampaignSession::new(mem_plane_config(90)).run().unwrap();
     assert_eq!(reference.pairs().len(), 12);
-    for n_shards in [1, 3, 5, usize::MAX] {
-        let sharded = run_on_threads(&CampaignSession::new(mem_plane_config(90)), n_shards);
+    for n_threads in [1, 2, 5, usize::MAX] {
+        let sharded = run_on_threads(&CampaignSession::new(mem_plane_config(90)), n_threads);
         assert_eq!(
             reference.to_json(),
             sharded.to_json(),
-            "n_shards={n_shards}"
+            "n_threads={n_threads}"
         );
     }
     // And two independent runs agree bitwise too.

@@ -388,7 +388,7 @@ fn killed_pool_resumes_from_checkpoint_bitwise() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// Twelve ordered pairs: enough to shard meaningfully across 4 workers.
+/// Twelve ordered pairs: enough to spread meaningfully across 4 workers.
 fn wide(seed: u64) -> CampaignSpec {
     CampaignSpec::builder("a100")
         .frequencies_mhz(&[540, 810, 1095, 1410])
@@ -401,7 +401,7 @@ fn wide(seed: u64) -> CampaignSpec {
 
 #[test]
 fn sharded_drains_are_bitwise_identical_across_worker_counts() {
-    // The scheduler contract: splitting a job into pair-shards and
+    // The scheduler contract: splitting a job into pair tasks and
     // spreading them across any number of workers must be invisible in
     // the archived bytes.
     let spec = wide(77);
@@ -412,7 +412,6 @@ fn sharded_drains_are_bitwise_identical_across_worker_counts() {
             &dir,
             PoolConfig {
                 workers,
-                shard_pairs: 2,
                 ..PoolConfig::default()
             },
         );
@@ -426,15 +425,15 @@ fn sharded_drains_are_bitwise_identical_across_worker_counts() {
         assert_eq!(stats.executed, 1, "workers={workers}: {stats:?}");
         assert_eq!(
             (stats.shards_executed, stats.pairs_measured),
-            (6, 12),
-            "workers={workers}: 12 pairs at 2 per shard is 6 shards"
+            (12, 12),
+            "workers={workers}: one pair task per pair"
         );
         assert_eq!(
             stats.telemetry.stage(Stage::ShardExec).count(),
-            6,
-            "workers={workers}: one shard-exec telemetry sample per shard"
+            12,
+            "workers={workers}: one shard-exec telemetry sample per pair task"
         );
-        let shard_events = events
+        let pair_events = events
             .lock()
             .unwrap()
             .iter()
@@ -442,18 +441,18 @@ fn sharded_drains_are_bitwise_identical_across_worker_counts() {
                 matches!(
                     e,
                     QueueEvent::Progress {
-                        event: CampaignEvent::ShardFinished { .. },
+                        event: CampaignEvent::PairFinished { .. },
                         ..
                     }
                 )
             })
             .count();
-        assert_eq!(shard_events, 6, "workers={workers}");
+        assert_eq!(pair_events, 12, "workers={workers}");
         let stored = pool.store().get(&RunId::of_spec(&spec)).unwrap();
         assert_eq!(
             stored.result.to_json(),
             reference.to_json(),
-            "workers={workers}: sharded drain must be bitwise identical"
+            "workers={workers}: a pooled drain must be bitwise identical"
         );
         fs::remove_dir_all(&dir).ok();
     }
@@ -461,20 +460,19 @@ fn sharded_drains_are_bitwise_identical_across_worker_counts() {
 
 #[test]
 fn killed_pool_resumes_mid_shard_bitwise() {
-    // Kill the service after the very first one-pair shard settles: the
-    // job is requeued with its ledger intact, and the restart resumes
-    // from the per-shard checkpoint — never re-measuring settled pairs —
-    // to a bitwise-identical archive.
+    // Kill the service after the very first pair finishes: the job is
+    // requeued with its ledger intact, and the restart resumes from the
+    // per-pair checkpoint — never re-measuring settled pairs — to a
+    // bitwise-identical archive.
     let dir = temp_dir("kill_shard");
     let spec = wide(91);
     let reference = reference_run(&spec);
-    let sharded = PoolConfig {
+    let pooled = PoolConfig {
         workers: 2,
-        shard_pairs: 1,
         ..PoolConfig::default()
     };
 
-    let (pool, _events) = recording_pool_with(&dir, sharded.clone());
+    let (pool, _events) = recording_pool_with(&dir, pooled.clone());
     let job = pool
         .queue()
         .submit(
@@ -487,7 +485,7 @@ fn killed_pool_resumes_mid_shard_bitwise() {
         if matches!(
             e,
             QueueEvent::Progress {
-                event: CampaignEvent::ShardFinished { .. },
+                event: CampaignEvent::PairFinished { .. },
                 ..
             }
         ) {
@@ -511,7 +509,7 @@ fn killed_pool_resumes_mid_shard_bitwise() {
 
     // Restart on the same directory: the resumed drain restores the
     // settled pairs from the checkpoint and finishes the rest.
-    let (pool, events) = recording_pool_with(&dir, sharded);
+    let (pool, events) = recording_pool_with(&dir, pooled);
     let stats = pool.drain().unwrap();
     assert_eq!(stats.executed, 1, "{stats:?}");
     let restored = events
@@ -543,6 +541,61 @@ fn killed_pool_resumes_mid_shard_bitwise() {
         !pool.queue().checkpoint_path(job.id, 0).is_file(),
         "checkpoints are cleared once the job settles"
     );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn shutdown_checkpoints_pairs_settled_between_boundaries() {
+    // With a checkpoint boundary every 100 pairs, none is reached in a
+    // twelve-pair job; a shutdown must still checkpoint every settled
+    // pair, so the restart restores them instead of measuring them again.
+    let dir = temp_dir("bank");
+    let spec = wide(93);
+    let reference = reference_run(&spec);
+    let sparse = PoolConfig {
+        workers: 1,
+        checkpoint_every: 100,
+        ..PoolConfig::default()
+    };
+
+    let (pool, _events) = recording_pool_with(&dir, sparse.clone());
+    let job = pool
+        .queue()
+        .submit(
+            ScenarioSpec::Campaign(spec.clone()),
+            SubmitOptions::default(),
+        )
+        .unwrap();
+    let shutdown = pool.shutdown_token();
+    let pool = pool.observe(move |e: &QueueEvent| {
+        if matches!(
+            e,
+            QueueEvent::Progress {
+                event: CampaignEvent::PairFinished { .. },
+                ..
+            }
+        ) {
+            shutdown.cancel();
+        }
+    });
+    let stats = pool.drain().unwrap();
+    assert_eq!((stats.requeued, stats.executed), (1, 0), "{stats:?}");
+    let measured = stats.pairs_measured;
+    assert!((1..12).contains(&measured), "{stats:?}");
+    let ledger = pool.queue().load(job.id).unwrap().ledger.unwrap();
+    assert_eq!(ledger.pairs_done(), measured, "{}", ledger.summary());
+    drop(pool);
+
+    let (pool, _events) = recording_pool_with(&dir, sparse);
+    let stats = pool.drain().unwrap();
+    assert_eq!(stats.executed, 1, "{stats:?}");
+    assert_eq!(
+        stats.pairs_measured,
+        12 - measured,
+        "settled pairs are restored, not measured again"
+    );
+    let stored = pool.store().get(&RunId::of_spec(&spec)).unwrap();
+    assert_eq!(stored.result.to_json(), reference.to_json());
     fs::remove_dir_all(&dir).ok();
 }
 

@@ -84,7 +84,6 @@ fn virtual_clock_single_worker_snapshots_are_bitwise_identical() {
             &dir,
             PoolConfig {
                 workers: 1,
-                shard_pairs: 2,
                 clock: ClockSpec::Ticks { tick_ns: 100_000 },
                 ..PoolConfig::default()
             },
