@@ -8,19 +8,13 @@
 //! rendered feed). Tagging is two-level: the job id, and — inside fleet
 //! jobs — the member slot the campaign event came from.
 //!
-//! Between the producing workers and the observers sits an
-//! [`EventSpool`]: per-worker bounded buffers drained in seq-ordered
-//! batches, so the record-side cost of an event is one buffer append
-//! instead of a synchronous fan-out through every observer — and when a
-//! buffer fills, the event is *counted* as dropped (the pool's
-//! dropped-event counter) instead of silently blocking the measurement.
+//! The thread that produces an event calls the observers with it, so
+//! each event is seen when it happens.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 
 use latest_core::session::CampaignEvent;
 use latest_core::store::RunId;
-use parking_lot::Mutex;
 
 use crate::job::JobId;
 
@@ -154,9 +148,16 @@ impl std::fmt::Display for QueueEvent {
 
 /// Observer hook for the multiplexed service feed.
 ///
-/// Implemented for any `Fn(&QueueEvent) + Send + Sync` closure; events
-/// arrive from worker threads in arbitrary interleaving between jobs, but
-/// per job they respect the campaign event ordering.
+/// Implemented for any `Fn(&QueueEvent) + Send + Sync` closure. The
+/// contract:
+///
+/// * called on the thread that produced the event, as it happens — a
+///   slow observer slows that worker;
+/// * called one event at a time across the whole pool, never
+///   concurrently; events of different jobs interleave arbitrarily, but
+///   per job they respect the campaign event ordering;
+/// * never called with the journal lock held, so it may call back into
+///   the queue (`request_cancel`).
 pub trait QueueObserver: Send + Sync {
     /// Called for every event of every job.
     fn event(&self, event: &QueueEvent);
@@ -187,76 +188,6 @@ impl QueueObserver for QueueChannelObserver {
     }
 }
 
-/// Per-worker bounded event buffers with a global sequence, drained in
-/// batches; see the [module docs](self).
-///
-/// Each producing thread pushes into its own slot (one short mutex with
-/// no other contenders), tagged with a globally-ordered sequence number.
-/// [`EventSpool::drain`] merges every slot back into production order.
-/// `push` returning `false` means the slot was full and the event was
-/// discarded — the caller counts it instead of blocking.
-pub struct EventSpool {
-    seq: AtomicU64,
-    slots: Box<[Mutex<SpoolBuffer>]>,
-    capacity: usize,
-}
-
-/// One slot's buffer: sequence-tagged events awaiting a drain.
-type SpoolBuffer = Vec<(u64, QueueEvent)>;
-
-impl EventSpool {
-    /// A spool with `slots` buffers of `capacity` events each (both at
-    /// least 1).
-    pub fn new(slots: usize, capacity: usize) -> Self {
-        let n = slots.max(1);
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || Mutex::new(Vec::new()));
-        EventSpool {
-            seq: AtomicU64::new(0),
-            slots: v.into_boxed_slice(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Number of buffer slots.
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Buffer one event under `slot` (clamped to the last slot). Returns
-    /// `false` — and discards the event — when the buffer is full.
-    pub fn push(&self, slot: usize, event: QueueEvent) -> bool {
-        let i = slot.min(self.slots.len() - 1);
-        let mut buf = self.slots[i].lock();
-        if buf.len() >= self.capacity {
-            return false;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        buf.push((seq, event));
-        true
-    }
-
-    /// Take everything buffered so far, across all slots, in sequence
-    /// (production) order.
-    pub fn drain(&self) -> Vec<QueueEvent> {
-        let mut merged: Vec<(u64, QueueEvent)> = Vec::new();
-        for slot in self.slots.iter() {
-            let mut buf = slot.lock();
-            merged.append(&mut buf);
-        }
-        merged.sort_by_key(|(seq, _)| *seq);
-        merged.into_iter().map(|(_, e)| e).collect()
-    }
-
-    /// Discard everything buffered and restart the sequence.
-    pub fn reset(&self) {
-        for slot in self.slots.iter() {
-            slot.lock().clear();
-        }
-        self.seq.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,36 +213,6 @@ mod tests {
             with: JobId(1),
         };
         assert_eq!(e.to_string(), "job-000005 coalesced with job-000001");
-    }
-
-    #[test]
-    fn spool_drains_in_sequence_order_across_slots() {
-        let spool = EventSpool::new(3, 8);
-        assert!(spool.push(0, QueueEvent::Cancelled { job: JobId(1) }));
-        assert!(spool.push(2, QueueEvent::Cancelled { job: JobId(2) }));
-        assert!(spool.push(0, QueueEvent::Cancelled { job: JobId(3) }));
-        assert!(spool.push(1, QueueEvent::Cancelled { job: JobId(4) }));
-        let jobs: Vec<JobId> = spool.drain().iter().map(QueueEvent::job).collect();
-        assert_eq!(jobs, vec![JobId(1), JobId(2), JobId(3), JobId(4)]);
-        assert!(spool.drain().is_empty(), "drain takes everything");
-    }
-
-    #[test]
-    fn full_slots_reject_instead_of_blocking() {
-        let spool = EventSpool::new(2, 2);
-        assert!(spool.push(0, QueueEvent::Cancelled { job: JobId(1) }));
-        assert!(spool.push(0, QueueEvent::Cancelled { job: JobId(2) }));
-        assert!(
-            !spool.push(0, QueueEvent::Cancelled { job: JobId(3) }),
-            "third push into a 2-deep slot must report the drop"
-        );
-        // The sibling slot still has room, and out-of-range slots clamp.
-        assert!(spool.push(1, QueueEvent::Cancelled { job: JobId(4) }));
-        assert!(spool.push(99, QueueEvent::Cancelled { job: JobId(5) }));
-        assert_eq!(spool.drain().len(), 4);
-        spool.reset();
-        assert!(spool.push(0, QueueEvent::Cancelled { job: JobId(6) }));
-        assert_eq!(spool.drain().len(), 1);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! * **[`QueueEvent`] multiplexer** — slot-tagged fan-in of every
 //!   worker's campaign event stream, for live progress across concurrent
 //!   jobs ([`ProgressFormatter`] renders the feed lines `queue watch`
-//!   replays). Producers buffer into a bounded per-worker [`EventSpool`]
-//!   (drops counted, never blocking); the persisted feed is a rotating
+//!   replays). The producing thread calls the observers as each event
+//!   happens, one event at a time; the persisted feed is a rotating
 //!   [`EventLog`] that [`EventTail`] follows across rotations.
 //! * **Service telemetry** — per-worker lock-free stage latency
 //!   recorders ([`latest_telemetry`]) time queue wait, claim-to-start,
@@ -68,7 +68,7 @@ pub mod queue;
 
 pub use error::{QueueError, QueueResult};
 pub use eventlog::{EventLog, EventTail};
-pub use events::{EventSpool, QueueChannelObserver, QueueEvent, QueueObserver};
+pub use events::{QueueChannelObserver, QueueEvent, QueueObserver};
 pub use job::{CompletionVia, Job, JobId, JobKey, JobState, MemberLedger, PairLedger};
 pub use pool::{DrainStats, PoolConfig, WorkerPool};
 pub use progress::ProgressFormatter;

@@ -43,11 +43,14 @@
 //! execution, checkpoint stalls, settle latency and observer fan-in.
 //! The merged [`TelemetrySnapshot`] rides on [`DrainStats`] and is
 //! persisted as `<dir>/telemetry.json` at the end of every drain/serve
-//! call. Between workers and observers sits an
-//! [`EventSpool`]: the measurement path pays
-//! one bounded buffer append per event (drops are counted, never
-//! blocking), and batches are delivered in production order at pair,
-//! task and lifecycle boundaries.
+//! call.
+//!
+//! Events reach the observers where they happen: the thread that
+//! produces an event calls every observer with it before going on, one
+//! event at a time across the pool, so a pair's `PairStarted` is seen
+//! when the pair starts. A pair's own event deliveries therefore fall
+//! inside its `shard-exec` window, as `latest run`'s observers run inside
+//! the pair.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -68,7 +71,7 @@ use latest_telemetry::{ClockSpec, Registry, Stage, StageClock, TelemetrySnapshot
 use parking_lot::Mutex;
 
 use crate::error::QueueResult;
-use crate::events::{EventSpool, QueueChannelObserver, QueueEvent, QueueObserver};
+use crate::events::{QueueChannelObserver, QueueEvent, QueueObserver};
 use crate::job::{CompletionVia, Job, JobId, JobState, MemberLedger, PairLedger};
 use crate::queue::JobQueue;
 
@@ -88,9 +91,6 @@ pub struct PoolConfig {
     /// determinism gate (meaningful with `workers: 1` — tick clocks are
     /// per-thread).
     pub clock: ClockSpec,
-    /// Capacity of each worker's event buffer; events beyond it are
-    /// dropped (and counted) instead of blocking the measurement path.
-    pub event_buffer: usize,
 }
 
 impl Default for PoolConfig {
@@ -101,7 +101,6 @@ impl Default for PoolConfig {
             poll_interval: Duration::from_millis(25),
             store_dir: None,
             clock: ClockSpec::Monotonic,
-            event_buffer: 4096,
         }
     }
 }
@@ -131,7 +130,7 @@ pub struct DrainStats {
     pub elapsed_ms: u64,
     /// Merged per-stage service latency histograms for the call (queue
     /// wait, claim-to-start, pair execution, checkpoint stalls, settle
-    /// latency, event fan-in), plus the dropped-event count.
+    /// latency, event fan-in).
     pub telemetry: TelemetrySnapshot,
 }
 
@@ -297,10 +296,9 @@ struct MemberRun {
     slots: Mutex<Vec<Option<PairMeasurement>>>,
 }
 
-/// Per-thread telemetry context: which registry/spool slot this thread
-/// records into, and the stage clock it reads. Workers get slot `0..N` at
-/// loop entry; every other thread (the drain caller, tests poking the
-/// pool directly) lazily claims the shared service slot `N`.
+/// Per-thread telemetry context: which registry slot this thread records
+/// into, and the stage clock it reads. Workers get slot `0..N` at loop
+/// entry; every other thread lazily claims the shared service slot `N`.
 struct WorkerCtx {
     slot: usize,
     clock: StageClock,
@@ -310,13 +308,74 @@ thread_local! {
     static WORKER_CTX: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
 }
 
+/// Where the pool's threads report: stage samples into the per-slot
+/// recorders, events to the observers. Shared with every member
+/// session's observer, so campaign events are delivered on the thread
+/// that measures them.
+struct Sink {
+    /// Per-slot stage latency recorders (one per worker + the service
+    /// slot); merged into a [`TelemetrySnapshot`] at drain end.
+    registry: Registry,
+    clock: ClockSpec,
+    /// The slot threads no worker loop bound record into.
+    service_slot: usize,
+    /// Locked for each delivery, so observers are called one event at a
+    /// time. Lock order: this before the journal file lock, never inside
+    /// it — observers may call back into the queue (`request_cancel`).
+    observers: Mutex<Vec<Arc<dyn QueueObserver>>>,
+}
+
+impl Sink {
+    /// Bind this thread's telemetry slot and give it a fresh stage clock.
+    fn set_ctx(&self, slot: usize) {
+        let clock = self.clock.clock();
+        WORKER_CTX.with(|ctx| *ctx.borrow_mut() = Some(WorkerCtx { slot, clock }));
+    }
+
+    /// Run `f` with this thread's telemetry context, lazily binding the
+    /// shared service slot for threads no worker loop registered.
+    fn with_ctx<T>(&self, f: impl FnOnce(&WorkerCtx) -> T) -> T {
+        WORKER_CTX.with(|ctx| {
+            let mut ctx = ctx.borrow_mut();
+            let ctx = ctx.get_or_insert_with(|| WorkerCtx {
+                slot: self.service_slot,
+                clock: self.clock.clock(),
+            });
+            f(ctx)
+        })
+    }
+
+    /// Current service-clock time for this thread.
+    fn now_ns(&self) -> u64 {
+        self.with_ctx(|ctx| ctx.clock.now_ns())
+    }
+
+    /// Record one stage sample into this thread's recorder — lock-free
+    /// and allocation-free past the thread-local lookup.
+    fn record(&self, stage: Stage, ns: u64) {
+        self.with_ctx(|ctx| self.registry.recorder(ctx.slot).record(stage, ns));
+    }
+
+    /// Call every observer with `event` on this thread; the delivery's
+    /// wall time lands in the event-fan-in stage. Must never be called
+    /// with the journal file lock held.
+    fn emit(&self, event: &QueueEvent) {
+        let observers = self.observers.lock();
+        let start = self.now_ns();
+        for obs in observers.iter() {
+            obs.event(event);
+        }
+        self.record(Stage::EventFanIn, self.now_ns().saturating_sub(start));
+    }
+}
+
 /// The campaign execution service. See the [module docs](self) for the
 /// execution path.
 pub struct WorkerPool {
     queue: JobQueue,
     store: ResultStore,
     config: PoolConfig,
-    observers: Vec<Arc<dyn QueueObserver>>,
+    sink: Arc<Sink>,
     shutdown: CancelToken,
     /// Serialises journal read-modify-write cycles across workers.
     claim_lock: Mutex<()>,
@@ -324,15 +383,6 @@ pub struct WorkerPool {
     running: Mutex<HashMap<JobId, CancelToken>>,
     board: TaskBoard,
     stats: Mutex<DrainStats>,
-    /// Per-slot stage latency recorders (one per worker + the service
-    /// slot); merged into a [`TelemetrySnapshot`] at drain end.
-    registry: Arc<Registry>,
-    /// Per-slot bounded event buffers between workers and observers.
-    spool: Arc<EventSpool>,
-    /// Serialises observer delivery so drained batches keep their order.
-    /// Lock order: `deliver` before the journal file lock, never inside
-    /// it — observers may call back into the queue (`request_cancel`).
-    deliver: Mutex<()>,
     /// Service-clock timestamp each queued job was first observed at, the
     /// zero point for its queue-wait telemetry.
     first_seen: Mutex<HashMap<JobId, u64>>,
@@ -354,25 +404,26 @@ impl WorkerPool {
         let config = PoolConfig {
             workers: config.workers.max(1),
             checkpoint_every: config.checkpoint_every.max(1),
-            event_buffer: config.event_buffer.max(1),
             ..config
         };
-        // One telemetry/spool slot per worker, plus the shared service
-        // slot for the drain caller and any other thread.
-        let slots = config.workers + 1;
+        // One telemetry slot per worker, plus the shared service slot for
+        // the drain caller and any other thread.
+        let sink = Arc::new(Sink {
+            registry: Registry::new(config.workers + 1),
+            clock: config.clock,
+            service_slot: config.workers,
+            observers: Mutex::new(Vec::new()),
+        });
         Ok(WorkerPool {
             queue,
             store,
-            registry: Arc::new(Registry::new(slots)),
-            spool: Arc::new(EventSpool::new(slots, config.event_buffer)),
             config,
-            observers: Vec::new(),
+            sink,
             shutdown: CancelToken::new(),
             claim_lock: Mutex::new(()),
             running: Mutex::new(HashMap::new()),
             board: TaskBoard::new(),
             stats: Mutex::new(DrainStats::default()),
-            deliver: Mutex::new(()),
             first_seen: Mutex::new(HashMap::new()),
         })
     }
@@ -389,15 +440,18 @@ impl WorkerPool {
 
     /// Attach an observer to the multiplexed event feed; may be called
     /// several times.
-    pub fn observe(mut self, observer: impl QueueObserver + 'static) -> Self {
-        self.observers.push(Arc::new(observer));
+    pub fn observe(self, observer: impl QueueObserver + 'static) -> Self {
+        self.sink.observers.lock().push(Arc::new(observer));
         self
     }
 
     /// Attach a channel observer and return its receiving end.
     pub fn events(&mut self) -> Receiver<QueueEvent> {
         let (tx, rx) = channel();
-        self.observers.push(Arc::new(QueueChannelObserver::new(tx)));
+        self.sink
+            .observers
+            .lock()
+            .push(Arc::new(QueueChannelObserver::new(tx)));
         rx
     }
 
@@ -405,67 +459,6 @@ impl WorkerPool {
     /// worker; in-flight jobs are checkpointed and requeued for resume.
     pub fn shutdown_token(&self) -> CancelToken {
         self.shutdown.clone()
-    }
-
-    /// Bind this thread's telemetry slot and give it a fresh stage clock.
-    fn set_ctx(&self, slot: usize) {
-        let clock = self.config.clock.clock();
-        WORKER_CTX.with(|ctx| *ctx.borrow_mut() = Some(WorkerCtx { slot, clock }));
-    }
-
-    /// Run `f` with this thread's telemetry context, lazily binding the
-    /// shared service slot for threads no worker loop registered.
-    fn with_ctx<T>(&self, f: impl FnOnce(&WorkerCtx) -> T) -> T {
-        WORKER_CTX.with(|ctx| {
-            let mut ctx = ctx.borrow_mut();
-            let ctx = ctx.get_or_insert_with(|| WorkerCtx {
-                slot: self.config.workers,
-                clock: self.config.clock.clock(),
-            });
-            f(ctx)
-        })
-    }
-
-    /// Current service-clock time for this thread.
-    fn now_ns(&self) -> u64 {
-        self.with_ctx(|ctx| ctx.clock.now_ns())
-    }
-
-    /// Record one stage sample into this thread's recorder — lock-free
-    /// and allocation-free past the thread-local lookup.
-    fn record(&self, stage: Stage, ns: u64) {
-        self.with_ctx(|ctx| self.registry.recorder(ctx.slot).record(stage, ns));
-    }
-
-    /// Queue a lifecycle event and deliver everything buffered so far.
-    /// Lifecycle transitions are rare and watchers expect them promptly;
-    /// high-rate `Progress` events only ride along in the next batch.
-    fn emit(&self, event: QueueEvent) {
-        self.with_ctx(|ctx| {
-            if !self.spool.push(ctx.slot, event) {
-                self.registry.recorder(ctx.slot).note_dropped(1);
-            }
-        });
-        self.flush_events();
-    }
-
-    /// Deliver every buffered event, in production order, to every
-    /// observer; the batch's wall time lands in the event-fan-in stage.
-    /// Must never be called with the journal file lock held (observers
-    /// may call back into the queue).
-    fn flush_events(&self) {
-        let _guard = self.deliver.lock();
-        let batch = self.spool.drain();
-        if batch.is_empty() {
-            return;
-        }
-        let start = self.now_ns();
-        for event in &batch {
-            for obs in &self.observers {
-                obs.event(event);
-            }
-        }
-        self.record(Stage::EventFanIn, self.now_ns().saturating_sub(start));
     }
 
     /// Process jobs until the queue is empty and every worker is idle (or
@@ -496,12 +489,11 @@ impl WorkerPool {
         // jobs were just recovered to Queued, so the stale tasks are dead.
         self.board.clear();
         *self.stats.lock() = DrainStats::default();
-        self.registry.reset();
-        self.spool.reset();
+        self.sink.registry.reset();
         self.first_seen.lock().clear();
         // The calling thread records into the shared service slot; the
         // drain-level clock times the call as a whole.
-        self.set_ctx(self.config.workers);
+        self.sink.set_ctx(self.config.workers);
         let drain_clock = self.config.clock.clock();
         let started = drain_clock.now_ns();
         let errors: Mutex<Vec<crate::error::QueueError>> = Mutex::new(Vec::new());
@@ -520,12 +512,9 @@ impl WorkerPool {
         if let Some(e) = errors.into_inner().into_iter().next() {
             return Err(e);
         }
-        // Workers flush as they go; this catches anything buffered after
-        // the last worker's final flush.
-        self.flush_events();
         let mut stats = self.stats.lock();
         stats.elapsed_ms = drain_clock.now_ns().saturating_sub(started) / 1_000_000;
-        stats.telemetry = self.registry.snapshot();
+        stats.telemetry = self.sink.registry.snapshot();
         self.persist_telemetry(&stats.telemetry)?;
         Ok(stats.clone())
     }
@@ -539,7 +528,7 @@ impl WorkerPool {
     }
 
     fn worker_loop(&self, worker: usize, drain: bool) -> QueueResult<()> {
-        self.set_ctx(worker);
+        self.sink.set_ctx(worker);
         loop {
             // Board first: pair tasks of claimed jobs outrank new claims,
             // and they must still be consumed after shutdown — each
@@ -567,7 +556,7 @@ impl WorkerPool {
                 let _flock = self.queue.lock_exclusive()?;
                 let cancelled = self.honour_cancel_markers()?;
                 let claim = self.queue.claim()?;
-                let now = self.now_ns();
+                let now = self.sink.now_ns();
                 let mut first_seen = self.first_seen.lock();
                 for id in &claim.queued {
                     first_seen.entry(*id).or_insert(now);
@@ -579,7 +568,7 @@ impl WorkerPool {
                             .map(|seen| now.saturating_sub(seen))
                             .unwrap_or(0);
                         drop(first_seen);
-                        self.record(Stage::QueueWait, waited);
+                        self.sink.record(Stage::QueueWait, waited);
                         let token = CancelToken::new();
                         self.running.lock().insert(job.id, token.clone());
                         (Some((job, token, now)), cancelled, false)
@@ -591,7 +580,7 @@ impl WorkerPool {
                 }
             };
             for id in cancelled {
-                self.emit(QueueEvent::Cancelled { job: id });
+                self.sink.emit(&QueueEvent::Cancelled { job: id });
             }
             if exit {
                 return Ok(());
@@ -658,7 +647,7 @@ impl WorkerPool {
         token: CancelToken,
         claimed_ns: u64,
     ) -> QueueResult<()> {
-        self.emit(QueueEvent::Started {
+        self.sink.emit(&QueueEvent::Started {
             job: job.id,
             worker,
         });
@@ -673,15 +662,15 @@ impl WorkerPool {
                 via: CompletionVia::Cache,
             };
             self.queue.clear_checkpoints(&job)?;
-            self.emit(QueueEvent::CacheHit {
+            self.sink.emit(&QueueEvent::CacheHit {
                 job: job.id,
                 run_ids: run_ids.clone(),
             });
             self.stats.lock().cached += 1;
             self.settle_done(&job, &run_ids)?;
-            self.record(
+            self.sink.record(
                 Stage::SettleLatency,
-                self.now_ns().saturating_sub(claimed_ns),
+                self.sink.now_ns().saturating_sub(claimed_ns),
             );
             self.finish(job.id);
             return Ok(());
@@ -694,7 +683,7 @@ impl WorkerPool {
             .filter_map(|spec| spec.resolve().ok())
             .map(|config| config.ordered_state_pairs().len())
             .sum();
-        self.emit(QueueEvent::Planned {
+        self.sink.emit(&QueueEvent::Planned {
             job: job.id,
             members,
             pairs,
@@ -739,12 +728,12 @@ impl WorkerPool {
             Ok(Some(mr)) => {
                 // Claim-to-start: claim to "this member is ready to
                 // measure" (spec resolution, checkpoint restore, prelude).
-                self.record(
+                self.sink.record(
                     Stage::ClaimToStart,
-                    self.now_ns().saturating_sub(run.claimed_ns),
+                    self.sink.now_ns().saturating_sub(run.claimed_ns),
                 );
                 for (index, meas) in mr.session.restored_pairs() {
-                    self.emit(QueueEvent::Progress {
+                    self.sink.emit(&QueueEvent::Progress {
                         job: job_id,
                         member,
                         event: CampaignEvent::PairRestored {
@@ -822,25 +811,15 @@ impl WorkerPool {
             }
         }
 
-        // Fan the member's campaign events into the multiplexed feed via
-        // the spool: the measurement thread pays one buffer append, not a
-        // synchronous walk of every observer. A full buffer drops the
-        // event and bumps the worker's dropped counter instead.
-        let spool = self.spool.clone();
-        let registry = self.registry.clone();
-        let service_slot = self.config.workers;
+        // Fan the member's campaign events into the multiplexed feed,
+        // delivered on the thread that measures them.
+        let sink = self.sink.clone();
         session = session.observe(move |e: &CampaignEvent| {
-            let event = QueueEvent::Progress {
+            sink.emit(&QueueEvent::Progress {
                 job: job_id,
                 member,
                 event: e.clone(),
-            };
-            let slot = WORKER_CTX
-                .with(|ctx| ctx.borrow().as_ref().map(|c| c.slot))
-                .unwrap_or(service_slot);
-            if !spool.push(slot, event) {
-                registry.recorder(slot).note_dropped(1);
-            }
+            });
         });
 
         let prelude = match session.prelude() {
@@ -876,11 +855,15 @@ impl WorkerPool {
             return self.complete_task(run);
         };
 
-        // Only the measurement is pair execution; the checkpoint below is
-        // timed as a checkpoint stall.
-        let exec_start = self.now_ns();
+        // Only the measurement, its own event deliveries included, is
+        // pair execution; the checkpoint below is timed as a checkpoint
+        // stall.
+        let exec_start = self.sink.now_ns();
         let outcome = mr.session.measure(&mr.prelude, task);
-        self.record(Stage::ShardExec, self.now_ns().saturating_sub(exec_start));
+        self.sink.record(
+            Stage::ShardExec,
+            self.sink.now_ns().saturating_sub(exec_start),
+        );
         match outcome {
             // Cancelled before it started: the slot stays unsettled.
             Ok(meas) if meas.outcome.is_cancelled() => {}
@@ -890,10 +873,6 @@ impl WorkerPool {
                     stats.shards_executed += 1;
                     stats.pairs_measured += 1;
                 }
-                // The session spooled this pair's events: deliver them
-                // before the cancellation poll, so watchers see
-                // pair-granular progress and can react to it.
-                self.flush_events();
                 let mut slots = mr.slots.lock();
                 if settle(&mut slots, task.index, meas, self.config.checkpoint_every) {
                     self.write_checkpoint(mr, &slots);
@@ -919,13 +898,16 @@ impl WorkerPool {
     /// Unsettled slots become `Cancelled` placeholders — exactly the
     /// partial-result shape `resume_from` validates.
     fn write_checkpoint(&self, mr: &MemberRun, slots: &[Option<PairMeasurement>]) {
-        let start = self.now_ns();
+        let start = self.sink.now_ns();
         let doc = SpecCheckpoint {
             spec: mr.spec.clone(),
             result: mr.session.assemble(&mr.prelude, slots),
         };
         let _ = doc.save(&mr.ckpt_path);
-        self.record(Stage::CheckpointStall, self.now_ns().saturating_sub(start));
+        self.sink.record(
+            Stage::CheckpointStall,
+            self.sink.now_ns().saturating_sub(start),
+        );
     }
 
     /// Journal the job's pair ledger (pair progress per member) so
@@ -957,11 +939,11 @@ impl WorkerPool {
             job.ledger = None;
             self.queue.save(&job)?;
             self.queue.clear_cancel_request(job.id)?;
-            self.emit(QueueEvent::Failed { job: job.id, error });
+            self.sink.emit(&QueueEvent::Failed { job: job.id, error });
             self.stats.lock().failed += 1;
-            self.record(
+            self.sink.record(
                 Stage::SettleLatency,
-                self.now_ns().saturating_sub(run.claimed_ns),
+                self.sink.now_ns().saturating_sub(run.claimed_ns),
             );
             self.finish(job.id);
             return Ok(());
@@ -977,7 +959,7 @@ impl WorkerPool {
             job.ledger = Some(ledger(run));
             job.state = JobState::Queued;
             self.queue.save(&job)?;
-            self.emit(QueueEvent::Requeued { job: job.id });
+            self.sink.emit(&QueueEvent::Requeued { job: job.id });
             self.stats.lock().requeued += 1;
             self.finish(job.id);
             return Ok(());
@@ -990,11 +972,11 @@ impl WorkerPool {
             self.queue.save(&job)?;
             self.queue.clear_checkpoints(&job)?;
             self.queue.clear_cancel_request(job.id)?;
-            self.emit(QueueEvent::Cancelled { job: job.id });
+            self.sink.emit(&QueueEvent::Cancelled { job: job.id });
             self.stats.lock().cancelled += 1;
-            self.record(
+            self.sink.record(
                 Stage::SettleLatency,
-                self.now_ns().saturating_sub(run.claimed_ns),
+                self.sink.now_ns().saturating_sub(run.claimed_ns),
             );
             self.finish(job.id);
             return Ok(());
@@ -1009,10 +991,7 @@ impl WorkerPool {
                 run.fail(format!("member {member}: internal: never built"));
                 return self.finalize(run);
             };
-            // `finish` spools the member's `CampaignFinished` through the
-            // session's observer; deliver it before the next member's.
             let result = mr.session.finish(&mr.prelude, &mr.slots.lock());
-            self.flush_events();
             results.push((mr.spec.clone(), result));
         }
         for (spec, result) in &results {
@@ -1024,7 +1003,7 @@ impl WorkerPool {
             via: CompletionVia::Executed,
         };
         job.ledger = None;
-        self.emit(QueueEvent::Done {
+        self.sink.emit(&QueueEvent::Done {
             job: job.id,
             run_ids: run_ids.clone(),
         });
@@ -1033,19 +1012,16 @@ impl WorkerPool {
         // Settle latency: claim to fully settled (archived + journaled +
         // duplicates coalesced). Requeued jobs never settle, so the
         // shutdown path above records nothing.
-        self.record(
+        self.sink.record(
             Stage::SettleLatency,
-            self.now_ns().saturating_sub(run.claimed_ns),
+            self.sink.now_ns().saturating_sub(run.claimed_ns),
         );
         self.finish(job.id);
         Ok(())
     }
 
-    /// Count one finished task; the last one settles the job. Buffered
-    /// events are delivered first, so watchers see a task's progress
-    /// before (not interleaved with) the job's terminal event.
+    /// Count one finished task; the last one settles the job.
     fn complete_task(&self, run: &Arc<JobRun>) -> QueueResult<()> {
-        self.flush_events();
         if run.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
             self.finalize(run)?;
         }
@@ -1084,7 +1060,7 @@ impl WorkerPool {
         };
         for dup in settled {
             self.queue.clear_checkpoints(&dup)?;
-            self.emit(QueueEvent::Coalesced {
+            self.sink.emit(&QueueEvent::Coalesced {
                 job: dup.id,
                 with: job.id,
             });

@@ -46,9 +46,8 @@ pub fn stage_latency_table(snapshot: &TelemetrySnapshot) -> TextTable {
         ]);
     }
     table.titled(format!(
-        "service stage latency — {} sample(s), {} dropped event(s)",
-        snapshot.records_total(),
-        snapshot.dropped_events
+        "service stage latency — {} sample(s)",
+        snapshot.records_total()
     ))
 }
 

@@ -90,13 +90,11 @@ impl AtomicHist {
     }
 }
 
-/// One worker's private recorder slot: a histogram per [`Stage`] plus a
-/// dropped-event counter. Cache-line aligned so neighbouring slots never
-/// false-share.
+/// One worker's private recorder slot: a histogram per [`Stage`].
+/// Cache-line aligned so neighbouring slots never false-share.
 #[repr(align(64))]
 pub struct StageRecorder {
     stages: [AtomicHist; Stage::COUNT],
-    dropped: AtomicU64,
 }
 
 impl StageRecorder {
@@ -110,7 +108,6 @@ impl StageRecorder {
                 AtomicHist::new(),
                 AtomicHist::new(),
             ],
-            dropped: AtomicU64::new(0),
         }
     }
 
@@ -119,22 +116,6 @@ impl StageRecorder {
     #[inline]
     pub fn record(&self, stage: Stage, ns: u64) {
         self.stages[stage.index()].record(ns);
-    }
-
-    /// Count events the owning worker had to drop because its event
-    /// buffer was full — explicit loss accounting instead of silent
-    /// backpressure.
-    #[inline]
-    pub fn note_dropped(&self, n: u64) {
-        self.dropped.store(
-            self.dropped.load(Ordering::Relaxed).saturating_add(n),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Events dropped by this slot so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// A plain-histogram copy of one stage's distribution.
@@ -147,7 +128,6 @@ impl StageRecorder {
         for h in &self.stages {
             h.reset();
         }
-        self.dropped.store(0, Ordering::Relaxed);
     }
 }
 
@@ -190,7 +170,6 @@ impl Registry {
             for stage in Stage::ALL {
                 snap.stages[stage.index()].merge(&slot.snapshot(stage));
             }
-            snap.dropped_events += slot.dropped();
         }
         snap
     }
@@ -222,30 +201,17 @@ mod tests {
     }
 
     #[test]
-    fn dropped_counter_accumulates_and_resets() {
-        let rec = StageRecorder::new();
-        assert_eq!(rec.dropped(), 0);
-        rec.note_dropped(3);
-        rec.note_dropped(2);
-        assert_eq!(rec.dropped(), 5);
-        rec.reset();
-        assert_eq!(rec.dropped(), 0);
-    }
-
-    #[test]
     fn registry_snapshot_merges_all_slots() {
         let reg = Registry::new(3);
         reg.recorder(0).record(Stage::ShardExec, 100);
         reg.recorder(1).record(Stage::ShardExec, 200);
         reg.recorder(2).record(Stage::QueueWait, 50);
-        reg.recorder(1).note_dropped(4);
         let snap = reg.snapshot();
         assert_eq!(snap.stage(Stage::ShardExec).count(), 2);
         assert_eq!(snap.stage(Stage::ShardExec).min(), Some(100));
         assert_eq!(snap.stage(Stage::ShardExec).max(), Some(200));
         assert_eq!(snap.stage(Stage::QueueWait).count(), 1);
         assert_eq!(snap.stage(Stage::SettleLatency).count(), 0);
-        assert_eq!(snap.dropped_events, 4);
     }
 
     #[test]
@@ -259,11 +225,9 @@ mod tests {
     fn registry_reset_clears_every_slot() {
         let reg = Registry::new(2);
         reg.recorder(0).record(Stage::ShardExec, 10);
-        reg.recorder(1).note_dropped(1);
+        reg.recorder(1).record(Stage::QueueWait, 20);
         reg.reset();
-        let snap = reg.snapshot();
-        assert_eq!(snap.records_total(), 0);
-        assert_eq!(snap.dropped_events, 0);
+        assert_eq!(reg.snapshot().records_total(), 0);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The merged, drain-end view of every recorder slot: one [`Histogram`]
-//! per [`Stage`] plus the total dropped-event count. This is the value
-//! `DrainStats` carries, `<dir>/telemetry.json` persists, and
-//! `latest queue stats` renders.
+//! per [`Stage`]. This is the value `DrainStats` carries,
+//! `<dir>/telemetry.json` persists, and `latest queue stats` renders.
 //!
 //! The JSON form serializes exact integer state (counts, sums, sparse
 //! buckets) and additionally derived convenience fields (`p50_ns`,
@@ -19,7 +18,9 @@ use crate::stage::Stage;
 pub struct TelemetrySnapshot {
     /// One histogram per stage, indexed by [`Stage::index`].
     pub stages: Vec<Histogram>,
-    /// Events dropped across all slots because a buffer was full.
+    /// Always 0: the service delivers every event where it happens and
+    /// drops none. Kept so `telemetry.json` files written when events
+    /// could be dropped still parse, and because the benchmark reads it.
     pub dropped_events: u64,
 }
 

@@ -9,8 +9,12 @@
 //!              ╰─ QueueWait ─╯╰ ClaimToStart ╯
 //!                             ╰───────── SettleLatency ───────╯
 //!   per pair:    ShardExec (measure)   CheckpointStall (write)
-//!   observer:    EventFanIn (batch delivery to observers)
+//!   per event:   EventFanIn (delivery to every observer)
 //! ```
+//!
+//! Events are delivered on the thread that produces them, so a pair's
+//! own `PairStarted`/`PairFinished` deliveries fall inside that pair's
+//! `ShardExec` window, as `latest run`'s observers run inside the pair.
 
 use std::fmt;
 
@@ -28,7 +32,8 @@ pub enum Stage {
     CheckpointStall,
     /// Claim until the job settles (done, failed or cancelled).
     SettleLatency,
-    /// Delivery of one batch of queue events to the attached observers.
+    /// Delivery of one queue event to every attached observer, on the
+    /// thread that produced it.
     EventFanIn,
 }
 

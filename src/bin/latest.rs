@@ -1019,9 +1019,10 @@ commands:
         [--poll-ms M] [--stats-out <file>] [--log-max-bytes B]
         [--virtual-clock]
                        run the worker pool; --drain exits once the queue
-                       is empty, otherwise new submissions are polled for.
-                       Each pending pair of a claimed job is one task, so
-                       a job spreads across every worker. events.log rotates
+                       is empty, otherwise idle workers poll for new
+                       submissions every --poll-ms (default 25). Each
+                       pending pair of a claimed job is one task, so a
+                       job spreads across every worker. events.log rotates
                        to events.log.1 at --log-max-bytes (default 8 MiB,
                        0 = unbounded); --virtual-clock times telemetry on
                        a deterministic tick clock (pair with --workers 1
@@ -1142,15 +1143,17 @@ fn queue_serve(raw: &[String]) -> CliResult {
     } else {
         ClockSpec::Monotonic
     };
-    let workers = args.workers.unwrap_or(2);
+    let defaults = PoolConfig::default();
     let config = PoolConfig {
-        workers,
-        checkpoint_every: args.checkpoint_every.unwrap_or(1),
-        poll_interval: std::time::Duration::from_millis(args.poll_ms.unwrap_or(50)),
+        workers: args.workers.unwrap_or(defaults.workers),
+        checkpoint_every: args.checkpoint_every.unwrap_or(defaults.checkpoint_every),
+        poll_interval: args
+            .poll_ms
+            .map_or(defaults.poll_interval, std::time::Duration::from_millis),
         store_dir: args.store.clone(),
         clock,
-        ..PoolConfig::default()
     };
+    let workers = config.workers;
     let dir = args.dir();
     let pool = WorkerPool::open(&dir, config)
         .map_err(|e| Input(format!("opening queue {}: {e}", dir.display())))?;

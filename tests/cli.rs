@@ -128,6 +128,11 @@ fn assert_input_error(args: &[&str], first_line: &str) {
 fn help_texts_print_on_stdout_and_exit_zero() {
     assert!(top_usage().contains("\n  queue <submit|serve|stat"));
     assert!(queue_usage().contains("\n  stats [--json|--csv]"));
+    // `queue serve` takes every unset flag from the pool's defaults.
+    let poll_ms = latest::queue::PoolConfig::default()
+        .poll_interval
+        .as_millis();
+    assert!(queue_usage().contains(&format!("--poll-ms (default {poll_ms})")));
     assert!(govern_usage().contains("\n  list-traffic "));
     assert!(predict_usage().contains("\n  validate [options] "));
 }

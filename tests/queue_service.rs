@@ -6,12 +6,13 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use latest::core::spec::{CampaignSpec, FleetSpec, ScenarioSpec};
 use latest::core::store::RunId;
 use latest::core::{CampaignEvent, CampaignResult, CampaignSession};
 use latest::queue::{CompletionVia, JobState, PoolConfig, QueueEvent, SubmitOptions, WorkerPool};
-use latest::telemetry::Stage;
+use latest::telemetry::{ClockSpec, Stage};
 
 fn tiny(seed: u64) -> CampaignSpec {
     CampaignSpec::builder("a100")
@@ -669,6 +670,64 @@ fn cancellation_lands_even_when_every_worker_is_busy() {
         pool.queue().load(job.id).unwrap().state,
         JobState::Cancelled
     );
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pair_events_reach_observers_when_they_happen() {
+    // A `started` line must carry the time the pair started: observers
+    // are called as each event is produced, so a pair's PairStarted and
+    // PairFinished arrive a measurement apart, not back to back at the
+    // pair's end.
+    let dir = temp_dir("feed_timing");
+    let stamps: Arc<Mutex<Vec<(usize, bool, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = stamps.clone();
+    let pool = WorkerPool::open(
+        &dir,
+        PoolConfig {
+            workers: 1,
+            clock: ClockSpec::Monotonic,
+            ..PoolConfig::default()
+        },
+    )
+    .unwrap()
+    .observe(move |e: &QueueEvent| {
+        let now = Instant::now();
+        let stamp = match e {
+            QueueEvent::Progress {
+                event: CampaignEvent::PairStarted { index, .. },
+                ..
+            } => (*index, true),
+            QueueEvent::Progress {
+                event: CampaignEvent::PairFinished { index, .. },
+                ..
+            } => (*index, false),
+            _ => return,
+        };
+        sink.lock().unwrap().push((stamp.0, stamp.1, now));
+    });
+    pool.queue()
+        .submit(ScenarioSpec::Campaign(tiny(91)), SubmitOptions::default())
+        .unwrap();
+    let stats = pool.drain().unwrap();
+    assert_eq!(stats.pairs_measured, 2, "{stats:?}");
+    let min_exec_ns = stats.telemetry.stage(Stage::ShardExec).min().unwrap();
+    let stamps = stamps.lock().unwrap();
+    let at = |pair: usize, started: bool| {
+        stamps
+            .iter()
+            .find(|(i, s, _)| *i == pair && *s == started)
+            .map(|(_, _, t)| *t)
+            .unwrap_or_else(|| panic!("pair {pair}: no event (started={started})"))
+    };
+    for pair in 0..2 {
+        let gap_ns = at(pair, false).duration_since(at(pair, true)).as_nanos() as u64;
+        assert!(
+            2 * gap_ns >= min_exec_ns,
+            "pair {pair}: started and finished delivered {gap_ns} ns apart, \
+             but measuring a pair takes at least {min_exec_ns} ns"
+        );
+    }
     fs::remove_dir_all(&dir).ok();
 }
 

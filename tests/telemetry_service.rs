@@ -1,16 +1,16 @@
 //! End-to-end proof of the service telemetry subsystem: a drain times
 //! every stage of the execution path into lock-free recorders, persists
 //! the merged snapshot, stays bitwise-reproducible under the virtual
-//! clock, counts (never blocks on) dropped events, and renders through
-//! the report Artifact contract.
+//! clock, and renders through the report Artifact contract.
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Mutex;
 
 use latest::core::spec::{CampaignSpec, ScenarioSpec};
-use latest::core::store::RunId;
-use latest::core::CampaignSession;
-use latest::queue::{PoolConfig, SubmitOptions, WorkerPool};
+use latest::queue::{
+    EventLog, PoolConfig, ProgressFormatter, QueueEvent, SubmitOptions, WorkerPool,
+};
 use latest::report::{stage_latency_table, Artifact, Format};
 use latest::telemetry::{ClockSpec, Stage, TelemetrySnapshot};
 
@@ -60,9 +60,9 @@ fn drain_records_every_service_stage_and_persists_the_snapshot() {
     );
     assert!(
         t.stage(Stage::EventFanIn).count() >= 1,
-        "observerless pools still drain the spool in batches: {t:?}"
+        "observerless pools still time each event's delivery: {t:?}"
     );
-    assert_eq!(t.dropped_events, 0, "default buffer never fills here");
+    assert_eq!(t.dropped_events, 0, "events are never dropped");
 
     // The drain persisted exactly the snapshot it returned.
     let persisted = fs::read_to_string(pool.queue().telemetry_path()).unwrap();
@@ -77,68 +77,61 @@ fn drain_records_every_service_stage_and_persists_the_snapshot() {
 fn virtual_clock_single_worker_snapshots_are_bitwise_identical() {
     // The CI determinism gate in library form: two fresh drains of the
     // same scenario under the tick clock with one worker must persist
-    // byte-for-byte identical telemetry.
+    // byte-for-byte identical telemetry and event logs (rendered as
+    // `queue serve` renders them, elapsed stamps on the same clock).
+    let clock = ClockSpec::Ticks { tick_ns: 100_000 };
     let run = |tag: &str| {
         let dir = temp_dir(tag);
         let pool = WorkerPool::open(
             &dir,
             PoolConfig {
                 workers: 1,
-                clock: ClockSpec::Ticks { tick_ns: 100_000 },
+                clock,
                 ..PoolConfig::default()
             },
         )
         .unwrap();
+        let log = EventLog::open(
+            pool.queue().events_log_path(),
+            pool.queue().rotated_events_log_path(),
+            0,
+        )
+        .unwrap();
+        let formatter = Mutex::new(ProgressFormatter::with_clock(clock.clock()));
+        let pool = pool.observe(move |e: &QueueEvent| {
+            let line = match e {
+                QueueEvent::Progress { job, member, event } => {
+                    format!("{job}[m{member}] {}", formatter.lock().unwrap().line(event))
+                }
+                other => other.to_string(),
+            };
+            log.append_line(&line).unwrap();
+        });
         pool.queue()
             .submit(ScenarioSpec::Campaign(tiny(21)), SubmitOptions::default())
             .unwrap();
         let stats = pool.drain().unwrap();
         assert_eq!(stats.executed, 1, "{stats:?}");
         let json = fs::read_to_string(pool.queue().telemetry_path()).unwrap();
+        let events = fs::read_to_string(pool.queue().events_log_path()).unwrap();
         fs::remove_dir_all(&dir).ok();
-        json
+        (json, events)
     };
-    let first = run("det_a");
-    let second = run("det_b");
+    let (first, first_events) = run("det_a");
+    let (second, second_events) = run("det_b");
     assert_eq!(first, second, "virtual-clock drains must be reproducible");
+    assert_eq!(
+        first_events, second_events,
+        "virtual-clock event logs must be reproducible"
+    );
     assert!(
         !TelemetrySnapshot::from_json(&first).unwrap().is_empty(),
         "the identical snapshots must not be trivially empty"
     );
-}
-
-#[test]
-fn full_event_buffer_counts_drops_without_losing_the_measurement() {
-    let dir = temp_dir("drops");
-    let spec = tiny(31);
-    let reference = CampaignSession::new(spec.resolve().unwrap()).run().unwrap();
-    let pool = WorkerPool::open(
-        &dir,
-        PoolConfig {
-            workers: 1,
-            event_buffer: 1,
-            ..PoolConfig::default()
-        },
-    )
-    .unwrap();
-    pool.queue()
-        .submit(
-            ScenarioSpec::Campaign(spec.clone()),
-            SubmitOptions::default(),
-        )
-        .unwrap();
-    let stats = pool.drain().unwrap();
-    assert_eq!(stats.executed, 1, "{stats:?}");
     assert!(
-        stats.telemetry.dropped_events > 0,
-        "a 1-deep buffer must overflow on campaign event bursts: {:?}",
-        stats.telemetry
+        first_events.contains("pair 705->1410 MHz started"),
+        "the identical event logs must carry the pair feed: {first_events}"
     );
-    // Dropped events are observability loss only — the archived result is
-    // still bitwise identical to an uninterrupted direct run.
-    let stored = pool.store().get(&RunId::of_spec(&spec)).unwrap();
-    assert_eq!(stored.result.to_json(), reference.to_json());
-    fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
