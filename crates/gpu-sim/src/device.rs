@@ -466,8 +466,13 @@ impl GpuDevice {
             traj,
             reference_mhz: mem_ref,
         });
-        let est_end =
-            sm::estimate_end(&eff, start, config.iters_per_sm, &config.workload, mem_view);
+        // With no memory view and no thermal event inserted, `eff` is
+        // `draft` again and a second pass would repeat the first.
+        let est_end = if mem_view.is_none() && eff.segments() == draft.segments() {
+            est_end
+        } else {
+            sm::estimate_end(&eff, start, config.iters_per_sm, &config.workload, mem_view)
+        };
 
         // Integrate every simulated SM with its own noise stream.
         let n_sms = self.effective_sms(config);

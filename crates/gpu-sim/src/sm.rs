@@ -7,6 +7,12 @@
 //! produces, per iteration, a `(start, end)` pair on the device timer whose
 //! spacing is `work_cycles / f(t)` plus noise — plus the ~1 µs globaltimer
 //! quantisation. That record stream is the *only* thing the methodology sees.
+//!
+//! [`run_sm`] is most of a simulated campaign's cost, so its per-iteration
+//! path stays free of libm calls: whole nanoseconds come from
+//! [`round_ns`](latest_sim_clock::round_ns) (the exact value of
+//! `f64::round`, which baseline x86-64 can only reach through libm), and the
+//! timer's [`ClockView`] applies a drift rate it computed once.
 
 use latest_sim_clock::{ClockView, SimDuration, SimTime};
 use rand::Rng;
@@ -315,7 +321,7 @@ pub fn estimate_end(
 mod tests {
     use super::*;
     use latest_sim_clock::SharedClock;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     fn timer_1us() -> ClockView {
@@ -592,5 +598,82 @@ mod tests {
         );
         let est = estimate_end(&traj, SimTime::EPOCH, 42, &p, None);
         assert_eq!(end, est);
+    }
+
+    /// FNV-1a over 64-bit words: a checksum that moves with any changed word.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn keystream_matches_pinned_values() {
+        // 200 words span more than three four-block refills of the vendored
+        // ChaCha8. Values captured before the four-block refill existed.
+        let mut rng = ChaCha8Rng::seed_from_u64(31403);
+        let words: Vec<u64> = (0..200).map(|_| rng.next_u64()).collect();
+        assert_eq!(
+            words[..4],
+            [
+                0x0127_3842_1126_b01a,
+                0x584c_8830_ddba_f420,
+                0x208e_d569_c989_220d,
+                0x61de_7901_d247_6b6b,
+            ]
+        );
+        assert_eq!(fnv(words), 0xee90_95e0_de6b_3f5f);
+    }
+
+    #[test]
+    fn records_match_pinned_checksums() {
+        // A transition mid-kernel on the core clock (and on the memory clock
+        // for the memory-bound preset), stamped by a drifting timer at the
+        // globaltimer's 1 µs and at 1 ns: a slip in the keystream, in the
+        // cursor's or the projection's rounding moves a checksum.
+        let mut traj = FreqTrajectory::flat(1410.0);
+        traj.push(SimTime::from_micros(3_000), 705.0);
+        let mut mem_traj = FreqTrajectory::flat(1215.0);
+        mem_traj.push(SimTime::from_micros(2_000), 405.0);
+        let mem = MemView {
+            traj: &mem_traj,
+            reference_mhz: 1215.0,
+        };
+        let cases = [
+            (
+                WorkloadParams::default_micro(),
+                None,
+                16_511_054,
+                [0x1961_e098_cadf_6e99, 0xf0ae_3d07_43c7_a401],
+            ),
+            (
+                WorkloadParams::bursty(),
+                None,
+                17_077_646,
+                [0x1e0a_0ff9_72b1_2f71, 0xd2e8_1d32_28e9_4101],
+            ),
+            (
+                WorkloadParams::memory_bound(),
+                Some(mem),
+                25_423_611,
+                [0xb8d3_a866_cea6_dbc2, 0xb7ab_99e3_cae2_2629],
+            ),
+        ];
+        for (params, mem, end_ns, sums) in cases {
+            for (res, sum) in [SimDuration::from_micros(1), SimDuration::from_nanos(1)]
+                .into_iter()
+                .zip(sums)
+            {
+                let timer = ClockView::skewed(SharedClock::new(), 12_345, 37.5, res);
+                let mut rng = ChaCha8Rng::seed_from_u64(31403);
+                let start = SimTime::from_nanos(1_234_567);
+                let (recs, end) = run_sm(&traj, start, 120, &params, &timer, &mut rng, mem);
+                assert_eq!(end.as_nanos(), end_ns, "{params:?}");
+                let stamps = recs
+                    .iter()
+                    .flat_map(|r| [r.start.as_nanos(), r.end.as_nanos()]);
+                assert_eq!(fnv(stamps.chain([end_ns])), sum, "{params:?} at {res}");
+            }
+        }
     }
 }

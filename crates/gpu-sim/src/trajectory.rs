@@ -6,7 +6,7 @@
 //! that iteration — which is precisely the signal the LATEST methodology
 //! detects. This module stores the curve and solves that integral both ways.
 
-use latest_sim_clock::{SimDuration, SimTime};
+use latest_sim_clock::{round_ns, SimDuration, SimTime};
 
 /// One breakpoint: from `start` onward the clock runs at `freq_mhz` (until
 /// the next breakpoint).
@@ -131,7 +131,7 @@ impl FreqTrajectory {
                     let span_cycles = span_ns * rate;
                     if span_cycles >= remaining {
                         let dt = remaining / rate;
-                        return cur + SimDuration::from_nanos(dt.round() as u64);
+                        return cur + SimDuration::from_nanos(round_ns(dt));
                     }
                     remaining -= span_cycles;
                     cur = end;
@@ -142,7 +142,7 @@ impl FreqTrajectory {
                 }
                 None => {
                     let dt = remaining / rate;
-                    return cur + SimDuration::from_nanos(dt.round() as u64);
+                    return cur + SimDuration::from_nanos(round_ns(dt));
                 }
             }
         }
@@ -193,7 +193,7 @@ impl<'a> TrajectoryCursor<'a> {
                     let span_cycles = span_ns * rate;
                     if span_cycles >= remaining {
                         let dt = remaining / rate;
-                        self.time += SimDuration::from_nanos(dt.round() as u64);
+                        self.time += SimDuration::from_nanos(round_ns(dt));
                         return self.time;
                     }
                     remaining -= span_cycles;
@@ -203,7 +203,7 @@ impl<'a> TrajectoryCursor<'a> {
                 Some(_) => self.idx += 1,
                 None => {
                     let dt = remaining / rate;
-                    self.time += SimDuration::from_nanos(dt.round() as u64);
+                    self.time += SimDuration::from_nanos(round_ns(dt));
                     return self.time;
                 }
             }

@@ -7,8 +7,12 @@
 //! each view applies an offset, a drift (ppm) and a read quantisation to the
 //! global timeline. The IEEE 1588 synchroniser in `latest-clock-sync` then has
 //! something real to estimate.
+//!
+//! [`ClockView::project`] runs twice per simulated iteration, so a view
+//! stores its drift rate `1 + drift_ppm / 1e6` once at construction and
+//! rounds with the libm-free [`round_ns`].
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::{round_ns, SimDuration, SimTime};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -80,6 +84,8 @@ pub struct ClockView {
     clock: SharedClock,
     offset_ns: i64,
     drift_ppm: f64,
+    /// `1 + drift_ppm / 1e6`, computed once at construction.
+    rate: f64,
     resolution: SimDuration,
 }
 
@@ -87,12 +93,7 @@ impl ClockView {
     /// An undistorted view (offset 0, no drift, nanosecond resolution):
     /// the host's own clock.
     pub fn identity(clock: SharedClock) -> Self {
-        ClockView {
-            clock,
-            offset_ns: 0,
-            drift_ppm: 0.0,
-            resolution: SimDuration::from_nanos(1),
-        }
+        ClockView::skewed(clock, 0, 0.0, SimDuration::from_nanos(1))
     }
 
     /// A distorted view, e.g. a GPU globaltimer that booted at a different
@@ -107,6 +108,7 @@ impl ClockView {
             clock,
             offset_ns,
             drift_ppm,
+            rate: 1.0 + drift_ppm / 1e6,
             resolution,
         }
     }
@@ -118,14 +120,14 @@ impl ClockView {
 
     /// What this oscillator would report at global time `t`. Used by the
     /// device simulator to stamp iteration records.
+    #[inline]
     pub fn project(&self, t: SimTime) -> SimTime {
         // Zero drift stays in integer arithmetic: the f64 path loses ULPs
         // beyond 2^53 ns (~104 days of virtual time).
         let drifted = if self.drift_ppm == 0.0 {
             t
         } else {
-            let ns = t.as_nanos() as f64 * (1.0 + self.drift_ppm / 1e6);
-            SimTime::from_nanos(ns.round().max(0.0) as u64)
+            SimTime::from_nanos(round_ns(t.as_nanos() as f64 * self.rate))
         };
         drifted
             .offset_by(self.offset_ns)
@@ -141,8 +143,7 @@ impl ClockView {
         if self.drift_ppm == 0.0 {
             return unshifted;
         }
-        let global = unshifted.as_nanos() as f64 / (1.0 + self.drift_ppm / 1e6);
-        SimTime::from_nanos(global.round().max(0.0) as u64)
+        SimTime::from_nanos(round_ns(unshifted.as_nanos() as f64 / self.rate))
     }
 
     /// The underlying shared clock.

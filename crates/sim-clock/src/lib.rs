@@ -22,4 +22,4 @@ pub mod clock;
 pub mod time;
 
 pub use clock::{ClockView, SharedClock};
-pub use time::{SimDuration, SimTime};
+pub use time::{round_ns, SimDuration, SimTime};

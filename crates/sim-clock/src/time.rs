@@ -8,6 +8,25 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+/// Round a nanosecond count to the nearest whole nanosecond, ties away from
+/// zero; negative values and NaN give 0 and values past `u64::MAX`
+/// saturate. This is exactly `x.round() as u64` for every input, without
+/// the libm call `f64::round` compiles to on baseline x86-64 (it has no
+/// rounding instruction): truncate, then add 1 when the exact fractional
+/// part is at least one half.
+#[inline]
+pub fn round_ns(x: f64) -> u64 {
+    // Every double at or above 2^52 is already a whole number.
+    const WHOLE: f64 = 4_503_599_627_370_496.0;
+    if x >= WHOLE {
+        return x as u64;
+    }
+    let whole = x as i64;
+    // `x - whole` is exact: the fractional part of a double is representable.
+    let rounded = whole + i64::from(x - whole as f64 >= 0.5);
+    rounded.max(0) as u64
+}
+
 /// An absolute instant on the global virtual timeline, in nanoseconds since
 /// the simulation epoch.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -122,13 +141,13 @@ impl SimDuration {
     /// Construct from fractional seconds. Negative input clamps to zero.
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s.max(0.0) * 1e9).round() as u64)
+        SimDuration(round_ns(s.max(0.0) * 1e9))
     }
 
     /// Construct from fractional milliseconds. Negative input clamps to zero.
     #[inline]
     pub fn from_millis_f64(ms: f64) -> Self {
-        SimDuration((ms.max(0.0) * 1e6).round() as u64)
+        SimDuration(round_ns(ms.max(0.0) * 1e6))
     }
 
     /// Nanoseconds.
@@ -158,7 +177,7 @@ impl SimDuration {
     /// Scale by a non-negative float, rounding to the nearest nanosecond.
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * k.max(0.0)).round() as u64)
+        SimDuration(round_ns(self.0 as f64 * k.max(0.0)))
     }
 }
 
@@ -342,6 +361,42 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(5)), "5.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(5)), "5.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(5)), "5.000s");
+    }
+
+    #[test]
+    fn round_ns_agrees_with_libm_round_at_the_edges() {
+        let two52 = (1u64 << 52) as f64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            -0.4,
+            -0.5,
+            -1.5,
+            -1e300,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            (1u64 << 53) as f64,
+            18_446_744_073_709_549_568.0, // the last double below 2^64
+            18_446_744_073_709_551_616.0, // 2^64
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // Each tie below 2^20 and its neighbours one ULP away.
+        for k in 0..(1u64 << 20) {
+            let tie = k as f64 + 0.5;
+            xs.extend([tie.next_down(), tie, tie.next_up()]);
+        }
+        for x in xs {
+            assert_eq!(round_ns(x), x.round() as u64, "x = {x:e}");
+        }
     }
 
     #[test]

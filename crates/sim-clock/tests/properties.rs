@@ -1,7 +1,7 @@
 //! Property-based tests for virtual time: ordering, arithmetic, clock views
 //! (offset/drift projection) and timer quantisation.
 
-use latest_sim_clock::{ClockView, SharedClock, SimDuration, SimTime};
+use latest_sim_clock::{round_ns, ClockView, SharedClock, SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
@@ -63,6 +63,39 @@ proptest! {
         let scaled = d.mul_f64(k);
         let expected = ns as f64 * k;
         prop_assert!((scaled.as_nanos() as f64 - expected).abs() <= 1.0 + expected * 1e-12);
+    }
+
+    // --- round_ns (libm-free rounding) ------------------------------------------
+
+    #[test]
+    fn round_ns_matches_round_on_random_doubles(x in 0.0..1e12f64, bits in 0u64..u64::MAX) {
+        prop_assert_eq!(round_ns(x), x.round() as u64);
+        // Any bit pattern: subnormals, huge values, infinities, NaNs.
+        let y = f64::from_bits(bits);
+        prop_assert_eq!(round_ns(y), y.round() as u64, "y = {:e}", y);
+    }
+
+    #[test]
+    fn round_ns_breaks_exact_ties_away_from_zero(n in 0u64..(1u64 << 52)) {
+        // n + 0.5 is exact below 2^52.
+        let tie = n as f64 + 0.5;
+        prop_assert_eq!(round_ns(tie), tie.round() as u64);
+        prop_assert_eq!(round_ns(tie.next_down()), tie.next_down().round() as u64);
+    }
+
+    #[test]
+    fn round_ns_passes_whole_doubles_through(n in (1u64 << 52)..(1u64 << 53)) {
+        let x = n as f64;
+        prop_assert_eq!(round_ns(x), n);
+        prop_assert_eq!(round_ns(x), x.round() as u64);
+    }
+
+    #[test]
+    fn round_ns_maps_negatives_to_zero(x in -1e6..0.0f64) {
+        // What `ClockView::{project, unproject}` clamped with `.max(0.0)`.
+        prop_assert_eq!(round_ns(x), 0);
+        prop_assert_eq!(round_ns(x), x.round().max(0.0) as u64);
+        prop_assert_eq!(round_ns(-0.0), 0);
     }
 
     // --- SharedClock -----------------------------------------------------------
