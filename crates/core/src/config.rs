@@ -51,7 +51,8 @@ pub const SIGMA_K: f64 = 2.0;
 /// (fraction of the target mean). Tight enough to reject detections that
 /// fire a few ms early on near-adjacent pairs (a 2 ms-early hit leaves
 /// ~0.3 % of init-speed iterations in the confirm window), loose enough for
-/// honest passes (shift ~stderr ≈ 0.06 %).
+/// honest passes (shift ~stderr ≈ 0.06 %). Phase 3 applies this test
+/// first and builds the Welch interval only for the cores it leaves open.
 pub const MEAN_TOLERANCE_REL: f64 = 0.003;
 
 // --- phase 1 ---

@@ -11,8 +11,10 @@
 //!    read is the candidate `t_e`,
 //! 3. confirm: the mean of the iterations from the candidate onward must be
 //!    statistically indistinguishable from the phase-1 target mean (the
-//!    difference interval contains zero, or the difference is inside the
-//!    relative tolerance). This rejects lucky hits inside the adaptation
+//!    difference is inside the relative tolerance, or the difference
+//!    interval contains zero). The tolerance test decides first; the
+//!    interval, which inverts Student's t, is built only for the few cores
+//!    it leaves open. This rejects lucky hits inside the adaptation
 //!    ramp, where "execution time ... might correspond to any frequency
 //!    value, including the target frequency" (Sec. IV);
 //! 4. the per-core switching latency is `t_e − t_s`; the pair's value for
@@ -187,20 +189,27 @@ fn evaluate_core(
         .collect();
     let confirm = robust_stats(&durations, 4.0, 2).summary();
 
-    let accepted = match diff_confidence_interval(&confirm, target_iter_ns, config.confidence) {
-        Some(ci) => {
-            ci.contains_zero()
-                || (confirm.mean - target_iter_ns.mean).abs()
-                    < MEAN_TOLERANCE_REL * target_iter_ns.mean
-        }
-        None => false,
-    };
-    if !accepted {
+    if !confirms(&confirm, target_iter_ns, config.confidence) {
         return Err(CoreRejection::ConfirmationFailed);
     }
 
     // t_e - t_s on the device timeline.
     Ok(te.saturating_since(capture.ts_device).as_nanos())
+}
+
+/// Lines 19-20's test: the confirmation window's mean cannot be told apart
+/// from the phase-1 target mean. Either the means differ by less than
+/// [`MEAN_TOLERANCE_REL`] of the target mean, or their Welch difference
+/// interval contains zero; both need two observations a side. The
+/// tolerance test is one subtraction and settles almost every core, so it
+/// decides first: the interval inverts Student's t (a bisection of about
+/// 45 CDF evaluations) and is built only when the tolerance has not
+/// already accepted.
+fn confirms(confirm: &Summary, target: &Summary, confidence: f64) -> bool {
+    let within_tolerance = (confirm.mean - target.mean).abs() < MEAN_TOLERANCE_REL * target.mean;
+    (within_tolerance && confirm.n >= 2 && target.n >= 2)
+        || diff_confidence_interval(confirm, target, confidence)
+            .is_some_and(|ci| ci.contains_zero())
 }
 
 #[cfg(test)]
@@ -355,6 +364,103 @@ mod tests {
             eval.cores[0].outcome,
             Err(CoreRejection::ConfirmationFailed)
         );
+    }
+
+    /// The reference for `confirms`: the same decision with the interval
+    /// built first, on every input.
+    fn confirms_interval_first(confirm: &Summary, target: &Summary, confidence: f64) -> bool {
+        match diff_confidence_interval(confirm, target, confidence) {
+            Some(ci) => {
+                ci.contains_zero()
+                    || (confirm.mean - target.mean).abs() < MEAN_TOLERANCE_REL * target.mean
+            }
+            None => false,
+        }
+    }
+
+    fn summary(n: u64, mean: f64, stdev: f64) -> Summary {
+        Summary {
+            n,
+            mean,
+            stdev,
+            stderr: stdev / (n.max(1) as f64).sqrt(),
+            min: mean,
+            max: mean,
+        }
+    }
+
+    /// Confirm-window means around `target`: equal, inside and outside the
+    /// tolerance, three ULPs either side of both tolerance edges, and the
+    /// non-finite values.
+    fn confirm_means(target: f64) -> Vec<f64> {
+        let tol = MEAN_TOLERANCE_REL * target;
+        let mut means = vec![
+            target,
+            target + 0.5 * tol,
+            target - 2.0 * tol,
+            target * 1.01,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for edge in [target + tol, target - tol] {
+            let (mut up, mut down) = (edge, edge);
+            means.push(edge);
+            for _ in 0..3 {
+                up = up.next_up();
+                down = down.next_down();
+                means.extend([up, down]);
+            }
+        }
+        means
+    }
+
+    #[test]
+    fn tolerance_first_confirmation_matches_interval_first() {
+        let ns = [0u64, 1, 2, 8, 300];
+        let stdevs = [0.0, 40.0, 4_000.0];
+        let targets = [
+            100_000.0,
+            1.0,
+            0.0,
+            -5.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let (mut cases, mut accepted, mut tolerance_only) = (0usize, 0usize, 0usize);
+        for &target_mean in &targets {
+            for confirm_mean in confirm_means(target_mean) {
+                for (&cn, &tn) in ns.iter().flat_map(|a| ns.iter().map(move |b| (a, b))) {
+                    for (&cs, &ts) in stdevs
+                        .iter()
+                        .flat_map(|a| stdevs.iter().map(move |b| (a, b)))
+                    {
+                        let confirm = summary(cn, confirm_mean, cs);
+                        let target = summary(tn, target_mean, ts);
+                        for confidence in [0.95, 0.99] {
+                            let want = confirms_interval_first(&confirm, &target, confidence);
+                            assert_eq!(
+                                confirms(&confirm, &target, confidence),
+                                want,
+                                "confirm {confirm:?} target {target:?} confidence {confidence}"
+                            );
+                            cases += 1;
+                            accepted += want as usize;
+                            tolerance_only += (want
+                                && !diff_confidence_interval(&confirm, &target, confidence)
+                                    .is_some_and(|ci| ci.contains_zero()))
+                                as usize;
+                        }
+                    }
+                }
+            }
+        }
+        // Both answers occur, and the tolerance alone accepts some cases
+        // the interval rejects: the shortcut path is exercised, not only
+        // the fallback.
+        assert!(accepted > 0 && accepted < cases, "{accepted} of {cases}");
+        assert!(tolerance_only > 0);
     }
 
     #[test]

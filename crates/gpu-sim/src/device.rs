@@ -454,9 +454,9 @@ impl GpuDevice {
             self.overlay_thermal(&draft, start, est_end + pad);
         // Thermal coupling into the memory domain: while the governor holds
         // the core at its thermal cap, the DRAM drops to its lowest P-state.
-        let mem_eff = mem_draft.map(|d| {
+        let mem_eff = mem_draft.as_ref().map(|d| {
             throttle_capped(
-                &d,
+                d,
                 self.thermally_throttled,
                 &toggles,
                 self.spec.mem_ladder.min().as_f64(),
@@ -466,9 +466,12 @@ impl GpuDevice {
             traj,
             reference_mhz: mem_ref,
         });
-        // With no memory view and no thermal event inserted, `eff` is
-        // `draft` again and a second pass would repeat the first.
-        let est_end = if mem_view.is_none() && eff.segments() == draft.segments() {
+        // When no thermal event changed either trajectory, the second pass
+        // would run on the first pass's inputs and repeat it.
+        let est_end = if eff.segments() == draft.segments()
+            && mem_eff.as_ref().map(FreqTrajectory::segments)
+                == mem_draft.as_ref().map(FreqTrajectory::segments)
+        {
             est_end
         } else {
             sm::estimate_end(&eff, start, config.iters_per_sm, &config.workload, mem_view)

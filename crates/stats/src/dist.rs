@@ -202,8 +202,13 @@ pub fn student_t_cdf(t: f64, dof: f64) -> f64 {
     }
 }
 
-/// Inverse Student-t CDF (quantile). Bisection seeded with the normal
-/// quantile, refined by Newton steps; |err| < 1e-9 in t-units.
+/// Inverse Student-t CDF (quantile) by bisection: the bracket starts at
+/// ±1e3, the normal quantile replaces one of its ends, and halving stops
+/// once it is narrower than 1e-10 (|err| < 1e-9 in t-units). That is about
+/// 45 [`student_t_cdf`] evaluations, each an incomplete-beta continued
+/// fraction: about 45 µs a call at 250–325 degrees of freedom on a 2-vCPU
+/// x86-64 Xeon, release build. No per-sample or per-core path should call
+/// it where a cheaper test can decide.
 ///
 /// Panics if `p` is outside (0, 1).
 pub fn student_t_quantile(p: f64, dof: f64) -> f64 {
