@@ -12,18 +12,19 @@
 use latest_core::phase1::run_phase1;
 use latest_core::phase2::run_phase2;
 use latest_core::phase3::evaluate_pass;
-use latest_core::{CampaignConfig, GroundTruth, SimPlatform};
-use latest_gpu_sim::devices;
+use latest_core::{CampaignSpec, GroundTruth, SimPlatform};
 use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
 use latest_report::{Artifact, Format, TextTable};
 use latest_stats::Summary;
 
 fn main() {
-    let config = CampaignConfig::builder(devices::a100_sxm4())
+    let config = CampaignSpec::builder("a100")
         .frequencies_mhz(&[705, 1410])
         .simulated_sms(Some(4))
         .seed(0xAB1)
-        .build();
+        .build_unchecked()
+        .resolve()
+        .expect("valid spec");
     let mut platform = SimPlatform::new(config.spec.clone(), config.seed).unwrap();
     let p1 = run_phase1(&mut platform, &config).unwrap();
     let init = FreqMhz(1410);

@@ -4,9 +4,8 @@
 //! more than two clusters — up to five), and the silhouette validation
 //! (always > 0.4 for multi-cluster pairs, average 0.84 over all GPUs).
 
-use bench_support::repro_config;
-use latest_core::{CampaignConfig, CampaignSession};
-use latest_gpu_sim::devices;
+use bench_support::repro_spec;
+use latest_core::{CampaignSession, CampaignSpec};
 use latest_report::{Artifact, Format, TextTable};
 
 struct Census {
@@ -17,17 +16,19 @@ struct Census {
     silhouettes: Vec<f64>,
 }
 
-fn census(spec: latest_gpu_sim::devices::DeviceSpec, n_freqs: usize, seed: u64) -> Census {
-    let device = spec.name.clone();
+fn census(device: &str, n_freqs: usize, seed: u64) -> Census {
     // The paper's census rests on "several hundreds of switching latency
     // measurements" per pair; sparse samples fragment DBSCAN clusters, so
     // this binary raises the per-pair measurement count above the default
     // repro scale (and ignores the RSE early stop via min = max).
-    let config = CampaignConfig {
+    let config = CampaignSpec {
         min_measurements: 160,
         max_measurements: 160,
-        ..repro_config(spec, n_freqs, seed)
-    };
+        ..repro_spec(device, n_freqs, seed)
+    }
+    .resolve()
+    .expect("valid spec");
+    let device = config.spec.name.clone();
     let result = CampaignSession::new(config).run().expect("sweep");
     let mut c = Census {
         device,
@@ -54,9 +55,9 @@ fn census(spec: latest_gpu_sim::devices::DeviceSpec, n_freqs: usize, seed: u64) 
 fn main() {
     println!("Sec. VII-B: cluster census over all measured frequency pairs\n");
     let censuses = [
-        census(devices::gh200(), 18, 0xCE_05A),
-        census(devices::a100_sxm4(), 18, 0xCE_05B),
-        census(devices::rtx_quadro_6000(), 14, 0xCE_05C),
+        census("gh200", 18, 0xCE_05A),
+        census("a100", 18, 0xCE_05B),
+        census("quadro", 14, 0xCE_05C),
     ];
 
     let mut t = TextTable::with_header(&[

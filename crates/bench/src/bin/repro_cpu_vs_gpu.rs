@@ -4,10 +4,10 @@
 //! milliseconds at most, while GPUs require significantly more time,
 //! ranging from tens to hundreds of milliseconds."
 
-use latest_core::{CampaignConfig, CampaignSession};
+use latest_core::{CampaignSession, CampaignSpec};
 use latest_ftalat::cpu::{intel_skylake_sp, slow_governor_cpu, SimCpuCore};
 use latest_ftalat::{ftalat_phase1, measure_transition};
-use latest_gpu_sim::devices;
+use latest_gpu_sim::devices::DeviceRegistry;
 use latest_gpu_sim::freq::FreqMhz;
 use latest_report::{Artifact, Format, TextTable};
 use latest_sim_clock::SharedClock;
@@ -29,17 +29,23 @@ fn cpu_latency_ms(spec: latest_ftalat::CpuSpec, seed: u64) -> (String, f64) {
     (name, worst)
 }
 
-fn gpu_latency_ms(spec: latest_gpu_sim::devices::DeviceSpec, seed: u64) -> (String, f64, f64) {
-    let name = spec.name.clone();
-    let lo = spec.ladder.min().0;
-    let hi = spec.ladder.max().0;
-    let mid = spec.ladder.snap(FreqMhz((lo + hi) / 2)).0;
-    let config = CampaignConfig::builder(spec)
+fn gpu_latency_ms(device: &str, seed: u64) -> (String, f64, f64) {
+    let ladder = DeviceRegistry::builtin()
+        .get(device)
+        .expect("built-in device")
+        .ladder;
+    let lo = ladder.min().0;
+    let hi = ladder.max().0;
+    let mid = ladder.snap(FreqMhz((lo + hi) / 2)).0;
+    let config = CampaignSpec::builder(device)
         .frequencies_mhz(&[lo, mid, hi])
         .measurements(15, 30)
         .simulated_sms(Some(4))
         .seed(seed)
-        .build();
+        .build_unchecked()
+        .resolve()
+        .expect("valid spec");
+    let name = config.spec.name.clone();
     let result = CampaignSession::new(config).run().expect("gpu campaign");
     let mut best = f64::INFINITY;
     let mut worst: f64 = 0.0;
@@ -60,9 +66,9 @@ fn main() {
         cpu_latency_ms(slow_governor_cpu(), 0xC92),
     ];
     let gpus = [
-        gpu_latency_ms(devices::rtx_quadro_6000(), 0x691),
-        gpu_latency_ms(devices::a100_sxm4(), 0x692),
-        gpu_latency_ms(devices::gh200(), 0x693),
+        gpu_latency_ms("quadro", 0x691),
+        gpu_latency_ms("a100", 0x692),
+        gpu_latency_ms("gh200", 0x693),
     ];
 
     let mut t = TextTable::with_header(&["Device", "Class", "Latency range [ms]"]);

@@ -9,10 +9,9 @@
 //! much higher impact than the initial frequency* (row/column pattern).
 
 use bench_support::{
-    campaign_heatmap, direction_split, freqs_mhz, heatmap_text, repro_config, CellStat,
+    campaign_heatmap, direction_split, freqs_mhz, heatmap_text, repro_spec, CellStat,
 };
 use latest_core::CampaignSession;
-use latest_gpu_sim::devices;
 
 fn column_dominance(hm: &latest_report::Heatmap) -> (f64, f64) {
     let spread = |means: Vec<Option<f64>>| {
@@ -29,7 +28,9 @@ fn column_dominance(hm: &latest_report::Heatmap) -> (f64, f64) {
 
 fn main() {
     // --- GH200: min and max (Fig. 3a, 3b) ---
-    let config = repro_config(devices::gh200(), 18, 0xF163A);
+    let config = repro_spec("gh200", 18, 0xF163A)
+        .resolve()
+        .expect("valid spec");
     let freqs = freqs_mhz(&config);
     let gh = CampaignSession::new(config).run().expect("GH200 sweep");
     let gh_min = campaign_heatmap(&gh, &freqs, CellStat::Min)
@@ -40,7 +41,9 @@ fn main() {
     println!("{}", heatmap_text(&gh_max));
 
     // --- A100 max (Fig. 3c) ---
-    let config = repro_config(devices::a100_sxm4(), 18, 0xF163C);
+    let config = repro_spec("a100", 18, 0xF163C)
+        .resolve()
+        .expect("valid spec");
     let freqs = freqs_mhz(&config);
     let a100 = CampaignSession::new(config).run().expect("A100 sweep");
     let a100_max = campaign_heatmap(&a100, &freqs, CellStat::Max)
@@ -48,7 +51,9 @@ fn main() {
     println!("{}", heatmap_text(&a100_max));
 
     // --- RTX Quadro 6000 max (Fig. 3d) ---
-    let config = repro_config(devices::rtx_quadro_6000(), 14, 0xF163D);
+    let config = repro_spec("quadro", 14, 0xF163D)
+        .resolve()
+        .expect("valid spec");
     let freqs = freqs_mhz(&config);
     let quadro = CampaignSession::new(config).run().expect("Quadro sweep");
     let quadro_max = campaign_heatmap(&quadro, &freqs, CellStat::Max)

@@ -7,24 +7,22 @@
 //! increase/decrease asymmetry; GH200 records the highest extremes but most
 //! mass below 100 ms.
 
-use bench_support::{direction_split, repro_config};
+use bench_support::{direction_split, repro_spec};
 use latest_core::CampaignSession;
-use latest_gpu_sim::devices;
 use latest_report::ViolinSummary;
 
 fn main() {
     let sweeps = [
-        (devices::rtx_quadro_6000(), 14usize, 0xF164Au64),
-        (devices::a100_sxm4(), 18, 0xF164B),
-        (devices::gh200(), 18, 0xF164C),
+        ("quadro", 14usize, 0xF164Au64),
+        ("a100", 18, 0xF164B),
+        ("gh200", 18, 0xF164C),
     ];
 
     println!("FIG. 4: switching-latency distributions, increasing vs decreasing\n");
-    for (spec, n, seed) in sweeps {
-        let name = spec.name.clone();
-        let result = CampaignSession::new(repro_config(spec, n, seed))
-            .run()
-            .expect("sweep");
+    for (device, n, seed) in sweeps {
+        let config = repro_spec(device, n, seed).resolve().expect("valid spec");
+        let name = config.spec.name.clone();
+        let result = CampaignSession::new(config).run().expect("sweep");
         let split = direction_split(&result);
 
         println!("=== {name} ===");

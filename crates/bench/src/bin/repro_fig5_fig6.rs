@@ -8,18 +8,19 @@
 //! 2+ clusters, average 0.84 over all GPUs).
 
 use latest_cluster::{adaptive_outlier_filter, silhouette_score_1d, AdaptiveConfig};
-use latest_core::{CampaignConfig, CampaignSession};
-use latest_gpu_sim::devices;
+use latest_core::{CampaignSession, CampaignSpec};
 use latest_report::Scatter;
 
 fn measure_pair(init: u32, target: u32, seed: u64) -> Vec<f64> {
-    let config = CampaignConfig::builder(devices::gh200())
+    let config = CampaignSpec::builder("gh200")
         .frequencies_mhz(&[init, target])
         .measurements(220, 260)
         .rse_threshold(1e-9) // force a fixed-size dataset like the paper's
         .simulated_sms(Some(4))
         .seed(seed)
-        .build();
+        .build_unchecked()
+        .resolve()
+        .expect("valid spec");
     let result = CampaignSession::new(config).run().expect("pair campaign");
     result
         .pairs()

@@ -6,24 +6,26 @@
 //! * Fig. 8: per-pair range of the **worst-case** (maximum) latencies —
 //!   paper shows up to ~12 ms on isolated pairs.
 
-use bench_support::{campaign_heatmap, freqs_mhz, heatmap_text, repro_config, CellStat};
-use latest_core::CampaignSession;
-use latest_gpu_sim::devices;
+use bench_support::{
+    campaign_heatmap, freqs_mhz, heatmap_text, repro_spec, resolve_with_a100_units, CellStat,
+    A100_UNIT,
+};
+use latest_core::{CampaignSession, CampaignSpec};
 use latest_report::Heatmap;
 
 fn main() {
     let n_freqs = 12usize;
 
-    // Sweep each unit (all units share the same ladder, hence one freq list).
-    let freqs = freqs_mhz(&repro_config(devices::a100_sxm4_unit(0), n_freqs, 0));
+    // Sweep each unit (all units share the same ladder, hence the same
+    // frequency subset and comparable heatmap cells).
     let mut mins: Vec<Heatmap> = Vec::new();
     let mut maxs: Vec<Heatmap> = Vec::new();
     for unit in 0..4 {
-        let config = repro_config(
-            devices::a100_sxm4_unit(unit),
-            n_freqs,
-            0xF1678 + unit as u64,
-        );
+        let config = resolve_with_a100_units(&CampaignSpec {
+            device_index: unit,
+            ..repro_spec(A100_UNIT, n_freqs, 0xF1678 + unit as u64)
+        });
+        let freqs = freqs_mhz(&config);
         let result = CampaignSession::new(config).run().expect("unit sweep");
         mins.push(campaign_heatmap(&result, &freqs, CellStat::Min));
         maxs.push(campaign_heatmap(&result, &freqs, CellStat::Max));

@@ -4,8 +4,8 @@
 //! question: *is any single unit consistently slower than the others?*
 //! (Paper's answer: no.)
 
-use latest_core::{CampaignConfig, CampaignSession};
-use latest_gpu_sim::devices;
+use bench_support::{resolve_with_a100_units, A100_UNIT};
+use latest_core::{CampaignSession, CampaignSpec};
 use latest_report::BoxStats;
 
 const PAIRS: [(u32, u32); 3] = [(1065, 840), (1065, 975), (1350, 885)];
@@ -26,13 +26,15 @@ fn main() {
             f.dedup();
             f
         };
-        let config = CampaignConfig::builder(devices::a100_sxm4_unit(unit))
-            .frequencies_mhz(&freqs)
-            .measurements(40, 60)
-            .simulated_sms(Some(4))
-            .device_index(unit)
-            .seed(0xF169 + unit as u64)
-            .build();
+        let config = resolve_with_a100_units(
+            &CampaignSpec::builder(A100_UNIT)
+                .frequencies_mhz(&freqs)
+                .measurements(40, 60)
+                .simulated_sms(Some(4))
+                .device_index(unit)
+                .seed(0xF169 + unit as u64)
+                .build_unchecked(),
+        );
         let result = CampaignSession::new(config).run().expect("unit campaign");
         for (pi, &(init, target)) in PAIRS.iter().enumerate() {
             let data = result

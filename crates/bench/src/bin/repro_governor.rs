@@ -7,21 +7,20 @@
 //! baseline. Switches cost what the paper measures: the device keeps
 //! serving at the old clock until the target clock takes over.
 
-use bench_support::repro_config;
+use bench_support::repro_spec;
 use latest_core::CampaignSession;
 use latest_governor::{
     make_policy, replay_seed, DaemonConfig, GovernorDaemon, LatencyTable, PowerModel,
     TransitionReplay, ZoneLadder, POLICY_NAMES,
 };
-use latest_gpu_sim::devices;
 use latest_report::{Artifact, Format, TextTable};
 use latest_traffic::{TrafficRegistry, TrafficTrace};
 
 fn main() {
     let sweeps = [
-        (devices::a100_sxm4(), 0xAB_01u64),
-        (devices::gh200(), 0xAB_02),
-        (devices::rtx_quadro_6000(), 0xAB_03),
+        ("a100", 0xAB_01u64),
+        ("gh200", 0xAB_02),
+        ("quadro", 0xAB_03),
     ];
     let traces: Vec<TrafficTrace> = TrafficRegistry::builtin()
         .specs()
@@ -29,11 +28,10 @@ fn main() {
         .map(|spec| spec.generate().expect("builtin traffic generates"))
         .collect();
 
-    for (spec, seed) in sweeps {
-        let name = spec.name.clone();
-        let result = CampaignSession::new(repro_config(spec, 8, seed))
-            .run()
-            .expect("campaign");
+    for (device, seed) in sweeps {
+        let config = repro_spec(device, 8, seed).resolve().expect("valid spec");
+        let name = config.spec.name.clone();
+        let result = CampaignSession::new(config).run().expect("campaign");
         let table = LatencyTable::from_campaign(&result);
         println!(
             "\n=== {name}: table of {} pairs, typical {:.1} ms, {} pathological ===",

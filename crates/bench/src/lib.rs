@@ -1,40 +1,46 @@
 //! Shared support for the paper-artefact regeneration binaries.
 //!
 //! Every `repro_*` binary re-creates one table or figure of the paper. They
-//! share the sweep driver here: a campaign configuration scaled so a full
-//! heatmap regenerates in seconds of wall-clock time (virtual time is free;
-//! the knobs traded down from the paper's tool are the measurement counts
-//! and the number of simulated SM record streams, both documented in
-//! DESIGN.md §4).
+//! share the sweep driver here: a campaign spec scaled so a full heatmap
+//! regenerates in seconds of wall-clock time. Virtual time is free; the
+//! knobs traded down from the paper's tool are the measurement counts
+//! (25–60 per pair instead of up to 150) and the number of simulated SM
+//! record streams (6 instead of the default 8), see [`repro_spec`].
 
+use latest_core::spec::CampaignSpec;
 use latest_core::view::{LatencyView, PairStat};
 use latest_core::{CampaignConfig, CampaignResult, FreqState};
-use latest_gpu_sim::devices::DeviceSpec;
+use latest_gpu_sim::devices::{a100_sxm4_unit, DeviceEntry, DeviceRegistry};
+use latest_gpu_sim::sm::WorkloadRegistry;
 use latest_report::{Artifact, DirectionSplit, Format, Heatmap};
 
-/// The standard repro-scale campaign: `n_freqs` evenly spaced ladder
-/// frequencies, 25–60 measurements per pair at 5 % RSE, 6 simulated SM
-/// streams.
-pub fn repro_config(spec: DeviceSpec, n_freqs: usize, seed: u64) -> CampaignConfig {
-    CampaignConfig::builder(spec)
+/// The standard repro-scale campaign on a registry device: `n_freqs`
+/// evenly spaced ladder frequencies, 25–60 measurements per pair at 5 %
+/// RSE, 6 simulated SM streams. Validated when resolved; for a built-in
+/// device its `to_json()` is a ready-made `latest run` scenario file.
+pub fn repro_spec(device: &str, n_freqs: usize, seed: u64) -> CampaignSpec {
+    CampaignSpec::builder(device)
         .frequency_subset(n_freqs)
         .seed(seed)
         .measurements(25, 60)
         .simulated_sms(Some(6))
-        .build()
+        .build_unchecked()
 }
 
-/// Declarative equivalent of [`repro_config`]: the same campaign described
-/// by registry device name, resolving to a bitwise-identical run (the
-/// spec's `to_json()` is a ready-made `latest run` scenario file).
-pub fn repro_spec(device: &str, n_freqs: usize, seed: u64) -> latest_core::spec::CampaignSpec {
-    latest_core::spec::CampaignSpec::builder(device)
-        .frequency_subset(n_freqs)
-        .seed(seed)
-        .measurements(25, 60)
-        .simulated_sms(Some(6))
-        .build()
-        .expect("repro spec is valid")
+/// Registry name of the four Karolina A100 units (Sec. VII-C) that the
+/// variability figures sweep: unit `i` is [`a100_sxm4_unit`]`(i)`. The
+/// built-in `a100` entry differs at unit 0, which is the nominal
+/// `a100_sxm4` (another device name, transition seed and timer).
+pub const A100_UNIT: &str = "a100-unit";
+
+/// Resolve `spec` through the built-in registries plus [`A100_UNIT`].
+pub fn resolve_with_a100_units(spec: &CampaignSpec) -> CampaignConfig {
+    let mut devices = DeviceRegistry::builtin();
+    devices.register(
+        DeviceEntry::new(A100_UNIT, "the four Karolina A100 units", a100_sxm4_unit).with_units(4),
+    );
+    spec.resolve_with(&devices, &WorkloadRegistry::builtin())
+        .expect("A100 unit spec resolves")
 }
 
 /// Which per-pair statistic feeds a heatmap cell. Alias of the core query
@@ -105,16 +111,22 @@ mod tests {
     use std::sync::Arc;
 
     fn tiny_sweep() -> (CampaignResult, Vec<u32>) {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
+        let mut device = devices::a100_sxm4();
+        device.transition = Arc::new(FixedTransition {
             latency: SimDuration::from_millis(7),
         });
-        let config = CampaignConfig::builder(spec)
+        let mut registry = DeviceRegistry::empty();
+        registry.register(DeviceEntry::new("fixed", "7 ms A100", move |_| {
+            device.clone()
+        }));
+        let config = CampaignSpec::builder("fixed")
             .frequencies_mhz(&[705, 1410])
             .measurements(8, 12)
             .seed(2)
             .simulated_sms(Some(2))
-            .build();
+            .build_unchecked()
+            .resolve_with(&registry, &WorkloadRegistry::builtin())
+            .unwrap();
         let freqs = freqs_mhz(&config);
         (CampaignSession::new(config).run().unwrap(), freqs)
     }
@@ -138,6 +150,17 @@ mod tests {
         let row = table2_row(&result, CellStat::Max).unwrap();
         assert!(row.min.0 <= row.mean && row.mean <= row.max.0);
         assert!(row.device.contains("A100"));
+    }
+
+    #[test]
+    fn a100_unit_entry_resolves_every_karolina_unit() {
+        for unit in 0..4 {
+            let config = resolve_with_a100_units(&CampaignSpec {
+                device_index: unit,
+                ..repro_spec(A100_UNIT, 4, 0)
+            });
+            assert_eq!(config.spec.name, devices::a100_sxm4_unit(unit).name);
+        }
     }
 
     #[test]

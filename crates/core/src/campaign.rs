@@ -214,22 +214,19 @@ mod tests {
     use super::*;
     use crate::config::CampaignConfig;
     use crate::session::CampaignSession;
+    use crate::spec::CampaignSpec;
+    use crate::testing::{fixed, resolve_on};
     use latest_gpu_sim::devices;
     use latest_gpu_sim::freq::FreqMhz;
-    use latest_gpu_sim::transition::FixedTransition;
-    use latest_sim_clock::SimDuration;
-    use std::sync::Arc;
 
     fn small_campaign(seed: u64) -> CampaignConfig {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(9),
-        });
-        CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1095, 1410])
-            .measurements(10, 25)
-            .seed(seed)
-            .build()
+        resolve_on(
+            fixed(devices::a100_sxm4(), 9),
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[705, 1095, 1410])
+                .measurements(10, 25)
+                .seed(seed),
+        )
     }
 
     #[test]

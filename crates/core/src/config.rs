@@ -15,7 +15,6 @@ use latest_gpu_sim::freq::FreqMhz;
 use latest_gpu_sim::sm::WorkloadParams;
 use latest_sim_clock::SimDuration;
 
-use crate::spec::{CampaignSpec, SpecError, SpecErrors};
 use crate::state::FreqState;
 
 // --- stopping rule (Sec. VI) ---
@@ -68,6 +67,11 @@ pub const PHASE1_SETTLE: SimDuration = SimDuration::from_millis(1_500);
 
 /// Configuration of one measurement campaign on one device: the knobs a
 /// caller sets. The paper's fixed values are the module's constants.
+///
+/// Built only by [`CampaignSpec::resolve_with`](crate::spec::CampaignSpec::resolve_with),
+/// which validates the spec and fills the fields a spec does not name
+/// (`confidence` through `phase1_iters`). A caller that needs another value
+/// of one of those sets the public field on the resolved config.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// The device to benchmark.
@@ -120,11 +124,6 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Start building a config for `spec`.
-    pub fn builder(spec: DeviceSpec) -> CampaignConfigBuilder {
-        CampaignConfigBuilder::new(spec)
-    }
-
     /// The campaign's clock states: the configured core frequencies when
     /// `mem_frequencies` is empty (core-only, memory at the device
     /// default), otherwise the full core × memory cross product in
@@ -215,170 +214,29 @@ fn mix64(mut x: u64) -> u64 {
     x ^ (x >> 33)
 }
 
-/// Builder for [`CampaignConfig`] with the paper's defaults.
-#[derive(Clone, Debug)]
-pub struct CampaignConfigBuilder {
-    config: CampaignConfig,
-}
-
-impl CampaignConfigBuilder {
-    /// Defaults per Secs. V–VI. The knobs a spec shares with a config take
-    /// [`CampaignSpec::default`]'s values, so the two layers cannot drift.
-    pub fn new(spec: DeviceSpec) -> Self {
-        let defaults = CampaignSpec::default();
-        CampaignConfigBuilder {
-            config: CampaignConfig {
-                spec,
-                device_index: defaults.device_index,
-                hostname: defaults.hostname,
-                frequencies: Vec::new(),
-                mem_frequencies: Vec::new(),
-                seed: defaults.seed,
-                rse_threshold: defaults.rse_threshold,
-                min_measurements: defaults.min_measurements,
-                max_measurements: defaults.max_measurements,
-                confidence: 0.95,
-                max_retries: 8,
-                probe_safety_factor: 10.0,
-                initial_latency_guess_ms: 50.0,
-                phase1_iters: 800,
-                workload: WorkloadParams::default_micro(),
-                simulated_sms: defaults.simulated_sms,
-            },
-        }
-    }
-
-    /// Set the benchmarked frequencies (MHz).
-    pub fn frequencies_mhz(mut self, mhz: &[u32]) -> Self {
-        self.config.frequencies = mhz.iter().map(|&m| FreqMhz(m)).collect();
-        self
-    }
-
-    /// Set the benchmarked frequencies from ladder values.
-    pub fn frequencies(mut self, freqs: Vec<FreqMhz>) -> Self {
-        self.config.frequencies = freqs;
-        self
-    }
-
-    /// Pick an evenly spaced `n`-frequency subset of the device ladder
-    /// (the paper's heatmaps use such subsets).
-    pub fn frequency_subset(mut self, n: usize) -> Self {
-        self.config.frequencies = self.config.spec.ladder.subset(n);
-        self
-    }
-
-    /// Set the benchmarked memory frequencies (MHz). Empty (the default)
-    /// keeps the campaign core-only.
-    pub fn mem_frequencies_mhz(mut self, mhz: &[u32]) -> Self {
-        self.config.mem_frequencies = mhz.iter().map(|&m| FreqMhz(m)).collect();
-        self
-    }
-
-    /// Master seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Device index (output naming).
-    pub fn device_index(mut self, index: usize) -> Self {
-        self.config.device_index = index;
-        self
-    }
-
-    /// Hostname (output naming).
-    pub fn hostname(mut self, hostname: impl Into<String>) -> Self {
-        self.config.hostname = hostname.into();
-        self
-    }
-
-    /// RSE stopping threshold.
-    pub fn rse_threshold(mut self, rse: f64) -> Self {
-        self.config.rse_threshold = rse;
-        self
-    }
-
-    /// Minimum and maximum measurements per pair.
-    pub fn measurements(mut self, min: usize, max: usize) -> Self {
-        self.config.min_measurements = min;
-        self.config.max_measurements = max;
-        self
-    }
-
-    /// Number of simulated SM record streams (`None` = all).
-    pub fn simulated_sms(mut self, n: Option<u32>) -> Self {
-        self.config.simulated_sms = n;
-        self
-    }
-
-    /// Replace the workload.
-    pub fn workload(mut self, w: WorkloadParams) -> Self {
-        self.config.workload = w;
-        self
-    }
-
-    /// Finish. Panics, listing every violation, on an obviously broken
-    /// configuration (the paper tool likewise validates its CLI arguments
-    /// up front); a [`CampaignSpec`] reports the same violations as a
-    /// `Result`.
-    pub fn build(self) -> CampaignConfig {
-        let c = &self.config;
-        let violations = knob_violations(
-            c.rse_threshold,
-            c.min_measurements,
-            c.max_measurements,
-            c.simulated_sms,
-        );
-        if let Err(errors) = SpecErrors::collect(violations) {
-            panic!("invalid campaign configuration: {errors}");
-        }
-        self.config
-    }
-}
-
-/// The range checks on the knobs a [`CampaignSpec`] shares with a
-/// [`CampaignConfig`]: the RSE threshold, the measurement bounds and the
-/// simulated-SM count. Both the spec's validation and
-/// [`CampaignConfigBuilder::build`] run them through here.
-pub(crate) fn knob_violations(
-    rse_threshold: f64,
-    min_measurements: usize,
-    max_measurements: usize,
-    simulated_sms: Option<u32>,
-) -> Vec<SpecError> {
-    let mut errors = Vec::new();
-    if !(rse_threshold > 0.0 && rse_threshold < 1.0) {
-        errors.push(SpecError::RseThresholdOutOfRange {
-            value: rse_threshold,
-        });
-    }
-    if min_measurements == 0 {
-        errors.push(SpecError::ZeroMinMeasurements);
-    } else if min_measurements > max_measurements {
-        errors.push(SpecError::MeasurementBoundsInverted {
-            min: min_measurements,
-            max: max_measurements,
-        });
-    }
-    if simulated_sms == Some(0) {
-        errors.push(SpecError::ZeroSimulatedSms);
-    }
-    errors
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::FreqSelection;
-    use latest_gpu_sim::devices;
+    use crate::spec::{CampaignSpec, CampaignSpecBuilder, SpecError};
+
+    fn a100(mhz: &[u32]) -> CampaignSpecBuilder {
+        CampaignSpec::builder("a100").frequencies_mhz(mhz)
+    }
+
+    fn resolve(spec: CampaignSpecBuilder) -> CampaignConfig {
+        spec.build_unchecked().resolve().unwrap()
+    }
 
     #[test]
     fn defaults_match_paper() {
-        let c = CampaignConfig::builder(devices::a100_sxm4()).build();
+        let c = resolve(a100(&[705, 1410]));
         assert_eq!(c.rse_threshold, 0.05);
         assert_eq!((c.min_measurements, c.max_measurements), (25, 150));
         assert_eq!(c.confidence, 0.95);
+        assert_eq!(c.max_retries, 8);
         assert_eq!(c.probe_safety_factor, 10.0);
+        assert_eq!(c.initial_latency_guess_ms, 50.0);
+        assert_eq!(c.phase1_iters, 800);
         assert_eq!(RSE_CHECK_EVERY, 25);
         assert_eq!(THROTTLE_CHECK_EVERY, 5);
         assert_eq!(THERMAL_DISCARD, 5);
@@ -393,11 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_and_builder_report_the_same_violation() {
-        let base = CampaignSpec {
-            frequencies: FreqSelection::List(vec![705, 1410]),
-            ..CampaignSpec::default()
-        };
+    fn validate_reports_each_out_of_range_knob() {
         use SpecError as E;
         let cases = [
             (
@@ -430,33 +284,17 @@ mod tests {
                 min_measurements: min,
                 max_measurements: max,
                 simulated_sms: sms,
-                ..base.clone()
+                ..a100(&[705, 1410]).build_unchecked()
             };
-            let from_spec = spec.validate().unwrap_err();
-            assert_eq!(from_spec.errors(), std::slice::from_ref(&expected));
-            let panic = std::panic::catch_unwind(|| {
-                CampaignConfig::builder(devices::a100_sxm4())
-                    .frequencies_mhz(&[705, 1410])
-                    .rse_threshold(rse)
-                    .measurements(min, max)
-                    .simulated_sms(sms)
-                    .build()
-            })
-            .expect_err("the builder rejects what the spec rejects");
-            let from_builder = panic.downcast_ref::<String>().expect("formatted panic");
-            assert_eq!(
-                from_builder,
-                &format!("invalid campaign configuration: {from_spec}"),
-                "{expected}"
-            );
+            let errors = spec.validate().unwrap_err();
+            assert_eq!(errors.errors(), std::slice::from_ref(&expected));
+            assert_eq!(spec.resolve().unwrap_err(), errors, "{expected}");
         }
     }
 
     #[test]
     fn ordered_state_pairs_exclude_the_diagonal() {
-        let c = CampaignConfig::builder(devices::a100_sxm4())
-            .frequencies_mhz(&[705, 1095, 1410])
-            .build();
+        let c = resolve(a100(&[705, 1095, 1410]));
         let pairs = c.ordered_state_pairs();
         assert_eq!(pairs.len(), 6);
         assert!(!pairs.iter().any(|(a, b)| a == b));
@@ -464,9 +302,7 @@ mod tests {
 
     #[test]
     fn frequency_subset_spans_ladder() {
-        let c = CampaignConfig::builder(devices::gh200())
-            .frequency_subset(18)
-            .build();
+        let c = resolve(CampaignSpec::builder("gh200").frequency_subset(18));
         assert_eq!(c.frequencies.len(), 18);
         assert_eq!(c.frequencies[0], FreqMhz(345));
         assert_eq!(*c.frequencies.last().unwrap(), FreqMhz(1980));
@@ -474,9 +310,7 @@ mod tests {
 
     #[test]
     fn pair_seed_is_order_sensitive_and_stable() {
-        let c = CampaignConfig::builder(devices::a100_sxm4())
-            .seed(5)
-            .build();
+        let c = resolve(a100(&[705, 1410]).seed(5));
         let a = c.pair_seed(FreqMhz(705), FreqMhz(1410));
         let b = c.pair_seed(FreqMhz(1410), FreqMhz(705));
         assert_ne!(a, b);
@@ -485,9 +319,7 @@ mod tests {
 
     #[test]
     fn states_default_to_core_only_and_cross_with_memory() {
-        let core_only = CampaignConfig::builder(devices::a100_sxm4())
-            .frequencies_mhz(&[705, 1410])
-            .build();
+        let core_only = resolve(a100(&[705, 1410]));
         assert_eq!(
             core_only.states(),
             vec![
@@ -497,10 +329,7 @@ mod tests {
         );
         assert_eq!(core_only.ordered_state_pairs().len(), 2);
 
-        let plane = CampaignConfig::builder(devices::a100_sxm4())
-            .frequencies_mhz(&[705, 1410])
-            .mem_frequencies_mhz(&[810, 1215])
-            .build();
+        let plane = resolve(a100(&[705, 1410]).mem_frequencies_mhz(&[810, 1215]));
         assert_eq!(plane.states().len(), 4);
         // 4 states → 12 ordered pairs: 4 core-only, 4 memory-only,
         // 4 simultaneous.
@@ -520,9 +349,7 @@ mod tests {
 
     #[test]
     fn state_pair_seed_reduces_to_legacy_formula_for_core_only() {
-        let c = CampaignConfig::builder(devices::a100_sxm4())
-            .seed(9)
-            .build();
+        let c = resolve(a100(&[705, 1410]).seed(9));
         let legacy = c.pair_seed(FreqMhz(705), FreqMhz(1410));
         assert_eq!(
             c.state_pair_seed(
@@ -547,10 +374,7 @@ mod tests {
 
     #[test]
     fn expected_iter_ns_state_scales_memory_stall() {
-        use latest_gpu_sim::sm::WorkloadParams;
-        let c = CampaignConfig::builder(devices::a100_sxm4())
-            .workload(WorkloadParams::memory_bound())
-            .build();
+        let c = resolve(a100(&[705, 1410]).workload("memory-bound"));
         let core = FreqMhz(1410);
         let full = c.expected_iter_ns_state(FreqState::with_mem(core, FreqMhz(1215)));
         let half = c.expected_iter_ns_state(FreqState::with_mem(core, FreqMhz(607)));
@@ -560,13 +384,5 @@ mod tests {
             c.expected_iter_ns_state(FreqState::core_only(core)),
             c.expected_iter_ns_state(FreqState::with_mem(core, FreqMhz(1215)))
         );
-    }
-
-    #[test]
-    #[should_panic]
-    fn build_rejects_inverted_measurement_bounds() {
-        CampaignConfig::builder(devices::a100_sxm4())
-            .measurements(100, 10)
-            .build();
     }
 }

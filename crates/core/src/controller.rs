@@ -338,26 +338,24 @@ mod tests {
     use super::*;
     use crate::phase1::run_phase1;
     use crate::platform::SimPlatform;
+    use crate::spec::CampaignSpec;
+    use crate::testing::{fixed, resolve_on};
     use latest_gpu_sim::devices;
     use latest_gpu_sim::freq::FreqMhz;
-    use latest_gpu_sim::transition::FixedTransition;
-    use latest_sim_clock::SimDuration;
-    use std::sync::Arc;
 
     fn fixed_config(ms: u64, min: usize, max: usize) -> CampaignConfig {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(ms),
-        });
+        let mut device = fixed(devices::a100_sxm4(), ms);
         // A genuinely stable device: the stock driver profile injects rare
         // multi-ms stalls (the paper's outlier sources), which are real
         // latency and would legitimately keep the RSE above threshold.
-        spec.driver.stall_prob = 0.0;
-        CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1410])
-            .measurements(min, max)
-            .seed(31)
-            .build()
+        device.driver.stall_prob = 0.0;
+        resolve_on(
+            device,
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[705, 1410])
+                .measurements(min, max)
+                .seed(31),
+        )
     }
 
     fn run(config: &CampaignConfig, init: u32, target: u32) -> PairOutcome {

@@ -239,26 +239,23 @@ pub struct FleetDeviceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::CampaignSpec;
+    use crate::testing::{fixed, resolve_on};
     use latest_gpu_sim::devices;
-    use latest_gpu_sim::transition::FixedTransition;
-    use latest_sim_clock::SimDuration;
-    use std::sync::Arc;
 
     fn quick(
-        spec: latest_gpu_sim::devices::DeviceSpec,
+        device: latest_gpu_sim::devices::DeviceSpec,
         freqs: &[u32],
         seed: u64,
     ) -> CampaignConfig {
-        let mut spec = spec;
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(6),
-        });
-        CampaignConfig::builder(spec)
-            .frequencies_mhz(freqs)
-            .measurements(5, 12)
-            .simulated_sms(Some(2))
-            .seed(seed)
-            .build()
+        resolve_on(
+            fixed(device, 6),
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(freqs)
+                .measurements(5, 12)
+                .simulated_sms(Some(2))
+                .seed(seed),
+        )
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub mod view;
 
 pub use analysis::{analyze_pair, PairAnalysis};
 pub use campaign::{CampaignResult, PairMeasurement};
-pub use config::{CampaignConfig, CampaignConfigBuilder};
+pub use config::CampaignConfig;
 pub use controller::{PairOutcome, PairRun};
 pub use error::{CoreError, CoreResult};
 pub use fleet::{Fleet, FleetDeviceSummary, FleetObserver, FleetResult};
@@ -101,3 +101,6 @@ pub use spec::{
 pub use state::{FreqState, PairKind};
 pub use store::{Provenance, ResultStore, RunId, StoreError, StoreResult, StoredRun};
 pub use view::{Direction, LatencyView, OutcomeKind, PairStat, PairView};
+
+#[cfg(test)]
+mod testing;

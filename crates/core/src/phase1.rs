@@ -205,14 +205,20 @@ mod tests {
     use super::*;
     use crate::config::CampaignConfig;
     use crate::platform::SimPlatform;
-    use latest_gpu_sim::devices;
+    use crate::spec::CampaignSpec;
     use latest_gpu_sim::freq::FreqMhz;
 
     fn quick_config(freqs: &[u32]) -> CampaignConfig {
-        CampaignConfig::builder(devices::a100_sxm4())
+        a100(freqs, 42)
+    }
+
+    fn a100(freqs: &[u32], seed: u64) -> CampaignConfig {
+        CampaignSpec::builder("a100")
             .frequencies_mhz(freqs)
-            .seed(42)
-            .build()
+            .seed(seed)
+            .build_unchecked()
+            .resolve()
+            .unwrap()
     }
 
     #[test]
@@ -245,10 +251,7 @@ mod tests {
     #[test]
     fn indistinguishable_pairs_are_skipped() {
         // Make the workload noise huge so adjacent ladder steps overlap.
-        let mut config = CampaignConfig::builder(devices::a100_sxm4())
-            .frequencies_mhz(&[1395, 1410])
-            .seed(7)
-            .build();
+        let mut config = a100(&[1395, 1410], 7);
         config.workload.noise_rel_sigma = 0.5;
         config.phase1_iters = 40; // few samples, wide intervals
                                   // At 95 % confidence the validation CI has a 5 % type-I rate by
@@ -266,14 +269,17 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        let config = quick_config(&[705]);
+        // A spec cannot describe these; a caller can still set them on a
+        // resolved config's public fields.
+        let mut config = quick_config(&[705, 1410]);
+        config.frequencies = vec![FreqMhz(705)];
         let mut platform = SimPlatform::new(config.spec.clone(), 1).unwrap();
         assert!(matches!(
             run_phase1(&mut platform, &config),
             Err(CoreError::NotEnoughFrequencies { got: 1 })
         ));
 
-        let config = quick_config(&[705, 1000]); // 1000 not on ladder
+        config.frequencies = vec![FreqMhz(705), FreqMhz(1000)]; // 1000 not on ladder
         let mut platform = SimPlatform::new(config.spec.clone(), 1).unwrap();
         assert!(matches!(
             run_phase1(&mut platform, &config),

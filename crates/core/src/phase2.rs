@@ -158,20 +158,18 @@ mod tests {
     use super::*;
     use crate::config::CampaignConfig;
     use crate::platform::{GroundTruth, SimPlatform};
+    use crate::spec::CampaignSpec;
+    use crate::testing::{fixed, resolve_on};
     use latest_gpu_sim::devices;
     use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
-    use latest_gpu_sim::transition::FixedTransition;
-    use std::sync::Arc;
 
     fn fixed_latency_config(ms: u64) -> CampaignConfig {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(ms),
-        });
-        CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1410])
-            .seed(13)
-            .build()
+        resolve_on(
+            fixed(devices::a100_sxm4(), ms),
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[705, 1410])
+                .seed(13),
+        )
     }
 
     #[test]

@@ -219,21 +219,19 @@ mod tests {
     use crate::phase1::run_phase1;
     use crate::phase2::run_phase2;
     use crate::platform::{GroundTruth, SimPlatform};
+    use crate::spec::CampaignSpec;
+    use crate::testing::{fixed, resolve_on};
     use latest_gpu_sim::devices;
     use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
-    use latest_gpu_sim::transition::FixedTransition;
-    use latest_sim_clock::{SimDuration, SimTime};
-    use std::sync::Arc;
+    use latest_sim_clock::SimTime;
 
     fn fixed_config(ms: u64) -> CampaignConfig {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(ms),
-        });
-        CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1410])
-            .seed(23)
-            .build()
+        resolve_on(
+            fixed(devices::a100_sxm4(), ms),
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[705, 1410])
+                .seed(23),
+        )
     }
 
     /// End-to-end phases 1→3 on a fixed-latency device: the measured value

@@ -91,17 +91,18 @@ mod tests {
     use super::*;
     use crate::phase1::run_phase1;
     use crate::platform::SimPlatform;
+    use crate::spec::CampaignSpec;
+    use crate::testing::{fixed, resolve_on};
     use latest_gpu_sim::devices;
-    use latest_gpu_sim::transition::FixedTransition;
-    use latest_sim_clock::SimDuration;
-    use std::sync::Arc;
 
     #[test]
     fn representative_states_are_low_mid_high() {
         use latest_gpu_sim::freq::FreqMhz;
-        let config = CampaignConfig::builder(devices::a100_sxm4())
-            .frequencies_mhz(&[210, 405, 705, 1095, 1410])
-            .build();
+        let a100 = |mhz: &[u32]| CampaignSpec::builder("a100").frequencies_mhz(mhz);
+        let config = a100(&[210, 405, 705, 1095, 1410])
+            .build_unchecked()
+            .resolve()
+            .unwrap();
         let f = probe_states(&config);
         assert_eq!(
             f,
@@ -112,16 +113,15 @@ mod tests {
             ]
         );
 
-        let two = CampaignConfig::builder(devices::a100_sxm4())
-            .frequencies_mhz(&[705, 1410])
-            .build();
+        let two = a100(&[705, 1410]).build_unchecked().resolve().unwrap();
         assert_eq!(probe_states(&two).len(), 2);
 
         // A 2-D campaign's probe spans the state plane's extremes.
-        let plane = CampaignConfig::builder(devices::a100_sxm4())
-            .frequencies_mhz(&[705, 1410])
+        let plane = a100(&[705, 1410])
             .mem_frequencies_mhz(&[810, 1215])
-            .build();
+            .build_unchecked()
+            .resolve()
+            .unwrap();
         let s = probe_states(&plane);
         assert_eq!(s.len(), 3);
         assert_eq!(s[0], FreqState::with_mem(FreqMhz(705), FreqMhz(810)));
@@ -130,14 +130,12 @@ mod tests {
 
     #[test]
     fn probe_finds_the_latency_scale() {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(18),
-        });
-        let config = CampaignConfig::builder(spec)
-            .frequencies_mhz(&[210, 705, 1410])
-            .seed(5)
-            .build();
+        let config = resolve_on(
+            fixed(devices::a100_sxm4(), 18),
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[210, 705, 1410])
+                .seed(5),
+        );
         let mut platform = SimPlatform::new(config.spec.clone(), config.seed).unwrap();
         let p1 = run_phase1(&mut platform, &config).unwrap();
         let probe = estimate_upper_bound(&mut platform, &config, &p1).unwrap();
@@ -151,17 +149,14 @@ mod tests {
 
     #[test]
     fn probe_grows_window_for_slow_devices() {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(400),
-        });
-        let config = CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1410])
-            .seed(6)
-            .build();
+        let mut config = resolve_on(
+            fixed(devices::a100_sxm4(), 400),
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[705, 1410])
+                .seed(6),
+        );
         // Initial guess 50 ms: window 500 ms covers 400 ms, so this works
         // even on the first try; shrink the guess to force growth.
-        let mut config = config;
         config.initial_latency_guess_ms = 3.0;
         let mut platform = SimPlatform::new(config.spec.clone(), config.seed).unwrap();
         let p1 = run_phase1(&mut platform, &config).unwrap();

@@ -768,22 +768,24 @@ impl<F: PlatformFactory> CampaignSession<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::CampaignSpec;
+    use crate::testing::{fixed, resolve_on};
     use latest_gpu_sim::devices;
-    use latest_gpu_sim::transition::FixedTransition;
-    use latest_sim_clock::SimDuration;
     use std::sync::{Arc, Mutex};
 
     fn small_campaign(seed: u64) -> CampaignConfig {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(7),
-        });
-        CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1410])
-            .measurements(8, 20)
-            .simulated_sms(Some(4))
-            .seed(seed)
-            .build()
+        fixed_7ms(&[705, 1410], seed)
+    }
+
+    fn fixed_7ms(mhz: &[u32], seed: u64) -> CampaignConfig {
+        resolve_on(
+            fixed(devices::a100_sxm4(), 7),
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(mhz)
+                .measurements(8, 20)
+                .simulated_sms(Some(4))
+                .seed(seed),
+        )
     }
 
     #[test]
@@ -819,16 +821,14 @@ mod tests {
 
     #[test]
     fn run_starts_pairs_in_canonical_order_on_the_calling_thread() {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(7),
-        });
-        let config = CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1095, 1410])
-            .measurements(5, 10)
-            .simulated_sms(Some(2))
-            .seed(21)
-            .build();
+        let config = resolve_on(
+            fixed(devices::a100_sxm4(), 7),
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[705, 1095, 1410])
+                .measurements(5, 10)
+                .simulated_sms(Some(2))
+                .seed(21),
+        );
         let n = config.ordered_state_pairs().len();
         let started = Arc::new(Mutex::new(Vec::new()));
         let seen = started.clone();
@@ -949,11 +949,13 @@ mod tests {
         let cp = CampaignSession::new(small_campaign(26)).run().unwrap();
 
         // Wrong device.
-        let other = CampaignConfig::builder(devices::gh200())
+        let other = CampaignSpec::builder("gh200")
             .frequencies_mhz(&[705, 1980])
             .measurements(8, 20)
             .seed(26)
-            .build();
+            .build_unchecked()
+            .resolve()
+            .unwrap();
         let err = CampaignSession::new(other).resume_from(cp.clone()).run();
         assert!(matches!(err, Err(CoreError::CheckpointMismatch { .. })));
 
@@ -965,16 +967,7 @@ mod tests {
 
         // Wrong frequency set: the checkpoint's phase 1 never characterised
         // 1095 MHz, so its pairs could not be scheduled from this resume.
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(7),
-        });
-        let wider = CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1095, 1410])
-            .measurements(8, 20)
-            .simulated_sms(Some(4))
-            .seed(26)
-            .build();
+        let wider = fixed_7ms(&[705, 1095, 1410], 26);
         let err = CampaignSession::new(wider).resume_from(cp).run();
         assert!(matches!(err, Err(CoreError::CheckpointMismatch { .. })));
     }

@@ -24,26 +24,28 @@
 //! assert_eq!(session.config().seed, 7);
 //! ```
 //!
-//! Resolution is deterministic: a spec resolves to exactly the
-//! [`CampaignConfig`] a hand-written builder chain with the same values
-//! would produce, so results are bitwise identical between the two paths.
+//! A spec is the one way to describe a campaign: [`CampaignSpec::resolve_with`]
+//! is the only constructor of a [`CampaignConfig`]. A caller with a custom
+//! [`DeviceSpec`] or [`WorkloadParams`](latest_gpu_sim::sm::WorkloadParams)
+//! registers it under a name
+//! ([`DeviceRegistry::register`], [`WorkloadRegistry::register`]) and
+//! resolves through those registries. Resolution is deterministic: the same
+//! spec and registries give the same config, and so a bitwise-identical run.
 //!
 //! Scenario files (`scenarios/*.json`) hold one JSON object per experiment;
 //! fields not present take the paper defaults, unknown fields are rejected
 //! (a typoed knob must not silently fall back to a default).
 
-use latest_gpu_sim::devices::DeviceRegistry;
+use latest_gpu_sim::devices::{DeviceRegistry, DeviceSpec};
 use latest_gpu_sim::freq::FreqMhz;
 use latest_gpu_sim::sm::WorkloadRegistry;
 
-use crate::config::{knob_violations, CampaignConfig};
+use crate::config::CampaignConfig;
 use crate::fleet::Fleet;
 use crate::session::CampaignSession;
 
-/// One violated constraint of a [`CampaignSpec`] / [`FleetSpec`] (or of a
-/// [`CampaignConfig`] whose [`build`](crate::config::CampaignConfigBuilder::build)
-/// panics with the same list). Validation never stops at the first
-/// violation — see [`SpecErrors`].
+/// One violated constraint of a [`CampaignSpec`] / [`FleetSpec`].
+/// Validation never stops at the first violation — see [`SpecErrors`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpecError {
     /// The device name is not in the registry.
@@ -314,8 +316,7 @@ pub struct CampaignSpec {
 impl Default for CampaignSpec {
     /// The paper defaults with an empty frequency list (which fails
     /// validation until frequencies are selected). The one home of the
-    /// defaults a spec shares with [`CampaignConfig`]: its builder starts
-    /// from these values.
+    /// defaults of every knob a [`CampaignConfig`] takes from its spec.
     fn default() -> Self {
         CampaignSpec {
             description: String::new(),
@@ -356,10 +357,17 @@ impl CampaignSpec {
         devices: &DeviceRegistry,
         workloads: &WorkloadRegistry,
     ) -> Result<(), SpecErrors> {
-        SpecErrors::collect(self.violations(devices, workloads))
+        SpecErrors::collect(self.violations(devices, workloads).0)
     }
 
-    fn violations(&self, devices: &DeviceRegistry, workloads: &WorkloadRegistry) -> Vec<SpecError> {
+    /// Every violated constraint, and the device the name resolved to (if
+    /// it did), built once for the ladder checks and handed on to
+    /// [`Self::resolve_with`].
+    fn violations(
+        &self,
+        devices: &DeviceRegistry,
+        workloads: &WorkloadRegistry,
+    ) -> (Vec<SpecError>, Option<DeviceSpec>) {
         let mut errors = Vec::new();
         let device = devices.find(&self.device);
         if device.is_none() {
@@ -374,8 +382,9 @@ impl CampaignSpec {
                 known: workloads.names(),
             });
         }
-        // Resolve the device once: ladder checks below reuse it instead of
-        // reconstructing a DeviceSpec (transition model and all) per entry.
+        // Build the device once: the ladder checks below and the resolved
+        // config reuse it instead of reconstructing a DeviceSpec (transition
+        // model and all).
         let resolved_device = device.map(|entry| entry.make(self.device_index));
         match &self.frequencies {
             FreqSelection::List(mhz) => {
@@ -439,54 +448,76 @@ impl CampaignSpec {
                 }
             }
         }
-        errors.extend(knob_violations(
-            self.rse_threshold,
-            self.min_measurements,
-            self.max_measurements,
-            self.simulated_sms,
-        ));
-        errors
+        if !(self.rse_threshold > 0.0 && self.rse_threshold < 1.0) {
+            errors.push(SpecError::RseThresholdOutOfRange {
+                value: self.rse_threshold,
+            });
+        }
+        if self.min_measurements == 0 {
+            errors.push(SpecError::ZeroMinMeasurements);
+        } else if self.min_measurements > self.max_measurements {
+            errors.push(SpecError::MeasurementBoundsInverted {
+                min: self.min_measurements,
+                max: self.max_measurements,
+            });
+        }
+        if self.simulated_sms == Some(0) {
+            errors.push(SpecError::ZeroSimulatedSms);
+        }
+        (errors, resolved_device)
     }
 
     /// Resolve to a [`CampaignConfig`] through the built-in registries.
-    ///
-    /// Deterministic: the produced config is field-for-field what a
-    /// hand-written [`CampaignConfig::builder`] chain with the same values
-    /// yields, so a spec-driven run is bitwise identical to the equivalent
-    /// struct-literal run.
     pub fn resolve(&self) -> Result<CampaignConfig, SpecErrors> {
         self.resolve_with(&DeviceRegistry::builtin(), &WorkloadRegistry::builtin())
     }
 
-    /// Resolve to a [`CampaignConfig`] through explicit registries.
+    /// Resolve to a [`CampaignConfig`] through explicit registries: the only
+    /// constructor of a config. Validates first, then builds the config
+    /// from the spec's knobs, the device the validation built and the named
+    /// workload; the knobs a spec does not name take the paper's values.
+    /// Deterministic: the same spec and registries give the same config.
+    ///
+    /// Registry contract: a [`RunId`](crate::store::RunId) hashes the
+    /// spec's bytes, which name the device but not its parameters. Every
+    /// caller that archives a run (`latest run --store`, the queue's worker
+    /// pool, the tests that build archives) resolves through the built-in
+    /// registries, where a name means one device, so two devices never
+    /// share a RunId. A custom registry is for runs that are not archived.
     pub fn resolve_with(
         &self,
         devices: &DeviceRegistry,
         workloads: &WorkloadRegistry,
     ) -> Result<CampaignConfig, SpecErrors> {
-        self.validate_with(devices, workloads)?;
-        let device = devices
-            .get_unit(&self.device, self.device_index)
-            .expect("validated device resolves");
+        let (errors, device) = self.violations(devices, workloads);
+        SpecErrors::collect(errors)?;
+        let device = device.expect("a valid spec names a registered device");
+        let workload = workloads
+            .get(&self.workload)
+            .expect("a valid spec names a registered workload");
         let frequencies = match &self.frequencies {
             FreqSelection::List(mhz) => mhz.iter().map(|&m| FreqMhz(m)).collect(),
             FreqSelection::Subset(n) => device.ladder.subset(*n),
             FreqSelection::Ladder => device.ladder.steps().to_vec(),
         };
-        let workload = workloads
-            .get(&self.workload)
-            .expect("validated workload resolves");
-        Ok(CampaignConfig::builder(device)
-            .frequencies(frequencies)
-            .mem_frequencies_mhz(&self.mem_frequencies)
-            .seed(self.seed)
-            .rse_threshold(self.rse_threshold)
-            .measurements(self.min_measurements, self.max_measurements)
-            .device_index(self.device_index)
-            .hostname(self.hostname.clone())
-            .simulated_sms(self.simulated_sms)
-            .workload(workload)
-            .build())
+        Ok(CampaignConfig {
+            spec: device,
+            device_index: self.device_index,
+            hostname: self.hostname.clone(),
+            frequencies,
+            mem_frequencies: self.mem_frequencies.iter().map(|&m| FreqMhz(m)).collect(),
+            seed: self.seed,
+            rse_threshold: self.rse_threshold,
+            min_measurements: self.min_measurements,
+            max_measurements: self.max_measurements,
+            confidence: 0.95,
+            max_retries: 8,
+            probe_safety_factor: 10.0,
+            initial_latency_guess_ms: 50.0,
+            phase1_iters: 800,
+            workload,
+            simulated_sms: self.simulated_sms,
+        })
     }
 
     /// Resolve and wrap in a ready-to-run [`CampaignSession`] (built-in
@@ -751,19 +782,7 @@ impl FleetSpec {
         devices: &DeviceRegistry,
         workloads: &WorkloadRegistry,
     ) -> Result<(), SpecErrors> {
-        let mut errors = Vec::new();
-        if self.members.is_empty() {
-            errors.push(SpecError::EmptyFleet);
-        }
-        for (index, member) in self.members.iter().enumerate() {
-            for inner in member.violations(devices, workloads) {
-                errors.push(SpecError::InMember {
-                    index,
-                    inner: Box::new(inner),
-                });
-            }
-        }
-        SpecErrors::collect(errors)
+        self.resolve_members(devices, workloads).map(drop)
     }
 
     /// Resolve every member and assemble a ready-to-run [`Fleet`] (built-in
@@ -779,16 +798,33 @@ impl FleetSpec {
         devices: &DeviceRegistry,
         workloads: &WorkloadRegistry,
     ) -> Result<Fleet, SpecErrors> {
-        self.validate_with(devices, workloads)?;
-        let mut fleet = Fleet::new();
-        for member in &self.members {
-            fleet = fleet.add_campaign(
-                member
-                    .resolve_with(devices, workloads)
-                    .expect("validated member resolves"),
-            );
+        let configs = self.resolve_members(devices, workloads)?;
+        Ok(configs.into_iter().fold(Fleet::new(), Fleet::add_campaign))
+    }
+
+    /// Resolve every member, collecting every violation of every member
+    /// (tagged with the member index).
+    fn resolve_members(
+        &self,
+        devices: &DeviceRegistry,
+        workloads: &WorkloadRegistry,
+    ) -> Result<Vec<CampaignConfig>, SpecErrors> {
+        let mut errors = Vec::new();
+        if self.members.is_empty() {
+            errors.push(SpecError::EmptyFleet);
         }
-        Ok(fleet)
+        let mut configs = Vec::new();
+        for (index, member) in self.members.iter().enumerate() {
+            match member.resolve_with(devices, workloads) {
+                Ok(config) => configs.push(config),
+                Err(e) => errors.extend(e.errors.into_iter().map(|inner| SpecError::InMember {
+                    index,
+                    inner: Box::new(inner),
+                })),
+            }
+        }
+        SpecErrors::collect(errors)?;
+        Ok(configs)
     }
 
     /// Serialise to pretty JSON.
@@ -967,17 +1003,46 @@ mod tests {
             .build()
             .unwrap();
         let config = spec.resolve().unwrap();
-        let reference = CampaignConfig::builder(latest_gpu_sim::devices::a100_sxm4())
-            .frequencies_mhz(&[705, 1410])
-            .build();
-        assert_eq!(config.rse_threshold, reference.rse_threshold);
-        assert_eq!(config.min_measurements, reference.min_measurements);
-        assert_eq!(config.max_measurements, reference.max_measurements);
-        assert_eq!(config.hostname, reference.hostname);
-        assert_eq!(config.simulated_sms, reference.simulated_sms);
-        assert_eq!(config.workload, reference.workload);
-        assert_eq!(config.frequencies, reference.frequencies);
-        assert_eq!(config.spec.name, reference.spec.name);
+        let defaults = CampaignSpec::default();
+        assert_eq!(config.rse_threshold, defaults.rse_threshold);
+        assert_eq!(config.min_measurements, defaults.min_measurements);
+        assert_eq!(config.max_measurements, defaults.max_measurements);
+        assert_eq!(config.hostname, defaults.hostname);
+        assert_eq!(config.device_index, defaults.device_index);
+        assert_eq!(config.seed, defaults.seed);
+        assert_eq!(config.simulated_sms, defaults.simulated_sms);
+        assert_eq!(
+            config.workload,
+            latest_gpu_sim::sm::WorkloadParams::default_micro()
+        );
+        assert_eq!(config.frequencies, vec![FreqMhz(705), FreqMhz(1410)]);
+        assert_eq!(config.spec.name, latest_gpu_sim::devices::a100_sxm4().name);
+    }
+
+    #[test]
+    fn resolve_builds_the_device_once() {
+        use latest_gpu_sim::devices::{a100_sxm4, DeviceEntry};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        let builds = Arc::new(AtomicUsize::new(0));
+        let counter = builds.clone();
+        let mut devices = DeviceRegistry::empty();
+        devices.register(DeviceEntry::new(
+            "counted",
+            "counts its builds",
+            move |_| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                a100_sxm4()
+            },
+        ));
+        let spec = CampaignSpec::builder("counted")
+            .frequency_subset(4)
+            .build_unchecked();
+        let config = spec
+            .resolve_with(&devices, &WorkloadRegistry::builtin())
+            .unwrap();
+        assert_eq!(config.frequencies.len(), 4);
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -53,6 +53,12 @@ impl RunId {
     /// [`CampaignSpec::to_json`] has a fixed field order, so
     /// spec → JSON → spec → JSON is byte-identical and re-hashes to the
     /// same id.
+    ///
+    /// The spec names its device; the hash does not cover the device's
+    /// parameters. That is sound because every caller that archives a run
+    /// (`latest run --store`, the queue's worker pool, the tests that build
+    /// archives) resolves the spec through the built-in registries, where
+    /// one name means one device — see [`CampaignSpec::resolve_with`].
     pub fn of_spec(spec: &CampaignSpec) -> RunId {
         let (h1, h2) = content_hash128(spec.to_json().as_bytes());
         RunId(format!("run-{h1:016x}{h2:016x}"))

@@ -12,11 +12,11 @@
 //!
 //! ```
 //! use latest_core::view::{Direction, LatencyView, PairStat};
-//! # use latest_core::{CampaignConfig, CampaignSession};
-//! # use latest_gpu_sim::devices;
-//! # let config = CampaignConfig::builder(devices::a100_sxm4())
-//! #     .frequencies_mhz(&[705, 1410]).measurements(5, 10).build();
-//! # let result = CampaignSession::new(config).run().unwrap();
+//! # use latest_core::CampaignSpec;
+//! # let session = CampaignSpec::builder("a100")
+//! #     .frequencies_mhz(&[705, 1410]).measurements(5, 10)
+//! #     .build().unwrap().into_session().unwrap();
+//! # let result = session.run().unwrap();
 //! // Pool the outlier-filtered latencies of every completed down-switch.
 //! let down = LatencyView::of(&result)
 //!     .direction(Direction::Decreasing)
@@ -421,25 +421,21 @@ impl<'a> LatencyView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CampaignConfig;
+    use crate::spec::CampaignSpec;
+    use crate::testing::{fixed, resolve_on};
     use crate::CampaignSession;
     use latest_gpu_sim::devices;
     use latest_gpu_sim::freq::FreqMhz;
-    use latest_gpu_sim::transition::FixedTransition;
-    use latest_sim_clock::SimDuration;
-    use std::sync::Arc;
 
     fn small_result(seed: u64) -> CampaignResult {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(8),
-        });
-        let config = CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1095, 1410])
-            .measurements(6, 12)
-            .simulated_sms(Some(2))
-            .seed(seed)
-            .build();
+        let config = resolve_on(
+            fixed(devices::a100_sxm4(), 8),
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[705, 1095, 1410])
+                .measurements(6, 12)
+                .simulated_sms(Some(2))
+                .seed(seed),
+        );
         CampaignSession::new(config).run().unwrap()
     }
 

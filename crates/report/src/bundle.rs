@@ -307,24 +307,18 @@ fn summary_json(result: &CampaignResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use latest_core::{CampaignConfig, CampaignSession};
-    use latest_gpu_sim::devices;
-    use latest_gpu_sim::transition::FixedTransition;
-    use latest_sim_clock::SimDuration;
-    use std::sync::Arc;
+    use crate::testing::fixed_a100_run;
+    use latest_core::CampaignSpec;
 
     fn small_result(seed: u64) -> CampaignResult {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(8),
-        });
-        let config = CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1095, 1410])
-            .measurements(6, 12)
-            .simulated_sms(Some(2))
-            .seed(seed)
-            .build();
-        CampaignSession::new(config).run().unwrap()
+        fixed_a100_run(
+            8,
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[705, 1095, 1410])
+                .measurements(6, 12)
+                .simulated_sms(Some(2))
+                .seed(seed),
+        )
     }
 
     #[test]
@@ -354,18 +348,15 @@ mod tests {
     }
 
     fn mem_plane_result(seed: u64) -> CampaignResult {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(8),
-        });
-        let config = CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1410])
-            .mem_frequencies_mhz(&[810, 1215])
-            .measurements(6, 12)
-            .simulated_sms(Some(2))
-            .seed(seed)
-            .build();
-        CampaignSession::new(config).run().unwrap()
+        fixed_a100_run(
+            8,
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[705, 1410])
+                .mem_frequencies_mhz(&[810, 1215])
+                .measurements(6, 12)
+                .simulated_sms(Some(2))
+                .seed(seed),
+        )
     }
 
     #[test]

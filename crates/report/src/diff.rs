@@ -264,24 +264,18 @@ fn holm_mark_significant(deltas: &mut [PairDelta], alpha: f64) {
 mod tests {
     use super::*;
     use crate::artifact::{Artifact, Format};
-    use latest_core::{CampaignConfig, CampaignSession};
-    use latest_gpu_sim::devices;
-    use latest_gpu_sim::transition::FixedTransition;
-    use latest_sim_clock::SimDuration;
-    use std::sync::Arc;
+    use crate::testing::fixed_a100_run;
+    use latest_core::CampaignSpec;
 
     fn run(seed: u64, latency_ms: u64) -> CampaignResult {
-        let mut spec = devices::a100_sxm4();
-        spec.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(latency_ms),
-        });
-        let config = CampaignConfig::builder(spec)
-            .frequencies_mhz(&[705, 1410])
-            .measurements(8, 16)
-            .simulated_sms(Some(2))
-            .seed(seed)
-            .build();
-        CampaignSession::new(config).run().unwrap()
+        fixed_a100_run(
+            latency_ms,
+            CampaignSpec::builder("fixed")
+                .frequencies_mhz(&[705, 1410])
+                .measurements(8, 16)
+                .simulated_sms(Some(2))
+                .seed(seed),
+        )
     }
 
     #[test]
@@ -327,30 +321,18 @@ mod tests {
 
     #[test]
     fn disjoint_pairs_are_reported_not_tested() {
-        let mut spec_a = devices::a100_sxm4();
-        spec_a.transition = Arc::new(FixedTransition {
-            latency: SimDuration::from_millis(8),
-        });
-        let a = CampaignSession::new(
-            CampaignConfig::builder(spec_a.clone())
-                .frequencies_mhz(&[705, 1410])
-                .measurements(6, 10)
-                .simulated_sms(Some(2))
-                .seed(3)
-                .build(),
-        )
-        .run()
-        .unwrap();
-        let b = CampaignSession::new(
-            CampaignConfig::builder(spec_a)
-                .frequencies_mhz(&[705, 1095])
-                .measurements(6, 10)
-                .simulated_sms(Some(2))
-                .seed(3)
-                .build(),
-        )
-        .run()
-        .unwrap();
+        let run = |mhz: &[u32]| {
+            fixed_a100_run(
+                8,
+                CampaignSpec::builder("fixed")
+                    .frequencies_mhz(mhz)
+                    .measurements(6, 10)
+                    .simulated_sms(Some(2))
+                    .seed(3),
+            )
+        };
+        let a = run(&[705, 1410]);
+        let b = run(&[705, 1095]);
         let diff = CampaignDiff::between(&a, &b, 0.05);
         assert!(diff.deltas.is_empty());
         assert_eq!(diff.only_in_a.len(), 2);

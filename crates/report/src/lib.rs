@@ -61,3 +61,6 @@ pub use scatter::Scatter;
 pub use table::{campaign_summary_table, cross_device_table, CrossDeviceRow, TextTable};
 pub use telemetry::stage_latency_table;
 pub use violin::{DirectionSplit, ViolinPair, ViolinSummary};
+
+#[cfg(test)]
+mod testing;

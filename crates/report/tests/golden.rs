@@ -18,18 +18,21 @@
 
 use std::path::PathBuf;
 
-use latest_core::{CampaignConfig, CampaignResult, CampaignSession};
-use latest_gpu_sim::devices;
+use latest_core::{CampaignResult, CampaignSpec};
 use latest_report::{campaign_summary_table, Artifact, Bundle, Format};
 
 fn fixed_campaign() -> CampaignResult {
-    let config = CampaignConfig::builder(devices::a100_sxm4())
+    CampaignSpec::builder("a100")
         .frequencies_mhz(&[705, 1410])
         .measurements(4, 6)
         .simulated_sms(Some(2))
         .seed(0xC0FFEE)
-        .build();
-    CampaignSession::new(config).run().unwrap()
+        .build()
+        .unwrap()
+        .into_session()
+        .unwrap()
+        .run()
+        .unwrap()
 }
 
 fn golden_dir() -> PathBuf {

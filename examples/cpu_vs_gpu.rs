@@ -8,11 +8,10 @@
 //! cargo run --release --example cpu_vs_gpu
 //! ```
 
-use latest::core::{CampaignConfig, CampaignSession};
+use latest::core::{CampaignSession, CampaignSpec};
 use latest::ftalat::{
     ftalat_phase1, intel_skylake_sp, measure_transition, slow_governor_cpu, SimCpuCore,
 };
-use latest::gpu_sim::devices;
 use latest::gpu_sim::freq::FreqMhz;
 use latest::sim_clock::SharedClock;
 
@@ -34,14 +33,16 @@ fn cpu_latency_ms(spec_name: &str, spec: latest::ftalat::CpuSpec, seed: u64) -> 
     worst_ns as f64 / 1e6
 }
 
-fn gpu_worst_mean_ms(spec: latest::gpu_sim::devices::DeviceSpec, seed: u64) -> (String, f64, f64) {
-    let name = spec.name.clone();
-    let config = CampaignConfig::builder(spec)
+fn gpu_worst_mean_ms(device: &str, seed: u64) -> (String, f64, f64) {
+    let config = CampaignSpec::builder(device)
         .frequency_subset(6)
         .measurements(25, 50)
         .simulated_sms(Some(4))
         .seed(seed)
-        .build();
+        .build_unchecked()
+        .resolve()
+        .expect("valid spec");
+    let name = config.spec.name.clone();
     let result = CampaignSession::new(config).run().expect("gpu campaign");
     let maxima: Vec<f64> = result
         .completed()
@@ -61,9 +62,9 @@ fn main() {
 
     println!("measuring GPU switching latencies with LATEST (Sec. V)...\n");
     let gpus = [
-        gpu_worst_mean_ms(devices::rtx_quadro_6000(), 21),
-        gpu_worst_mean_ms(devices::a100_sxm4(), 22),
-        gpu_worst_mean_ms(devices::gh200(), 23),
+        gpu_worst_mean_ms("quadro", 21),
+        gpu_worst_mean_ms("a100", 22),
+        gpu_worst_mean_ms("gh200", 23),
     ];
 
     println!(

@@ -20,28 +20,28 @@
 //! A switch costs what the paper measures: the device keeps serving at the
 //! old clock until the target clock takes over.
 
-use latest::core::{CampaignConfig, CampaignSession};
+use latest::core::{CampaignSession, CampaignSpec};
 use latest::governor::{
     make_policy, replay_seed, DaemonConfig, GovernorDaemon, LatencyTable, PowerModel,
     TransitionReplay, ZoneLadder, POLICY_NAMES,
 };
-use latest::gpu_sim::devices;
 use latest::traffic::TrafficRegistry;
 
 fn main() {
     // Step 1 — run a LATEST campaign on the simulated GH200 (the GPU with
     // pathological target columns, where latency awareness matters most).
-    let spec = devices::gh200();
-    println!(
-        "measuring switching latencies on {} (LATEST campaign)...",
-        spec.name
-    );
-    let config = CampaignConfig::builder(spec)
+    let config = CampaignSpec::builder("gh200")
         .frequency_subset(8)
         .measurements(25, 50)
         .simulated_sms(Some(4))
         .seed(0x60F)
-        .build();
+        .build_unchecked()
+        .resolve()
+        .expect("valid spec");
+    println!(
+        "measuring switching latencies on {} (LATEST campaign)...",
+        config.spec.name
+    );
     let result = CampaignSession::new(config).run().expect("campaign");
     let table = LatencyTable::from_campaign(&result);
     println!(

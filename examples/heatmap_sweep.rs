@@ -13,42 +13,31 @@
 //! column means against the variance of row means.
 
 use latest::core::view::{LatencyView, PairStat};
-use latest::core::{CampaignConfig, CampaignSession};
-use latest::gpu_sim::devices::{self, DeviceSpec};
+use latest::core::{CampaignSession, CampaignSpec};
 use latest::report::Heatmap;
-
-fn device_by_name(name: &str) -> DeviceSpec {
-    match name {
-        "gh200" => devices::gh200(),
-        "a100" => devices::a100_sxm4(),
-        "quadro" => devices::rtx_quadro_6000(),
-        other => {
-            eprintln!("unknown device '{other}' (expected gh200|a100|quadro)");
-            std::process::exit(2);
-        }
-    }
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let spec = device_by_name(&args.next().unwrap_or_else(|| "gh200".into()));
+    let device = args.next().unwrap_or_else(|| "gh200".into());
     let n_freqs: usize = args
         .next()
         .map(|s| s.parse().expect("n_freqs"))
         .unwrap_or(10);
 
-    println!(
-        "sweeping {} over a {}-frequency ladder subset...",
-        spec.name, n_freqs
-    );
-    let config = CampaignConfig::builder(spec)
+    let config = CampaignSpec::builder(device)
         .frequency_subset(n_freqs)
         .measurements(25, 60)
         .simulated_sms(Some(6))
         .seed(0xF163)
-        .build();
+        .build_unchecked()
+        .resolve()
+        .unwrap_or_else(|errors| {
+            eprintln!("{errors}");
+            std::process::exit(2);
+        });
     let freqs: Vec<u32> = config.frequencies.iter().map(|f| f.0).collect();
     let device_name = config.spec.name.clone();
+    println!("sweeping {device_name} over a {n_freqs}-frequency ladder subset...");
 
     let result = CampaignSession::new(config).run().expect("sweep failed");
 

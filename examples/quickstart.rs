@@ -25,25 +25,26 @@
 //! event while the campaign is still running. Without observers,
 //! `CampaignSession::new(config).run()` is the whole blocking call.
 
-use latest::core::{CampaignConfig, CampaignEvent, CampaignSession};
-use latest::gpu_sim::devices;
+use latest::core::{CampaignEvent, CampaignSession, CampaignSpec};
 
 fn main() {
     // A simulated A100-SXM4: 108 SMs, the 210–1410 MHz ladder of Table I,
     // and a transition model calibrated to the paper's measured shape.
-    let spec = devices::a100_sxm4();
-    println!(
-        "device: {} ({} SMs, {} ladder steps)",
-        spec.name,
-        spec.sm_count,
-        spec.ladder.len()
-    );
-
-    let config = CampaignConfig::builder(spec)
+    let config = CampaignSpec::builder("a100")
         .frequencies_mhz(&[705, 1095, 1410]) // min-ish / nominal / max
         .measurements(25, 60) // stop on 5 % RSE within [25, 60]
         .seed(42)
-        .build();
+        .build()
+        .expect("valid spec")
+        .resolve()
+        .expect("built-in device and workload");
+    let device = &config.spec;
+    println!(
+        "device: {} ({} SMs, {} ladder steps)",
+        device.name,
+        device.sm_count,
+        device.ladder.len()
+    );
 
     // Watch the campaign happen: phase-1 validation, the probe bound, then
     // one started/finished event per frequency pair.

@@ -33,17 +33,17 @@
 //! See `examples/quickstart.rs`; the one-paragraph version:
 //!
 //! ```no_run
-//! use latest::core::{CampaignConfig, CampaignEvent, CampaignSession};
-//! use latest::gpu_sim::devices;
+//! use latest::core::{CampaignEvent, CampaignSpec};
 //!
 //! // Measure the SM frequency switching latency between two frequencies on
 //! // a simulated A100-SXM4, streaming progress as pairs finish.
-//! let spec = devices::a100_sxm4();
-//! let config = CampaignConfig::builder(spec)
+//! let session = CampaignSpec::builder("a100")
 //!     .frequencies_mhz(&[1095, 1410])
 //!     .seed(42)
-//!     .build();
-//! let session = CampaignSession::new(config)
+//!     .build()
+//!     .expect("valid spec")
+//!     .into_session()
+//!     .expect("built-in device and workload")
 //!     .observe(|e: &CampaignEvent| eprintln!("{e}"));
 //! let campaign = session.run().expect("campaign failed");
 //! for pair in campaign.pairs() {
@@ -51,8 +51,8 @@
 //! }
 //! ```
 //!
-//! Without observers, `CampaignSession::new(config).run()` is the whole
-//! blocking call; multi-device sweeps use
+//! Without observers, `spec.into_session()?.run()` is the whole blocking
+//! call; multi-device sweeps use
 //! [`core::Fleet`](latest_core::fleet::Fleet).
 
 pub use latest_clock_sync as clock_sync;

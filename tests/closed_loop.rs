@@ -7,9 +7,11 @@
 //! moment each transition request landed and settled, so we can assert the
 //! tool's output against the truth.
 
+mod common;
+
 use std::sync::Arc;
 
-use latest::core::{CampaignConfig, CampaignSession};
+use latest::core::{CampaignSession, CampaignSpec};
 use latest::gpu_sim::devices::{self, DeviceSpec};
 use latest::gpu_sim::transition::FixedTransition;
 use latest::sim_clock::SimDuration;
@@ -22,13 +24,15 @@ fn fixed_spec(base: DeviceSpec, ms: u64) -> DeviceSpec {
     spec
 }
 
-fn campaign(spec: DeviceSpec, freqs: &[u32], seed: u64) -> latest::core::CampaignResult {
-    let config = CampaignConfig::builder(spec)
-        .frequencies_mhz(freqs)
-        .measurements(10, 25)
-        .simulated_sms(Some(4))
-        .seed(seed)
-        .build();
+fn campaign(device: DeviceSpec, freqs: &[u32], seed: u64) -> latest::core::CampaignResult {
+    let config = common::resolve_on(
+        device,
+        CampaignSpec::builder("device")
+            .frequencies_mhz(freqs)
+            .measurements(10, 25)
+            .simulated_sms(Some(4))
+            .seed(seed),
+    );
     CampaignSession::new(config).run().expect("campaign")
 }
 

@@ -1,12 +1,14 @@
 //! Campaign → CSV files → reload → report: the external data path a user of
 //! the tool actually exercises (Sec. VI's naming convention included).
 
+mod common;
+
 use std::fs;
 use std::sync::Arc;
 
 use latest::core::controller::PairRun;
 use latest::core::output::{csv_filename, parse_csv_filename, read_pair_csv, write_pair_csv};
-use latest::core::{CampaignConfig, CampaignSession};
+use latest::core::{CampaignSession, CampaignSpec};
 use latest::gpu_sim::devices;
 use latest::gpu_sim::freq::FreqMhz;
 use latest::gpu_sim::transition::FixedTransition;
@@ -16,17 +18,19 @@ use proptest::prelude::*;
 
 #[test]
 fn campaign_to_csv_to_heatmap_round_trip() {
-    let mut spec = devices::a100_sxm4();
-    spec.transition = Arc::new(FixedTransition {
+    let mut device = devices::a100_sxm4();
+    device.transition = Arc::new(FixedTransition {
         latency: SimDuration::from_millis(7),
     });
-    let config = CampaignConfig::builder(spec)
-        .frequencies_mhz(&[705, 1095, 1410])
-        .measurements(8, 15)
-        .simulated_sms(Some(3))
-        .hostname("testnode")
-        .seed(20)
-        .build();
+    let config = common::resolve_on(
+        device,
+        CampaignSpec::builder("fixed")
+            .frequencies_mhz(&[705, 1095, 1410])
+            .measurements(8, 15)
+            .simulated_sms(Some(3))
+            .hostname("testnode")
+            .seed(20),
+    );
     let freqs: Vec<u32> = config.frequencies.iter().map(|f| f.0).collect();
     let result = CampaignSession::new(config).run().unwrap();
 

@@ -6,18 +6,23 @@
 use std::sync::{Mutex, OnceLock};
 
 use latest::core::session::settle;
-use latest::core::{CampaignConfig, CampaignEvent, CampaignResult, CampaignSession};
-use latest::gpu_sim::devices;
+use latest::core::spec::CampaignSpecBuilder;
+use latest::core::{CampaignConfig, CampaignEvent, CampaignResult, CampaignSession, CampaignSpec};
 use latest::gpu_sim::freq::FreqMhz;
 use proptest::prelude::*;
 
 fn config(seed: u64) -> CampaignConfig {
-    CampaignConfig::builder(devices::a100_sxm4())
-        .frequencies_mhz(&[705, 1095, 1410])
+    a100(&[705, 1095, 1410])
         .measurements(10, 25)
         .simulated_sms(Some(4))
         .seed(seed)
-        .build()
+        .build_unchecked()
+        .resolve()
+        .unwrap()
+}
+
+fn a100(mhz: &[u32]) -> CampaignSpecBuilder {
+    CampaignSpec::builder("a100").frequencies_mhz(mhz)
 }
 
 fn run(seed: u64) -> CampaignResult {
@@ -235,13 +240,14 @@ proptest! {
 // --- the memory-clock plane -------------------------------------------------
 
 fn mem_plane_config(seed: u64) -> CampaignConfig {
-    CampaignConfig::builder(devices::a100_sxm4())
-        .frequencies_mhz(&[705, 1410])
+    a100(&[705, 1410])
         .mem_frequencies_mhz(&[810, 1215])
         .measurements(6, 12)
         .simulated_sms(Some(2))
         .seed(seed)
-        .build()
+        .build_unchecked()
+        .resolve()
+        .unwrap()
 }
 
 #[test]
@@ -277,7 +283,7 @@ proptest! {
         n in 2usize..40,
         seed in 0u64..u64::MAX,
     ) {
-        let c = CampaignConfig::builder(devices::a100_sxm4()).seed(seed).build();
+        let c = a100(&[705, 1410]).seed(seed).build_unchecked().resolve().unwrap();
         let freqs: Vec<FreqMhz> = (0..n).map(|i| FreqMhz(base + step * i as u32)).collect();
         let mut seeds = std::collections::HashSet::new();
         for &init in &freqs {
@@ -309,7 +315,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         use latest::core::FreqState;
-        let c = CampaignConfig::builder(devices::a100_sxm4()).seed(seed).build();
+        let c = a100(&[705, 1410]).seed(seed).build_unchecked().resolve().unwrap();
         let cores: Vec<FreqMhz> = (0..n).map(|i| FreqMhz(base + step * i as u32)).collect();
         let mut mems: Vec<Option<FreqMhz>> = vec![None];
         mems.extend((0..m).map(|i| Some(FreqMhz(mem_base + mem_step * i as u32))));

@@ -3,20 +3,25 @@
 //! events, skip statistically indistinguishable pairs, and survive
 //! evaluation retries without aborting the campaign.
 
+mod common;
+
 use std::sync::Arc;
 
-use latest::core::{CampaignConfig, CampaignSession, PairOutcome};
+use latest::core::{CampaignConfig, CampaignSession, CampaignSpec, PairOutcome};
 use latest::gpu_sim::devices::{self, DeviceSpec};
+use latest::gpu_sim::freq::FreqMhz;
 use latest::gpu_sim::transition::FixedTransition;
 use latest::sim_clock::SimDuration;
 
-fn base_config(spec: DeviceSpec, freqs: &[u32], seed: u64) -> CampaignConfig {
-    CampaignConfig::builder(spec)
-        .frequencies_mhz(freqs)
-        .measurements(8, 20)
-        .simulated_sms(Some(4))
-        .seed(seed)
-        .build()
+fn base_config(device: DeviceSpec, freqs: &[u32], seed: u64) -> CampaignConfig {
+    common::resolve_on(
+        device,
+        CampaignSpec::builder("device")
+            .frequencies_mhz(freqs)
+            .measurements(8, 20)
+            .simulated_sms(Some(4))
+            .seed(seed),
+    )
 }
 
 #[test]
@@ -137,13 +142,20 @@ fn campaign_survives_unmeasurable_pairs() {
 
 #[test]
 fn single_frequency_config_is_rejected() {
-    let config = base_config(devices::a100_sxm4(), &[705], 14);
+    let spec = CampaignSpec::builder("a100").frequencies_mhz(&[705]);
+    assert!(spec.build_unchecked().resolve().is_err());
+    // A resolved config edited past its spec is still refused at run time.
+    let mut config = base_config(devices::a100_sxm4(), &[705, 1410], 14);
+    config.frequencies.truncate(1);
     assert!(CampaignSession::new(config).run().is_err());
 }
 
 #[test]
 fn off_ladder_frequency_is_rejected() {
     // 1000 MHz is not a 15 MHz A100 ladder step.
-    let config = base_config(devices::a100_sxm4(), &[705, 1000], 15);
+    let spec = CampaignSpec::builder("a100").frequencies_mhz(&[705, 1000]);
+    assert!(spec.build_unchecked().resolve().is_err());
+    let mut config = base_config(devices::a100_sxm4(), &[705, 1410], 15);
+    config.frequencies[1] = FreqMhz(1000);
     assert!(CampaignSession::new(config).run().is_err());
 }

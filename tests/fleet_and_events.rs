@@ -4,29 +4,32 @@
 //! two different GPU models must aggregate per-device results that feed the
 //! cross-device report table.
 
+mod common;
+
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
 use latest::core::{
-    CampaignConfig, CampaignEvent, CampaignSession, Fleet, PairOutcome, SkipReason,
+    CampaignConfig, CampaignEvent, CampaignSession, CampaignSpec, Fleet, PairOutcome, SkipReason,
 };
 use latest::gpu_sim::devices::{self, DeviceSpec};
 use latest::gpu_sim::transition::FixedTransition;
 use latest::report::{cross_device_table, Artifact, CrossDeviceRow, Format};
 use latest::sim_clock::SimDuration;
 
-fn quick_config(spec: DeviceSpec, freqs: &[u32], seed: u64) -> CampaignConfig {
-    let mut spec = spec;
-    spec.transition = Arc::new(FixedTransition {
+fn quick_config(mut device: DeviceSpec, freqs: &[u32], seed: u64) -> CampaignConfig {
+    device.transition = Arc::new(FixedTransition {
         latency: SimDuration::from_millis(7),
     });
-    CampaignConfig::builder(spec)
-        .frequencies_mhz(freqs)
-        .measurements(6, 15)
-        .simulated_sms(Some(2))
-        .seed(seed)
-        .build()
+    common::resolve_on(
+        device,
+        CampaignSpec::builder("fixed")
+            .frequencies_mhz(freqs)
+            .measurements(6, 15)
+            .simulated_sms(Some(2))
+            .seed(seed),
+    )
 }
 
 /// The acceptance test for the event stream: a consumer on another thread

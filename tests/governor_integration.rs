@@ -3,21 +3,26 @@
 //! decisions under builtin traffic — the full loop the paper's Sec. VIII
 //! motivates.
 
-use latest::core::{CampaignConfig, CampaignEvent, CampaignSession};
+use latest::core::{CampaignConfig, CampaignEvent, CampaignSession, CampaignSpec};
 use latest::governor::{
     make_policy, DaemonConfig, GovernorDaemon, LatencyTable, PowerModel, Scorecard,
     TransitionReplay, ZoneLadder, POLICY_NAMES,
 };
-use latest::gpu_sim::devices;
 use latest::traffic::TrafficRegistry;
 
-fn measured_table(seed: u64) -> LatencyTable {
-    let config = CampaignConfig::builder(devices::gh200())
-        .frequency_subset(6)
+fn gh200(n_freqs: usize, seed: u64) -> CampaignConfig {
+    CampaignSpec::builder("gh200")
+        .frequency_subset(n_freqs)
         .measurements(15, 30)
         .simulated_sms(Some(3))
         .seed(seed)
-        .build();
+        .build_unchecked()
+        .resolve()
+        .unwrap()
+}
+
+fn measured_table(seed: u64) -> LatencyTable {
+    let config = gh200(6, seed);
     let result = CampaignSession::new(config).run().expect("campaign");
     LatencyTable::from_campaign(&result)
 }
@@ -129,13 +134,7 @@ fn cancelled_pairs_are_counted_not_silently_dropped() {
     // Cancel a campaign after three pairs: the rest end Cancelled and must
     // show up in the skipped-pair count, with the table/skip split exactly
     // partitioning the campaign's pairs.
-    let config = CampaignConfig::builder(devices::gh200())
-        .frequency_subset(6)
-        .measurements(15, 30)
-        .simulated_sms(Some(3))
-        .seed(206)
-        .build();
-    let session = CampaignSession::new(config);
+    let session = CampaignSession::new(gh200(6, 206));
     let token = session.cancel_token();
     let seen = std::sync::atomic::AtomicUsize::new(0);
     let session = session.observe(move |e: &CampaignEvent| {
@@ -159,13 +158,7 @@ fn cancelled_pairs_are_counted_not_silently_dropped() {
     assert_eq!(LatencyTable::from_campaign(&partial).len(), table.len());
 
     // An uninterrupted run of the same campaign skips strictly fewer pairs.
-    let config = CampaignConfig::builder(devices::gh200())
-        .frequency_subset(6)
-        .measurements(15, 30)
-        .simulated_sms(Some(3))
-        .seed(206)
-        .build();
-    let full = CampaignSession::new(config).run().expect("campaign");
+    let full = CampaignSession::new(gh200(6, 206)).run().expect("campaign");
     let (_, full_skipped) = LatencyTable::from_campaign_counting(&full);
     assert_eq!(full_skipped.cancelled, 0);
     assert!(full_skipped.total() < skipped.total());
@@ -175,14 +168,9 @@ fn cancelled_pairs_are_counted_not_silently_dropped() {
 fn avoid_list_matches_pathological_columns() {
     // GH200's slow target columns must show up in the table's avoid list
     // when the sweep touched them.
-    let spec = devices::gh200();
-    let config = CampaignConfig::builder(spec)
-        .frequency_subset(10)
-        .measurements(15, 30)
-        .simulated_sms(Some(3))
-        .seed(205)
-        .build();
-    let result = CampaignSession::new(config).run().expect("campaign");
+    let result = CampaignSession::new(gh200(10, 205))
+        .run()
+        .expect("campaign");
     let table = LatencyTable::from_campaign(&result);
     let avoid = table.avoid_list(5.0);
     if !avoid.is_empty() {

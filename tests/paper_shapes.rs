@@ -6,17 +6,19 @@
 //! binaries) to stay fast under `cargo test`; the full-scale regenerations
 //! live in `crates/bench/src/bin/repro_*`.
 
-use latest::core::{CampaignConfig, CampaignResult, CampaignSession};
-use latest::gpu_sim::devices::{self, DeviceSpec};
+use latest::core::{CampaignResult, CampaignSpec};
 
-fn sweep(spec: DeviceSpec, n: usize, seed: u64) -> CampaignResult {
-    let config = CampaignConfig::builder(spec)
+fn sweep(device: &str, n: usize, seed: u64) -> CampaignResult {
+    CampaignSpec::builder(device)
         .frequency_subset(n)
         .measurements(20, 40)
         .simulated_sms(Some(4))
         .seed(seed)
-        .build();
-    CampaignSession::new(config).run().expect("sweep")
+        .build_unchecked()
+        .into_session()
+        .expect("valid spec")
+        .run()
+        .expect("sweep")
 }
 
 fn worst_cases(result: &CampaignResult) -> Vec<(u32, u32, f64)> {
@@ -33,7 +35,7 @@ fn worst_cases(result: &CampaignResult) -> Vec<(u32, u32, f64)> {
 
 #[test]
 fn a100_worst_cases_stay_below_25ms() {
-    let result = sweep(devices::a100_sxm4(), 8, 101);
+    let result = sweep("a100", 8, 101);
     let cells = worst_cases(&result);
     assert!(cells.len() >= 40);
     for (i, t, v) in &cells {
@@ -44,7 +46,7 @@ fn a100_worst_cases_stay_below_25ms() {
 #[test]
 fn a100_decreases_are_faster_and_tighter_than_increases() {
     // Fig. 4b: clear asymmetry between frequency decreasing and increasing.
-    let result = sweep(devices::a100_sxm4(), 8, 102);
+    let result = sweep("a100", 8, 102);
     let (mut down, mut up) = (Vec::new(), Vec::new());
     for p in result.completed() {
         if let Some(a) = &p.analysis {
@@ -74,7 +76,7 @@ fn a100_decreases_are_faster_and_tighter_than_increases() {
 fn gh200_has_slow_target_columns() {
     // Fig. 3b: specific *target* frequencies spike into hundreds of ms while
     // the bulk stays low — and the spike is a column (target) property.
-    let result = sweep(devices::gh200(), 10, 103);
+    let result = sweep("gh200", 10, 103);
     let cells = worst_cases(&result);
     let slow: Vec<_> = cells.iter().filter(|(_, _, v)| *v > 100.0).collect();
     let fast = cells.iter().filter(|(_, _, v)| *v < 30.0).count();
@@ -96,7 +98,7 @@ fn gh200_has_slow_target_columns() {
 fn gh200_best_cases_are_predictable() {
     // Fig. 3a: "minimum values are way more stable" — best cases sit in a
     // narrow 4-9 ms band off the slow columns.
-    let result = sweep(devices::gh200(), 8, 104);
+    let result = sweep("gh200", 8, 104);
     let mut in_band = 0usize;
     let mut total = 0usize;
     for p in result.completed() {
@@ -117,8 +119,8 @@ fn gh200_best_cases_are_predictable() {
 
 #[test]
 fn quadro_is_most_variable_and_slowest_on_average() {
-    let quadro = sweep(devices::rtx_quadro_6000(), 8, 105);
-    let a100 = sweep(devices::a100_sxm4(), 8, 105);
+    let quadro = sweep("quadro", 8, 105);
+    let a100 = sweep("a100", 8, 105);
     let mean_of = |r: &CampaignResult| {
         let cells = worst_cases(r);
         cells.iter().map(|c| c.2).sum::<f64>() / cells.len() as f64
@@ -135,7 +137,7 @@ fn target_frequency_dominates_the_latency() {
     // Sec. VII: "the target frequency has a much higher impact (visible row
     // pattern in the heatmaps)". Group worst cases by target vs by initial:
     // the between-group spread must be larger for targets.
-    let result = sweep(devices::rtx_quadro_6000(), 8, 106);
+    let result = sweep("quadro", 8, 106);
     let cells = worst_cases(&result);
     let group_spread = |key: fn(&(u32, u32, f64)) -> u32| {
         let mut groups: std::collections::BTreeMap<u32, Vec<f64>> = Default::default();
@@ -161,7 +163,7 @@ fn target_frequency_dominates_the_latency() {
 fn outliers_are_a_small_fraction_with_deviant_values() {
     // Sec. V-C: outliers "never exceed a low percentage of the measurements"
     // and deviate significantly from the pattern.
-    let result = sweep(devices::gh200(), 8, 107);
+    let result = sweep("gh200", 8, 107);
     for p in result.completed() {
         let a = p.analysis.as_ref().unwrap();
         assert!(
@@ -177,7 +179,7 @@ fn outliers_are_a_small_fraction_with_deviant_values() {
 #[test]
 fn multi_cluster_pairs_score_decent_silhouettes() {
     // Sec. VII-B: where 2+ clusters exist, silhouette > 0.4.
-    let result = sweep(devices::gh200(), 8, 108);
+    let result = sweep("gh200", 8, 108);
     let mut multi = 0;
     for p in result.completed() {
         let a = p.analysis.as_ref().unwrap();
