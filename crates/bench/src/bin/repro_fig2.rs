@@ -5,27 +5,26 @@
 //! returned" and "device settled" is exactly why switching latency must be
 //! measured from device-side timestamps.
 
-use latest_core::{GroundTruth, SimPlatform};
+use latest_core::{GroundTruth, Platform, SimPlatform};
 use latest_gpu_sim::devices;
 use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
 
 fn main() {
     let mut platform = SimPlatform::new(devices::a100_sxm4(), 42).expect("platform");
     // Settle at an initial frequency first.
-    platform.nvml.set_gpu_locked_clocks(FreqMhz(1095)).unwrap();
-    platform
-        .cuda
-        .usleep(latest_sim_clock::SimDuration::from_millis(100));
-    platform.nvml.take_trace();
+    platform.set_locked_clocks(FreqMhz(1095)).unwrap();
+    platform.sleep(latest_sim_clock::SimDuration::from_millis(100));
 
-    // The traced request.
-    platform.nvml.set_gpu_locked_clocks(FreqMhz(705)).unwrap();
-    let trace = platform.nvml.take_trace().pop().expect("traced call");
+    // The traced request: the ground-truth ledger records when it was
+    // called and when it reached the device; the call returns at the
+    // host time read right after it.
+    platform.set_locked_clocks(FreqMhz(705)).unwrap();
+    let returned = platform.now();
     let gt = platform
         .last_transition(ClockDomain::Core)
         .expect("ground truth");
 
-    let t0 = trace.call;
+    let t0 = gt.host_call;
     let rel_us = |t: latest_sim_clock::SimTime| t.signed_delta_ns(t0) as f64 / 1e3;
 
     println!("FIG. 2: CPU -> ACC frequency-change request path (A100 facade, simulated)\n");
@@ -38,11 +37,11 @@ fn main() {
     );
     println!(
         "{:>12.1}   CPU      call returned (host unblocked)",
-        rel_us(trace.ret)
+        rel_us(returned)
     );
     println!(
         "{:>12.1}   bus      request arrived at the device",
-        rel_us(trace.device_arrival.unwrap())
+        rel_us(gt.device_arrival)
     );
     println!(
         "{:>12.1}   ACC      clock left the initial frequency",

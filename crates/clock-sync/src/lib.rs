@@ -14,7 +14,8 @@
 //! best-case transport jitter plus the device timer's ~1 µs quantisation.
 //!
 //! The module is transport-agnostic: anything implementing [`TimestampProbe`]
-//! can be synchronised — the CUDA façade in production, synthetic probes in
+//! can be synchronised — the simulated machine's `%globaltimer` round trip
+//! (`latest_core::SimPlatform`) in production, synthetic probes in
 //! tests (where the true offset is known and the estimate must cover it).
 
 use latest_sim_clock::{SimDuration, SimTime};

@@ -1,10 +1,7 @@
-//! Property-based tests for the clustering substrate (DBSCAN, k-NN,
-//! silhouette, the Algorithm-3 adaptive filter).
+//! Property-based tests for the clustering substrate (DBSCAN, silhouette,
+//! the Algorithm-3 adaptive filter).
 
-use latest_cluster::{
-    adaptive_outlier_filter, average_knn_distance, kth_neighbor_distances, silhouette_score_1d,
-    AdaptiveConfig, Dbscan, Label,
-};
+use latest_cluster::{adaptive_outlier_filter, silhouette_score_1d, AdaptiveConfig, Dbscan, Label};
 use proptest::prelude::*;
 use std::time::Instant;
 
@@ -163,27 +160,6 @@ proptest! {
         let b = Dbscan::new(eps * k, 3).fit_1d(&scaled);
         prop_assert_eq!(a.n_clusters, b.n_clusters);
         prop_assert_eq!(a.noise_count(), b.noise_count());
-    }
-
-    // --- k-NN ----------------------------------------------------------------
-
-    #[test]
-    fn knn_distances_are_nonnegative_and_bounded_by_span(xs in arbitrary(3), k in 1usize..5) {
-        let k = k.min(xs.len() - 1).max(1);
-        let d = kth_neighbor_distances(&xs, k);
-        prop_assert_eq!(d.len(), xs.len());
-        let span = xs.iter().cloned().fold(f64::MIN, f64::max)
-            - xs.iter().cloned().fold(f64::MAX, f64::min);
-        for v in &d {
-            prop_assert!(*v >= 0.0 && *v <= span + 1e-9);
-        }
-    }
-
-    #[test]
-    fn knn_distance_grows_with_k(xs in arbitrary(5)) {
-        let k1 = average_knn_distance(&xs, 1);
-        let k3 = average_knn_distance(&xs, 3.min(xs.len() - 1));
-        prop_assert!(k3 >= k1 - 1e-12);
     }
 
     // --- silhouette ------------------------------------------------------------

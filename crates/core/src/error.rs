@@ -1,8 +1,7 @@
 //! Error types for the LATEST pipeline.
 
-use latest_cuda_sim::CudaError;
 use latest_gpu_sim::freq::FreqMhz;
-use latest_nvml_sim::NvmlError;
+use latest_gpu_sim::{KernelId, LaunchError};
 use std::fmt;
 
 /// Result alias for pipeline operations.
@@ -11,10 +10,21 @@ pub type CoreResult<T> = Result<T, CoreError>;
 /// Errors surfaced by the LATEST pipeline.
 #[derive(Debug)]
 pub enum CoreError {
-    /// NVML façade failure.
-    Nvml(NvmlError),
-    /// CUDA façade failure.
-    Cuda(CudaError),
+    /// A locked-clocks request outside the domain's ladder range
+    /// (`NVML_ERROR_INVALID_ARGUMENT`).
+    InvalidClock {
+        /// Requested frequency (MHz).
+        requested: u32,
+        /// Lowest supported frequency (MHz).
+        min: u32,
+        /// Highest supported frequency (MHz).
+        max: u32,
+    },
+    /// The device rejected a kernel launch.
+    Launch(LaunchError),
+    /// The kernel id is unknown, unfinished, or its records were already
+    /// consumed.
+    NoRecords(KernelId),
     /// Fewer than two distinct frequencies requested.
     NotEnoughFrequencies {
         /// How many were given.
@@ -67,8 +77,16 @@ pub enum CoreError {
 impl fmt::Display for CoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CoreError::Nvml(e) => write!(f, "NVML: {e}"),
-            CoreError::Cuda(e) => write!(f, "CUDA: {e}"),
+            CoreError::InvalidClock {
+                requested,
+                min,
+                max,
+            } => write!(
+                f,
+                "NVML: clock {requested} MHz outside supported range [{min}, {max}] MHz"
+            ),
+            CoreError::Launch(e) => write!(f, "CUDA: kernel launch failed: {e}"),
+            CoreError::NoRecords(id) => write!(f, "CUDA: no records available for kernel {id:?}"),
             CoreError::NotEnoughFrequencies { got } => {
                 write!(f, "need at least two distinct frequencies, got {got}")
             }
@@ -101,24 +119,10 @@ impl fmt::Display for CoreError {
 impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CoreError::Nvml(e) => Some(e),
-            CoreError::Cuda(e) => Some(e),
             CoreError::Spec(e) => Some(e),
             CoreError::Io(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<NvmlError> for CoreError {
-    fn from(e: NvmlError) -> Self {
-        CoreError::Nvml(e)
-    }
-}
-
-impl From<CudaError> for CoreError {
-    fn from(e: CudaError) -> Self {
-        CoreError::Cuda(e)
     }
 }
 
@@ -153,10 +157,32 @@ mod tests {
         assert!(e.to_string().contains("12"));
     }
 
+    /// The simulated machine's three failure messages, word for word.
+    #[test]
+    fn display_messages() {
+        let e = CoreError::InvalidClock {
+            requested: 99,
+            min: 210,
+            max: 1410,
+        };
+        assert_eq!(
+            e.to_string(),
+            "NVML: clock 99 MHz outside supported range [210, 1410] MHz"
+        );
+        let e = CoreError::Launch(LaunchError::EmptyKernel);
+        assert_eq!(
+            e.to_string(),
+            "CUDA: kernel launch failed: kernel must run at least one iteration"
+        );
+        let e = CoreError::NoRecords(KernelId(7));
+        assert_eq!(
+            e.to_string(),
+            "CUDA: no records available for kernel KernelId(7)"
+        );
+    }
+
     #[test]
     fn conversions() {
-        let e: CoreError = NvmlError::InvalidDeviceIndex { index: 1, count: 0 }.into();
-        assert!(matches!(e, CoreError::Nvml(_)));
         let e: CoreError = std::io::Error::other("boom").into();
         assert!(matches!(e, CoreError::Io(_)));
     }

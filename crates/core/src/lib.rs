@@ -53,6 +53,9 @@
 //!   is generic over: NVML-style control plus CUDA-style execution, with
 //!   memory clocks and ground truth (one ledger per clock domain) as
 //!   optional capabilities only the simulator implements.
+//!   [`SimPlatform`] is that simulator: one simulated GPU plus the driver
+//!   and host-runtime cost model (call blocking, bus travel, driver
+//!   stalls, launch, synchronize, copy and `%globaltimer` costs).
 //! * **Output** ([`output`]) — the `.csv` convention of Sec. VI:
 //!   `latest_{init}MHz_{target}MHz_{hostname}_gpu{index}.csv`.
 //!
@@ -104,3 +107,281 @@ pub use view::{Direction, LatencyView, OutcomeKind, PairStat, PairView};
 
 #[cfg(test)]
 mod testing;
+
+/// [`SimPlatform`]'s driver and host-runtime cost model, exercised through
+/// the [`Platform`] and [`MemoryClocks`] traits: what a locked-clocks call
+/// costs and when it reaches the device, what queries, launches,
+/// synchronizes, copies and timer reads cost, and which calls fail.
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use latest_gpu_sim::devices::{self, DeviceSpec};
+    use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
+    use latest_gpu_sim::sm::WorkloadParams;
+    use latest_gpu_sim::transition::FixedTransition;
+    use latest_gpu_sim::{KernelConfig, LaunchError};
+    use latest_sim_clock::{SimDuration, SimTime};
+
+    use crate::{CoreError, GroundTruth, MemoryClocks, Platform, SimPlatform};
+
+    fn a100() -> SimPlatform {
+        SimPlatform::new(devices::a100_sxm4(), 42).unwrap()
+    }
+
+    /// An A100 that switches in a fixed 5 ms and wakes instantly, so kernel
+    /// timings are predictable.
+    fn fixed_a100_spec() -> DeviceSpec {
+        let mut spec = devices::a100_sxm4();
+        spec.wakeup_ramp = SimDuration::ZERO;
+        spec.transition = Arc::new(FixedTransition {
+            latency: SimDuration::from_millis(5),
+        });
+        spec
+    }
+
+    fn small_kernel() -> KernelConfig {
+        KernelConfig {
+            iters_per_sm: 200,
+            workload: WorkloadParams::default_micro(),
+            simulated_sms: Some(2),
+        }
+    }
+
+    #[test]
+    fn set_locked_clocks_blocks_host_and_snaps() {
+        let mut p = a100();
+        let before = p.now();
+        let snapped = p.set_locked_clocks(FreqMhz(1001)).unwrap();
+        let after = p.now();
+        // 1001 snaps to 1005 (ladder 210 + 15k).
+        assert_eq!(snapped, FreqMhz(1005));
+        let blocked = after.saturating_since(before);
+        assert!(
+            blocked >= SimDuration::from_micros(20) && blocked <= SimDuration::from_millis(5),
+            "blocking {blocked}"
+        );
+    }
+
+    #[test]
+    fn request_applies_asynchronously_after_return() {
+        let mut p = a100();
+        let call = p.now();
+        p.set_locked_clocks(FreqMhz(705)).unwrap();
+        // Ground truth: the device recorded the transition with our call time
+        // and an arrival after it.
+        let gt = p.last_transition(ClockDomain::Core).unwrap();
+        assert_eq!(gt.host_call, call);
+        assert!(gt.device_arrival > call, "arrival must be after the call");
+        assert_eq!(gt.to, FreqMhz(705));
+        assert!(gt.settled > gt.device_arrival);
+    }
+
+    /// The facts Fig. 2 reads: the call enters at `now()`, the ledger's
+    /// `host_call` is that instant, the request arrives no earlier, and the
+    /// call returns at the `now()` read right after it.
+    #[test]
+    fn ledger_and_clock_give_fig2_call_arrival_and_return() {
+        let mut p = a100();
+        p.set_locked_clocks(FreqMhz(1095)).unwrap();
+        p.sleep(SimDuration::from_millis(100));
+        let before = p.now();
+        p.set_locked_clocks(FreqMhz(705)).unwrap();
+        let returned = p.now();
+        let gt = p.last_transition(ClockDomain::Core).unwrap();
+        assert_eq!(gt.host_call, before);
+        assert!(gt.device_arrival >= gt.host_call);
+        assert!(returned > gt.host_call);
+        assert_eq!(p.transitions(ClockDomain::Core).len(), 2);
+    }
+
+    #[test]
+    fn invalid_clock_rejected() {
+        let mut p = a100();
+        assert!(matches!(
+            p.set_locked_clocks(FreqMhz(100)),
+            Err(CoreError::InvalidClock {
+                requested: 100,
+                min: 210,
+                max: 1410
+            })
+        ));
+        assert!(p.set_locked_clocks(FreqMhz(5000)).is_err());
+        // A rejected call reaches neither the device nor the clock.
+        assert!(p.transitions(ClockDomain::Core).is_empty());
+        assert_eq!(p.now(), SimTime::EPOCH);
+    }
+
+    #[test]
+    fn queries_advance_time() {
+        let mut p = a100();
+        let t0 = p.now();
+        let _ = p.current_clock();
+        let t1 = p.now();
+        let _ = p.throttle_reasons();
+        let t2 = p.now();
+        let temp = p.temperature_c();
+        let t3 = p.now();
+        // Each query costs 20-60 µs.
+        for (a, b) in [(t0, t1), (t1, t2), (t2, t3)] {
+            let cost = b.saturating_since(a);
+            assert!(
+                cost >= SimDuration::from_micros(20) && cost < SimDuration::from_micros(60),
+                "query cost {cost}"
+            );
+        }
+        assert!(temp > 0.0 && temp < 100.0);
+    }
+
+    #[test]
+    fn reset_returns_to_nominal() {
+        let mut p = a100();
+        p.set_locked_clocks(FreqMhz(300)).unwrap();
+        let snapped = p.reset_locked_clocks().unwrap();
+        assert_eq!(snapped, FreqMhz(1095));
+        // After the transition settles, the requested plan is nominal.
+        p.sleep(SimDuration::from_secs(1));
+        let gt = p.last_transition(ClockDomain::Core).unwrap();
+        assert_eq!(gt.to, FreqMhz(1095));
+    }
+
+    #[test]
+    fn stall_probability_produces_late_arrivals() {
+        // Crank the stall probability and watch arrivals spread out.
+        let mut spec = devices::a100_sxm4();
+        spec.driver.stall_prob = 1.0;
+        let mut p = SimPlatform::new(spec, 7).unwrap();
+        p.set_locked_clocks(FreqMhz(705)).unwrap();
+        let gt = p.last_transition(ClockDomain::Core).unwrap();
+        let travel = gt.device_arrival.saturating_since(gt.host_call);
+        assert!(
+            travel >= SimDuration::from_millis(2),
+            "stalled travel only {travel}"
+        );
+    }
+
+    #[test]
+    fn memory_locked_clocks_roundtrip() {
+        let mut p = a100();
+        assert_eq!(p.supported_mem_clocks().len(), 3);
+        // Out-of-ladder memory clocks are rejected like core clocks.
+        assert!(matches!(
+            p.set_locked_mem_clocks(FreqMhz(100)),
+            Err(CoreError::InvalidClock {
+                requested: 100,
+                min: 810,
+                max: 1215
+            })
+        ));
+        let call = p.now();
+        let snapped = p.set_locked_mem_clocks(FreqMhz(820)).unwrap();
+        assert_eq!(snapped, FreqMhz(810));
+        // Ground truth lands in the memory-domain ledger, not the core one.
+        assert!(p.transitions(ClockDomain::Core).is_empty());
+        let gt = p.last_transition(ClockDomain::Memory).unwrap();
+        assert_eq!(gt.to, FreqMhz(810));
+        assert_eq!(gt.host_call, call);
+        assert!(gt.device_arrival > call);
+        // After settling, the reported memory clock is the locked state and
+        // reset returns to the documented default.
+        p.sleep(SimDuration::from_secs(1));
+        assert_eq!(p.current_mem_clock(), FreqMhz(810));
+        assert_eq!(p.reset_locked_mem_clocks().unwrap(), FreqMhz(1215));
+    }
+
+    #[test]
+    fn launch_is_asynchronous() {
+        let mut p = SimPlatform::new(fixed_a100_spec(), 3).unwrap();
+        let t0 = p.now();
+        let _id = p.launch_benchmark(small_kernel()).unwrap();
+        let launch_cost = p.now().saturating_since(t0);
+        // Launch returns in tens of microseconds, far less than the ~20 ms
+        // the kernel itself needs.
+        assert!(
+            launch_cost < SimDuration::from_micros(100),
+            "launch {launch_cost}"
+        );
+    }
+
+    #[test]
+    fn synchronize_advances_to_completion() {
+        let mut p = SimPlatform::new(fixed_a100_spec(), 3).unwrap();
+        p.set_locked_clocks(FreqMhz(1005)).unwrap();
+        p.sleep(SimDuration::from_millis(100));
+        let start = p.now();
+        let id = p.launch_benchmark(small_kernel()).unwrap();
+        let done = p.synchronize();
+        assert_eq!(p.now(), done);
+        // 200 iterations of ~100 us at ~1 GHz is ~20 ms.
+        let elapsed = done.saturating_since(start);
+        assert!(
+            elapsed >= SimDuration::from_millis(15) && elapsed <= SimDuration::from_millis(40),
+            "elapsed {elapsed}"
+        );
+        let records = p.collect_records(id).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].len(), 200);
+    }
+
+    #[test]
+    fn copy_records_pays_bandwidth_and_consumes() {
+        let mut p = SimPlatform::new(fixed_a100_spec(), 3).unwrap();
+        let id = p.launch_benchmark(small_kernel()).unwrap();
+        p.synchronize();
+        let before = p.now();
+        let records = p.collect_records(id).unwrap();
+        // 400 records at 20 GB/s plus the fixed 5 µs setup.
+        let bytes = records.iter().map(Vec::len).sum::<usize>()
+            * std::mem::size_of::<latest_gpu_sim::sm::IterRecord>();
+        assert_eq!(
+            p.now().saturating_since(before),
+            SimDuration::from_secs_f64(bytes as f64 / 20e9 + 5e-6)
+        );
+        assert!(matches!(
+            p.collect_records(id),
+            Err(CoreError::NoRecords(consumed)) if consumed == id
+        ));
+    }
+
+    #[test]
+    fn usleep_advances_exactly() {
+        let mut p = SimPlatform::new(fixed_a100_spec(), 3).unwrap();
+        let t0 = p.now();
+        p.sleep(SimDuration::from_micros(1500));
+        assert_eq!(p.now().saturating_since(t0), SimDuration::from_micros(1500));
+    }
+
+    #[test]
+    fn globaltimer_roundtrip_brackets_device_stamp() {
+        let spec = fixed_a100_spec();
+        let offset = spec.timer_offset_ns;
+        let mut p = SimPlatform::new(spec, 3).unwrap();
+        for _ in 0..20 {
+            let (before, stamp, after) = p.read_globaltimer();
+            assert!(after > before);
+            // The device stamp, mapped back to the global timeline, must lie
+            // within the round trip.
+            let approx_global = stamp.offset_by(-offset);
+            assert!(
+                approx_global >= before && approx_global <= after,
+                "stamp outside round trip"
+            );
+            // Quantised to the 1 us globaltimer resolution.
+            assert_eq!(stamp.as_nanos() % 1_000, 0);
+        }
+    }
+
+    #[test]
+    fn empty_kernel_launch_fails() {
+        let mut p = SimPlatform::new(fixed_a100_spec(), 3).unwrap();
+        let cfg = KernelConfig {
+            iters_per_sm: 0,
+            workload: WorkloadParams::default_micro(),
+            simulated_sms: Some(1),
+        };
+        assert!(matches!(
+            p.launch_benchmark(cfg),
+            Err(CoreError::Launch(LaunchError::EmptyKernel))
+        ));
+    }
+}

@@ -13,14 +13,13 @@
 //! 6. synchronise and copy the per-SM records back.
 
 use latest_clock_sync::{SyncConfig, SyncResult};
-use latest_cuda_sim::TimerData;
 use latest_gpu_sim::KernelConfig;
 use latest_sim_clock::{SimDuration, SimTime};
 use latest_stats::{SigmaBand, Summary};
 
 use crate::config::{CampaignConfig, CONFIRM_ITERATIONS, DELAY_ITERATIONS, SIGMA_K};
 use crate::error::CoreResult;
-use crate::platform::{require_memory_clocks, Platform};
+use crate::platform::{require_memory_clocks, Platform, TimerData};
 use crate::state::FreqState;
 
 /// Everything phase 3 needs from one benchmark pass.

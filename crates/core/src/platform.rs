@@ -7,8 +7,10 @@
 //! kernel launch/collect, timer synchronisation and thermal/power polling —
 //! so every phase function is generic over the backend.
 //!
-//! [`SimPlatform`] is the first implementor: one simulated GPU wired up
-//! behind the NVML and CUDA façades, sharing one virtual clock. It
+//! [`SimPlatform`] is the first implementor: one simulated GPU on one
+//! virtual clock, with the driver and host-runtime cost model of a real
+//! NVML + CUDA stack (call blocking, bus travel, driver stalls, launch,
+//! synchronize, copy and timer-read costs) drawn from seeded streams. It
 //! additionally implements the optional [`GroundTruth`] capability (the
 //! device records the exact moment each transition settled), which is what
 //! makes closed-loop validation possible — a real-hardware backend cannot
@@ -18,19 +20,23 @@
 //! driver creates a fresh platform per frequency pair (seeded from the
 //! pair) so pairs can run in parallel with bitwise-reproducible results.
 
-use std::sync::Arc;
+use std::ops::Range;
 
-use latest_clock_sync::{synchronize, SyncConfig, SyncResult, TimestampProbe};
-use latest_cuda_sim::{CudaContext, TimerData};
+use latest_clock_sync::{synchronize, SyncConfig, SyncResult};
 use latest_gpu_sim::devices::DeviceSpec;
 use latest_gpu_sim::freq::FreqMhz;
+use latest_gpu_sim::noise::LogNormal;
+use latest_gpu_sim::sm::IterRecord;
 use latest_gpu_sim::transition::TransitionGroundTruth;
 use latest_gpu_sim::{ClockDomain, GpuDevice, KernelConfig, KernelId, ThrottleReasons};
-use latest_nvml_sim::{Nvml, NvmlDevice};
 use latest_sim_clock::{SharedClock, SimDuration, SimTime};
-use parking_lot::Mutex;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
-use crate::error::CoreResult;
+use crate::error::{CoreError, CoreResult};
+
+/// Per-SM timer records copied back to the host.
+pub type TimerData = Vec<Vec<IterRecord>>;
 
 /// The accelerator contract the LATEST methodology runs against.
 ///
@@ -183,35 +189,136 @@ pub trait PlatformFactory: Send + Sync {
     fn device_name(&self) -> String;
 }
 
-/// One simulated machine: clock + device + NVML handle + CUDA context.
+/// Effective device-to-host bandwidth of a record copy (bytes/s): about a
+/// PCIe gen4 x16 link.
+const D2H_BANDWIDTH: f64 = 20e9;
+
+/// Fixed setup cost of a record copy (s).
+const COPY_SETUP_S: f64 = 5e-6;
+
+/// Host-side overhead of an asynchronous kernel launch (µs).
+const LAUNCH_OVERHEAD_US: Range<f64> = 8.0..18.0;
+
+/// One simulated machine: a virtual host clock, one simulated GPU, and the
+/// driver and host-runtime cost model between them.
+///
+/// The frequency-change call has a different target device from its
+/// originator (Fig. 2): the host-side call blocks briefly and returns
+/// before the device has applied anything; the request travels the bus
+/// and is processed asynchronously. Per locked-clocks call, sampled from
+/// the device's [`DriverProfile`](latest_gpu_sim::devices::DriverProfile)
+/// in this order — blocking, travel, stall check:
+///
+/// ```text
+/// host:   |--- call blocking (~100 µs) ---| (returns)
+/// bus:        |--- request travel (~10-60 µs) ---|
+/// device:                                        |-> transition model ...
+/// ```
+///
+/// A small probability of a *driver stall* (lock contention with
+/// monitoring daemons etc.) adds tens of milliseconds to the travel time;
+/// these stalls are the dominant source of the outlier measurements the
+/// paper's DBSCAN stage removes.
+///
+/// Driver queries read the device at call entry, then cost 20–60 µs. On
+/// the host-runtime side a kernel launch costs 8–18 µs and returns before
+/// the kernel runs, a synchronize waits for completion and then 3–10 µs,
+/// a record copy pays for its bytes at 20 GB/s plus 5 µs, and a
+/// `%globaltimer` read is a round trip of 6–20 µs out and 4–15 µs back.
+/// Driver calls and host-runtime calls draw from two separate seeded
+/// streams, so adding a query never shifts a launch cost.
 pub struct SimPlatform {
-    /// The shared virtual clock.
-    pub clock: SharedClock,
-    /// NVML device handle.
-    pub nvml: NvmlDevice,
-    /// CUDA context on the same device.
-    pub cuda: CudaContext,
-    device: Arc<Mutex<GpuDevice>>,
+    clock: SharedClock,
+    device: GpuDevice,
+    /// Driver stream: locked-clocks and query costs.
+    driver_rng: ChaCha8Rng,
+    /// Host-runtime stream: launch, synchronize and timer-read costs.
+    host_rng: ChaCha8Rng,
 }
 
 impl SimPlatform {
-    /// Build a platform over a single device.
+    /// Build a platform over a single device. Construction cannot fail;
+    /// the `Result` stays until the benchmark's next change, which
+    /// compiles against it.
     pub fn new(spec: DeviceSpec, seed: u64) -> CoreResult<SimPlatform> {
-        let (nvml_lib, clock) = Nvml::with_devices(vec![spec], seed);
-        let nvml = nvml_lib.device(0)?;
-        let device = nvml_lib.raw_device(0)?;
-        let cuda = CudaContext::new(clock.clone(), device.clone(), seed ^ 0xCAFE);
+        let clock = SharedClock::new();
+        let driver_rng = ChaCha8Rng::seed_from_u64(0xD215EED ^ spec.name.len() as u64);
         Ok(SimPlatform {
+            device: GpuDevice::new(spec, seed, clock.clone()),
             clock,
-            nvml,
-            cuda,
-            device,
+            driver_rng,
+            host_rng: ChaCha8Rng::seed_from_u64(seed ^ 0xCAFE ^ 0xC0DA),
         })
     }
 
-    /// The device's spec.
-    pub fn spec(&self) -> DeviceSpec {
-        self.device.lock().spec().clone()
+    /// One locked-clocks call in `domain` (`nvmlDeviceSet*LockedClocks`
+    /// with `min == max`): the host blocks for the sampled call time while
+    /// the request travels the bus (plus a rare driver stall) and reaches
+    /// the device asynchronously. Rejects clocks outside the ladder range,
+    /// mirroring `NVML_ERROR_INVALID_ARGUMENT`; returns the ladder-snapped
+    /// target.
+    fn lock_clocks(&mut self, domain: ClockDomain, target: FreqMhz) -> CoreResult<FreqMhz> {
+        let spec = self.device.spec();
+        let ladder = spec.ladder_of(domain);
+        let (min, max) = (ladder.min(), ladder.max());
+        if target < min || target > max {
+            return Err(CoreError::InvalidClock {
+                requested: target.0,
+                min: min.0,
+                max: max.0,
+            });
+        }
+
+        let profile = &spec.driver;
+        let rng = &mut self.driver_rng;
+        let call = self.clock.now();
+        let blocking_us =
+            LogNormal::from_median(profile.call_blocking_us, profile.call_blocking_sigma_ln)
+                .sample(rng);
+        let mut travel_us =
+            LogNormal::from_median(profile.request_travel_us, profile.request_travel_sigma_ln)
+                .sample(rng);
+        if rng.gen::<f64>() < profile.stall_prob {
+            travel_us += profile.stall.sample_ms(rng) * 1e3;
+        }
+        let arrival = call + SimDuration::from_nanos((travel_us * 1e3).round() as u64);
+        let snapped = self
+            .device
+            .apply_locked_clocks(domain, call, arrival, target);
+        self.clock
+            .advance(SimDuration::from_nanos((blocking_us * 1e3).round() as u64));
+        Ok(snapped)
+    }
+
+    /// One driver query: read the device at call entry, then pay the query
+    /// cost (cheap but not free: 20–60 µs).
+    fn query<T>(&mut self, read: impl FnOnce(&mut GpuDevice, SimTime) -> T) -> T {
+        let value = read(&mut self.device, self.clock.now());
+        let us: f64 = self.driver_rng.gen_range(20.0..60.0);
+        self.clock
+            .advance(SimDuration::from_nanos((us * 1e3) as u64));
+        value
+    }
+
+    /// One `%globaltimer` read round trip: a single-timestamp kernel
+    /// returning `(host_before, device_stamp, host_after)`. The device
+    /// stamp is taken somewhere inside the (asymmetric) round trip; the PTP
+    /// layer bounds the offset error by the round-trip width.
+    pub(crate) fn read_globaltimer(&mut self) -> (SimTime, SimTime, SimTime) {
+        let host_before = self.clock.now();
+        // Outbound: launch latency until the kernel's timestamp instruction
+        // retires on the device.
+        let out_us: f64 = self.host_rng.gen_range(6.0..20.0);
+        let stamp_global = self
+            .clock
+            .advance(SimDuration::from_nanos((out_us * 1e3) as u64));
+        let device_stamp = self.device.timer().project(stamp_global);
+        // Return path: completion signal + host wakeup.
+        let back_us: f64 = self.host_rng.gen_range(4.0..15.0);
+        let host_after = self
+            .clock
+            .advance(SimDuration::from_nanos((back_us * 1e3) as u64));
+        (host_before, device_stamp, host_after)
     }
 }
 
@@ -221,54 +328,73 @@ impl Platform for SimPlatform {
     }
 
     fn sleep(&mut self, d: SimDuration) {
-        self.cuda.usleep(d);
+        self.clock.advance(d);
     }
 
     fn set_locked_clocks(&mut self, target: FreqMhz) -> CoreResult<FreqMhz> {
-        Ok(self.nvml.set_gpu_locked_clocks(target)?)
+        self.lock_clocks(ClockDomain::Core, target)
     }
 
     fn reset_locked_clocks(&mut self) -> CoreResult<FreqMhz> {
-        Ok(self.nvml.reset_gpu_locked_clocks()?)
+        let nominal = self.device.spec().nominal_mhz;
+        self.lock_clocks(ClockDomain::Core, nominal)
     }
 
     fn current_clock(&mut self) -> FreqMhz {
-        self.nvml.clock_info()
+        self.query(|d, now| d.current_sm_clock(now))
     }
 
     fn supported_clocks(&self) -> Vec<FreqMhz> {
-        self.nvml.supported_graphics_clocks()
+        self.device.spec().ladder.steps().to_vec()
     }
 
     fn launch_benchmark(&mut self, config: KernelConfig) -> CoreResult<KernelId> {
-        Ok(self.cuda.launch_benchmark(config)?)
+        let overhead_us = self.host_rng.gen_range(LAUNCH_OVERHEAD_US);
+        let enqueue = self
+            .clock
+            .advance(SimDuration::from_nanos((overhead_us * 1e3) as u64));
+        self.device
+            .enqueue_kernel(enqueue, config)
+            .map_err(CoreError::Launch)
     }
 
     fn synchronize(&mut self) -> SimTime {
-        self.cuda.synchronize()
+        let completion = self.device.synchronize(self.clock.now());
+        // Synchronisation itself has a small host-side exit cost.
+        let exit_us: f64 = self.host_rng.gen_range(3.0..10.0);
+        self.clock.advance_to(completion);
+        self.clock
+            .advance(SimDuration::from_nanos((exit_us * 1e3) as u64))
     }
 
     fn collect_records(&mut self, id: KernelId) -> CoreResult<TimerData> {
-        Ok(self.cuda.copy_records(id)?)
+        let records = self
+            .device
+            .take_records(id)
+            .ok_or(CoreError::NoRecords(id))?;
+        let bytes: usize = records
+            .iter()
+            .map(|sm| sm.len() * std::mem::size_of::<IterRecord>())
+            .sum();
+        let secs = bytes as f64 / D2H_BANDWIDTH + COPY_SETUP_S;
+        self.clock.advance(SimDuration::from_secs_f64(secs));
+        Ok(records)
     }
 
     fn synchronize_timers(&mut self, config: &SyncConfig) -> SyncResult {
-        let mut probe = CudaProbe {
-            cuda: &mut self.cuda,
-        };
-        synchronize(&mut probe, config)
+        synchronize(&mut || self.read_globaltimer(), config)
     }
 
     fn throttle_reasons(&mut self) -> ThrottleReasons {
-        self.nvml.throttle_reasons()
+        self.query(|d, now| d.throttle_reasons(now))
     }
 
     fn temperature_c(&mut self) -> f64 {
-        self.nvml.temperature_c()
+        self.query(|d, now| d.temperature(now))
     }
 
     fn device_name(&self) -> String {
-        self.nvml.name()
+        self.device.spec().name.clone()
     }
 
     fn as_ground_truth(&self) -> Option<&dyn GroundTruth> {
@@ -282,33 +408,34 @@ impl Platform for SimPlatform {
 
 impl GroundTruth for SimPlatform {
     fn transitions(&self, domain: ClockDomain) -> Vec<TransitionGroundTruth> {
-        self.device.lock().transitions(domain).to_vec()
+        self.device.transitions(domain).to_vec()
     }
 
     fn last_transition(&self, domain: ClockDomain) -> Option<TransitionGroundTruth> {
-        self.device.lock().transitions(domain).last().copied()
+        self.device.transitions(domain).last().copied()
     }
 }
 
 impl MemoryClocks for SimPlatform {
     fn set_locked_mem_clocks(&mut self, target: FreqMhz) -> CoreResult<FreqMhz> {
-        Ok(self.nvml.set_memory_locked_clocks(target)?)
+        self.lock_clocks(ClockDomain::Memory, target)
     }
 
     fn reset_locked_mem_clocks(&mut self) -> CoreResult<FreqMhz> {
-        Ok(self.nvml.reset_memory_locked_clocks()?)
+        let default = self.device.spec().mem_default();
+        self.lock_clocks(ClockDomain::Memory, default)
     }
 
     fn current_mem_clock(&mut self) -> FreqMhz {
-        self.nvml.mem_clock_info()
+        self.query(|d, now| d.current_mem_clock(now))
     }
 
     fn supported_mem_clocks(&self) -> Vec<FreqMhz> {
-        self.nvml.supported_memory_clocks()
+        self.device.spec().mem_ladder.steps().to_vec()
     }
 
     fn default_mem_clock(&self) -> FreqMhz {
-        self.device.lock().spec().mem_default()
+        self.device.spec().mem_default()
     }
 }
 
@@ -342,23 +469,6 @@ impl PlatformFactory for SimPlatformFactory {
     }
 }
 
-/// Adapter: the CUDA globaltimer round trip as a PTP probe.
-struct CudaProbe<'a> {
-    cuda: &'a mut CudaContext,
-}
-
-impl TimestampProbe for CudaProbe<'_> {
-    fn exchange(
-        &mut self,
-    ) -> (
-        latest_sim_clock::SimTime,
-        latest_sim_clock::SimTime,
-        latest_sim_clock::SimTime,
-    ) {
-        self.cuda.read_globaltimer()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,8 +477,8 @@ mod tests {
     #[test]
     fn platform_wires_one_device() {
         let p = SimPlatform::new(devices::a100_sxm4(), 7).unwrap();
-        assert!(p.nvml.name().contains("A100"));
-        assert_eq!(p.cuda.clock().now(), p.clock.now());
+        assert!(Platform::device_name(&p).contains("A100"));
+        assert_eq!(Platform::now(&p), SimTime::EPOCH);
         assert!(p.transitions(ClockDomain::Core).is_empty());
     }
 
@@ -391,9 +501,7 @@ mod tests {
     #[test]
     fn ground_truth_appears_after_clock_request() {
         let mut p = SimPlatform::new(devices::a100_sxm4(), 3).unwrap();
-        p.nvml
-            .set_gpu_locked_clocks(latest_gpu_sim::freq::FreqMhz(705))
-            .unwrap();
+        p.set_locked_clocks(FreqMhz(705)).unwrap();
         assert_eq!(p.transitions(ClockDomain::Core).len(), 1);
         assert_eq!(p.last_transition(ClockDomain::Core).unwrap().to.0, 705);
     }

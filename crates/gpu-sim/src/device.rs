@@ -3,12 +3,13 @@
 //!
 //! # Execution model
 //!
-//! The device is driven by the host-side façades (`latest-nvml-sim`,
-//! `latest-cuda-sim`) in strict call order on the virtual timeline:
+//! The device is driven by the host side (`latest_core::SimPlatform`,
+//! which models the driver and host-runtime costs) in strict call order on
+//! the virtual timeline:
 //!
 //! * [`GpuDevice::apply_locked_clocks`] — a locked-clocks request for one
-//!   [`ClockDomain`] (core or memory) *arrives* at the device (the façade
-//!   has already paid bus/driver latency). The device samples that
+//!   [`ClockDomain`] (core or memory) *arrives* at the device (the host
+//!   side has already paid bus/driver latency). The device samples that
 //!   domain's [`TransitionModel`], extends the domain's *requested*
 //!   frequency trajectory with the pending/ramp/target breakpoints, and
 //!   records a [`TransitionGroundTruth`] in the domain's ledger. Both

@@ -61,7 +61,7 @@ impl std::fmt::Display for GpuArchitecture {
     }
 }
 
-/// Driver-path timing profile consumed by the NVML façade: how long the
+/// Driver-path timing profile of locked-clocks calls: how long the
 /// host-side call blocks, how long the request travels to the device, and
 /// how often the driver stalls (producing the outlier measurements the
 /// DBSCAN stage must filter).
@@ -126,7 +126,7 @@ pub struct DeviceSpec {
     pub wakeup_ramp: SimDuration,
     /// Idle gap beyond which the next kernel pays the wake-up ramp.
     pub wakeup_idle_threshold: SimDuration,
-    /// Driver-path timing (used by the NVML façade).
+    /// Driver-path timing of locked-clocks calls.
     pub driver: DriverProfile,
 }
 

@@ -14,7 +14,7 @@
 //! Both reports convert into `latest-report` artifacts (scatter, error
 //! heatmap, table) for the `latest predict validate` CLI.
 
-use latest_core::{GroundTruth, SimPlatform};
+use latest_core::{GroundTruth, Platform, SimPlatform};
 use latest_gpu_sim::devices::DeviceSpec;
 use latest_gpu_sim::freq::{ClockDomain, FreqMhz};
 use latest_report::{prediction_error_heatmap, Heatmap, PredictionRow, PredictionScatter};
@@ -283,15 +283,13 @@ pub fn closed_loop_validate(
             // First lock lands the device at `init`, second is the measured
             // transition; ground truth records both, we take the last.
             platform
-                .nvml
-                .set_gpu_locked_clocks(FreqMhz(init))
+                .set_locked_clocks(FreqMhz(init))
                 .map_err(|e| PredictError::Platform(e.to_string()))?;
             // Let the first transition settle so the second starts cleanly
             // from `init`.
-            platform.cuda.usleep(SimDuration::from_micros(200_000));
+            platform.sleep(SimDuration::from_micros(200_000));
             platform
-                .nvml
-                .set_gpu_locked_clocks(FreqMhz(target))
+                .set_locked_clocks(FreqMhz(target))
                 .map_err(|e| PredictError::Platform(e.to_string()))?;
             let gt = platform
                 .last_transition(ClockDomain::Core)

@@ -8,10 +8,11 @@
 //!    run of every member spec (the [`RunId`]s are known up front:
 //!    execution is deterministic) is a cache hit served without
 //!    recomputation.
-//! 2. **Plan** — the claiming worker fans the job out onto the shared
-//!    task board: one setup task per member campaign. Each setup resolves
-//!    its spec, restores any matching checkpoint, runs the phase-1 +
-//!    probe prelude once, and pushes one task per pending [`PairTask`] —
+//! 2. **Plan** — the claiming worker resolves each member spec once and
+//!    fans the job out onto the shared task board: one setup task per
+//!    member campaign, carrying its resolved config. Each setup restores
+//!    any matching checkpoint, runs the phase-1 + probe prelude once, and
+//!    pushes one task per pending [`PairTask`] —
 //!    so a single claimed job spreads across every idle worker in the
 //!    pool, not just the claimer.
 //! 3. **Execute** — workers steal pair tasks off the board and measure
@@ -66,7 +67,7 @@ use latest_core::session::{
 };
 use latest_core::spec::{CampaignSpec, SpecCheckpoint};
 use latest_core::store::{write_atomic, ResultStore, RunId, StoreError};
-use latest_core::{CoreError, PairMeasurement};
+use latest_core::{CampaignConfig, CoreError, PairMeasurement};
 use latest_telemetry::{ClockSpec, Registry, Stage, StageClock, TelemetrySnapshot};
 use parking_lot::Mutex;
 
@@ -198,9 +199,14 @@ impl std::fmt::Display for DrainStats {
 
 /// One schedulable step of an in-flight job on the task board.
 enum Task {
-    /// Resolve one member's spec, build its session, run the prelude and
-    /// fan its pending pairs out as pair tasks.
-    Setup { run: Arc<JobRun>, member: usize },
+    /// Build one member's session from its resolved spec (or settle the
+    /// job `Failed` with the resolution error), run the prelude and fan its
+    /// pending pairs out as pair tasks.
+    Setup {
+        run: Arc<JobRun>,
+        member: usize,
+        config: Result<Box<CampaignConfig>, String>,
+    },
     /// Measure one pending pair of a member campaign.
     Pair {
         run: Arc<JobRun>,
@@ -676,11 +682,22 @@ impl WorkerPool {
             return Ok(());
         }
 
-        let members = job.members().len();
-        let pairs: usize = job
+        // Resolve every member once: the plan counts their pairs and each
+        // setup task builds its session from the same config.
+        let configs: Vec<Result<Box<CampaignConfig>, String>> = job
             .members()
             .iter()
-            .filter_map(|spec| spec.resolve().ok())
+            .enumerate()
+            .map(|(member, spec)| {
+                spec.resolve()
+                    .map(Box::new)
+                    .map_err(|e| format!("member {member}: {e}"))
+            })
+            .collect();
+        let members = configs.len();
+        let pairs: usize = configs
+            .iter()
+            .flatten()
             .map(|config| config.ordered_state_pairs().len())
             .sum();
         self.sink.emit(&QueueEvent::Planned {
@@ -696,10 +713,13 @@ impl WorkerPool {
             outstanding: AtomicUsize::new(members),
             failure: Mutex::new(None),
         });
-        let tasks = (0..members)
-            .map(|member| Task::Setup {
+        let tasks = configs
+            .into_iter()
+            .enumerate()
+            .map(|(member, config)| Task::Setup {
                 run: run.clone(),
                 member,
+                config,
             })
             .collect();
         self.board.push(tasks);
@@ -708,14 +728,24 @@ impl WorkerPool {
 
     fn run_task(&self, task: Task) -> QueueResult<()> {
         match task {
-            Task::Setup { run, member } => self.setup_member(&run, member),
+            Task::Setup {
+                run,
+                member,
+                config,
+            } => self.setup_member(&run, member, config),
             Task::Pair { run, member, task } => self.run_pair(&run, member, &task),
         }
     }
 
     /// Build one member's session and fan its pending pairs out as pair
-    /// tasks. Runs the member's prelude (phase 1 + probe) exactly once.
-    fn setup_member(&self, run: &Arc<JobRun>, member: usize) -> QueueResult<()> {
+    /// tasks. Runs the member's prelude (phase 1 + probe) exactly once; a
+    /// member whose spec did not resolve fails the job.
+    fn setup_member(
+        &self,
+        run: &Arc<JobRun>,
+        member: usize,
+        config: Result<Box<CampaignConfig>, String>,
+    ) -> QueueResult<()> {
         if run.failed() || run.token.is_cancelled() || self.shutdown.is_cancelled() {
             let _ = run.members[member].set(None);
             return self.complete_task(run);
@@ -724,7 +754,7 @@ impl WorkerPool {
             let job = run.job.lock();
             (job.id, job.members()[member].clone())
         };
-        match self.build_member(job_id, member, &spec, run) {
+        match self.build_member(job_id, member, &spec, config, run) {
             Ok(Some(mr)) => {
                 // Claim-to-start: claim to "this member is ready to
                 // measure" (spec resolution, checkpoint restore, prelude).
@@ -778,19 +808,18 @@ impl WorkerPool {
         }
     }
 
-    /// Resolve one member spec into a ready-to-measure [`MemberRun`],
-    /// resuming from its checkpoint when one matches. `Ok(None)` means
-    /// cancelled during the prelude.
+    /// Turn one member's resolved spec into a ready-to-measure
+    /// [`MemberRun`], resuming from its checkpoint when one matches.
+    /// `Ok(None)` means cancelled during the prelude.
     fn build_member(
         &self,
         job_id: JobId,
         member: usize,
         spec: &CampaignSpec,
+        config: Result<Box<CampaignConfig>, String>,
         run: &Arc<JobRun>,
     ) -> Result<Option<MemberRun>, String> {
-        let config = spec
-            .resolve()
-            .map_err(|e| format!("member {member}: {e}"))?;
+        let config = *config?;
         let total = config.ordered_state_pairs().len();
         let ckpt_path = self.queue.checkpoint_path(job_id, member);
 

@@ -13,10 +13,11 @@
 //!   exactly the way real ones do (the GPU timer refreshes at ~1 µs, see the
 //!   paper's footnote 1).
 //!
-//! Everything downstream (the GPU simulator, the NVML/CUDA façades, the
-//! IEEE 1588 synchroniser and the LATEST tool itself) tells time exclusively
-//! through this crate, which is what makes whole measurement campaigns run
-//! in milliseconds of wall-clock time while remaining bit-deterministic.
+//! Everything downstream (the GPU simulator, the simulated machine's
+//! NVML/CUDA cost model, the IEEE 1588 synchroniser and the LATEST tool
+//! itself) tells time exclusively through this crate, which is what makes
+//! whole measurement campaigns run in milliseconds of wall-clock time while
+//! remaining bit-deterministic.
 
 pub mod clock;
 pub mod time;

@@ -14,12 +14,10 @@
 //! |---|---|---|
 //! | [`sim_clock`] | `latest-sim-clock` | virtual time, clock views |
 //! | [`gpu_sim`] | `latest-gpu-sim` | the simulated GPU (SMs, DVFS, thermals) |
-//! | [`nvml`] | `latest-nvml-sim` | NVML-shaped driver façade |
-//! | [`cuda`] | `latest-cuda-sim` | CUDA-shaped host runtime façade |
 //! | [`clock_sync`] | `latest-clock-sync` | IEEE 1588 host↔device timer sync |
 //! | [`stats`] | `latest-stats` | tests, intervals, RSE, quantiles |
-//! | [`cluster`] | `latest-cluster` | DBSCAN, k-NN, silhouette, Alg. 3 |
-//! | [`core`] | `latest-core` | the LATEST methodology (Alg. 1 & 2) |
+//! | [`cluster`] | `latest-cluster` | DBSCAN, silhouette, Alg. 3 |
+//! | [`core`] | `latest-core` | the LATEST methodology (Alg. 1 & 2) and `SimPlatform`, the simulated NVML + CUDA machine |
 //! | [`ftalat`] | `latest-ftalat` | FTaLaT CPU baseline (Sec. IV) |
 //! | [`governor`] | `latest-governor` | latency-aware DVFS governor (Sec. VIII application) |
 //! | [`queue`] | `latest-queue` | campaign execution service (job queue, workers, result cache) |
@@ -58,11 +56,9 @@
 pub use latest_clock_sync as clock_sync;
 pub use latest_cluster as cluster;
 pub use latest_core as core;
-pub use latest_cuda_sim as cuda;
 pub use latest_ftalat as ftalat;
 pub use latest_governor as governor;
 pub use latest_gpu_sim as gpu_sim;
-pub use latest_nvml_sim as nvml;
 pub use latest_predict as predict;
 pub use latest_queue as queue;
 pub use latest_report as report;
@@ -70,3 +66,10 @@ pub use latest_sim_clock as sim_clock;
 pub use latest_stats as stats;
 pub use latest_telemetry as telemetry;
 pub use latest_traffic as traffic;
+
+/// The old home of [`TimerData`](cuda::TimerData), now
+/// `latest_core::platform::TimerData`. This path stays until the
+/// benchmark's next change, which compiles against it.
+pub mod cuda {
+    pub use latest_core::platform::TimerData;
+}

@@ -243,6 +243,72 @@ fn a_fleet_and_a_campaign_sharing_a_member_both_archive_it() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// A journaled member that no longer resolves (here: its device was
+/// rewritten to one no registry knows) fails its job with the resolution
+/// error, and the service goes on to drain and archive the next job.
+#[test]
+fn a_member_that_no_longer_resolves_fails_its_job_and_the_next_still_archives() {
+    let dir = temp_dir("unresolvable_member");
+    let (pool, events) = recording_pool(&dir, 2);
+    let queue = pool.queue();
+    let fleet = FleetSpec::new().member(tiny(90)).member(tiny(91));
+    let broken = queue
+        .submit(ScenarioSpec::Fleet(fleet.clone()), SubmitOptions::default())
+        .unwrap();
+    let healthy_spec = tiny(92);
+    let healthy = queue
+        .submit(
+            ScenarioSpec::Campaign(healthy_spec.clone()),
+            SubmitOptions::default(),
+        )
+        .unwrap();
+
+    let mut unknown = fleet.clone();
+    unknown.members[1].device = "no-such-gpu".to_string();
+    let expected = format!(
+        "member 1: {}",
+        unknown.members[1].resolve().expect_err("unknown device")
+    );
+    let mut job = queue.load(broken.id).unwrap();
+    job.spec = ScenarioSpec::Fleet(unknown);
+    queue.save(&job).unwrap();
+
+    let stats = pool.drain().unwrap();
+    assert_eq!((stats.failed, stats.executed), (1, 1));
+    match queue.load(broken.id).unwrap().state {
+        JobState::Failed { error } => assert_eq!(error, expected),
+        other => panic!("expected Failed, got {other:?}"),
+    }
+    assert!(matches!(
+        queue.load(healthy.id).unwrap().state,
+        JobState::Done {
+            via: CompletionVia::Executed,
+            ..
+        }
+    ));
+    // The plan counts only the member that resolved.
+    let planned_pairs = events.lock().unwrap().iter().find_map(|e| match e {
+        QueueEvent::Planned { job, pairs, .. } if *job == broken.id => Some(*pairs),
+        _ => None,
+    });
+    let member0_pairs = fleet.members[0]
+        .resolve()
+        .unwrap()
+        .ordered_state_pairs()
+        .len();
+    assert_eq!(planned_pairs, Some(member0_pairs));
+
+    let runs = pool.store().list().unwrap();
+    assert_eq!(runs.len(), 1, "only the healthy job archives");
+    let healthy_id = RunId::of_spec(&healthy_spec);
+    assert_eq!(
+        pool.store().get(&healthy_id).unwrap().result.to_json(),
+        reference_run(&healthy_spec).to_json()
+    );
+
+    fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn forced_duplicates_execute_instead_of_coalescing() {
     let dir = temp_dir("force_dup");
